@@ -1,11 +1,15 @@
-# Tier-1 verification for the repo (see ROADMAP.md): build everything,
-# vet, and run the full test suite under the race detector.
+# Tier-1 verification for the repo (see ROADMAP.md): check formatting,
+# build everything, vet, and run the full test suite under the race detector.
 
 GO ?= go
 
-.PHONY: check build vet test test-race chaos bench profile obs serve scenarios diff
+.PHONY: check fmt build vet test test-race chaos bench profile obs serve scenarios diff
 
-check: build vet test-race
+check: fmt build vet test-race
+
+# Fails listing every Go file gofmt would rewrite.
+fmt:
+	@files="$$(gofmt -l .)"; test -z "$$files" || { echo "gofmt needed: $$files"; exit 1; }
 
 build:
 	$(GO) build ./...
@@ -27,11 +31,11 @@ chaos:
 	$(GO) run ./cmd/lfmbench -chaos-profile storm -seed 7
 
 # Scheduler scale sweep in quick mode: measures the indexed matcher against
-# the linear scan's counterfactual cost, byte-verifies identical output on
-# the dual-run point AND between the calendar-queue and legacy-heap engines
-# (the benchstat-style "engine ..." lines), writes BENCH_scheduler.json, and
-# captures a CPU profile (CI uploads both as artifacts). Drop -quick to
-# reproduce the committed full-size numbers, including the 1M-task point.
+# the linear scan's counterfactual cost, re-runs each point with the
+# observability plane attached (byte-verifying identical output), writes
+# BENCH_scheduler.json, and captures a CPU profile (CI uploads both as
+# artifacts). Drop -quick to reproduce the committed full-size numbers,
+# including the 1M-task point.
 bench:
 	$(GO) run ./cmd/lfmbench -scale -quick -scale-out BENCH_scheduler.json -cpuprofile BENCH_cpu.pprof
 

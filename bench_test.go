@@ -319,59 +319,52 @@ func BenchmarkWQScheduler(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineQueue contrasts the calendar event queue with the legacy
-// binary heap on the raw dispatch loop: a large churning population of
-// pending events (random delays, a slice of same-timestamp bursts,
-// occasional cancels) with no scheduler on top, isolating queue cost per
-// event. The standing population matches the scale sweep's regime — tens
-// of thousands of pending events — where the heap pays O(log n) pointer
-// chasing per operation.
+// BenchmarkEngineQueue measures the calendar event queue on the raw
+// dispatch loop: a large churning population of pending events (random
+// delays, a slice of same-timestamp bursts, occasional cancels) with no
+// scheduler on top, isolating queue cost per event. The standing population
+// matches the scale sweep's regime — tens of thousands of pending events.
 func BenchmarkEngineQueue(b *testing.B) {
-	for _, kind := range []sim.QueueKind{sim.QueueCalendar, sim.QueueHeap} {
-		kind := kind
-		b.Run(kind.String(), func(b *testing.B) {
-			const events = 200000
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				eng := sim.NewEngineQueue(7, kind)
-				rng := eng.RNG()
-				n := 0
-				var churn func()
-				churn = func() {
-					n++
-					if n >= events {
-						return
-					}
-					switch n % 8 {
-					case 0: // same-timestamp burst
-						for j := 0; j < 4; j++ {
-							eng.Defer(func() {})
-						}
-						eng.After(sim.Time(rng.Float64()), churn)
-					case 1: // schedule-then-cancel
-						ev := eng.After(sim.Time(rng.Float64()*10), func() {})
-						eng.After(sim.Time(rng.Float64()), churn)
-						eng.Cancel(ev)
-					default:
-						eng.After(sim.Time(rng.Float64()*2), churn)
-					}
-				}
-				// A standing population so the queue is never near-empty:
-				// 32k long-lived events plus 64 churn drivers.
-				for j := 0; j < 32768; j++ {
-					eng.After(sim.Time(rng.Float64()*1000+10), func() {})
-				}
-				for j := 0; j < 64; j++ {
-					eng.After(sim.Time(rng.Float64()*5), churn)
-				}
-				eng.Run()
-				if n < events {
-					b.Fatalf("dispatched %d events, want >= %d", n, events)
-				}
+	const events = 200000
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		eng := sim.NewEngine(7)
+		rng := eng.RNG()
+		n := 0
+		var churn func()
+		churn = func() {
+			n++
+			if n >= events {
+				return
 			}
-			b.ReportMetric(float64(events), "events/op")
-		})
+			switch n % 8 {
+			case 0: // same-timestamp burst
+				for j := 0; j < 4; j++ {
+					eng.Defer(func() {})
+				}
+				eng.After(sim.Time(rng.Float64()), churn)
+			case 1: // schedule-then-cancel
+				ev := eng.After(sim.Time(rng.Float64()*10), func() {})
+				eng.After(sim.Time(rng.Float64()), churn)
+				eng.Cancel(ev)
+			default:
+				eng.After(sim.Time(rng.Float64()*2), churn)
+			}
+		}
+		// A standing population so the queue is never near-empty: 32k
+		// long-lived events plus 64 churn drivers.
+		for j := 0; j < 32768; j++ {
+			eng.After(sim.Time(rng.Float64()*1000+10), func() {})
+		}
+		for j := 0; j < 64; j++ {
+			eng.After(sim.Time(rng.Float64()*5), churn)
+		}
+		eng.Run()
+		if n < events {
+			b.Fatalf("dispatched %d events, want >= %d", n, events)
+		}
 	}
+	b.ReportMetric(float64(events), "events/op")
 }
 
 // BenchmarkFairShare exercises the shared-link transfer model: a standing
@@ -406,32 +399,29 @@ func BenchmarkFairShare(b *testing.B) {
 	}
 }
 
-// BenchmarkMatcher contrasts the indexed matcher with the reference linear
-// scan on a backlog deep enough that scheduling cost dominates, reporting
-// candidate fit-tests per scheduling round for each.
+// BenchmarkMatcher runs the indexed matcher on a backlog deep enough that
+// scheduling cost dominates, reporting candidate fit-tests per scheduling
+// round next to what the linear scan would have examined in the same rounds.
 func BenchmarkMatcher(b *testing.B) {
-	for _, mt := range []wq.Matcher{wq.MatcherIndexed, wq.MatcherScan} {
-		mt := mt
-		b.Run(mt.String(), func(b *testing.B) {
-			var perRound float64
-			for i := 0; i < b.N; i++ {
-				w := workloads.Scale(sim.NewRNG(7), 4000, 8)
-				out, err := core.Run(w, core.RunConfig{
-					SiteName: "theta", Workers: 64, Seed: 7, NoBatchLatency: true,
-					WorkerCores: 4, WorkerMemoryMB: 4 * 1024, WorkerDiskMB: 8 * 1024,
-					Strategy: &alloc.Guess{Fixed: w.Guess}, Matcher: mt,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if out.Stats.Completed != 4000 {
-					b.Fatalf("completed %d", out.Stats.Completed)
-				}
-				perRound = float64(out.Sched.CandidatesExamined) / float64(out.Sched.Passes)
-			}
-			b.ReportMetric(perRound, "candidates/round")
+	var perRound, scanPerRound float64
+	for i := 0; i < b.N; i++ {
+		w := workloads.Scale(sim.NewRNG(7), 4000, 8)
+		out, err := core.Run(w, core.RunConfig{
+			SiteName: "theta", Workers: 64, Seed: 7, NoBatchLatency: true,
+			WorkerCores: 4, WorkerMemoryMB: 4 * 1024, WorkerDiskMB: 8 * 1024,
+			Strategy: &alloc.Guess{Fixed: w.Guess},
 		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if out.Stats.Completed != 4000 {
+			b.Fatalf("completed %d", out.Stats.Completed)
+		}
+		perRound = float64(out.Sched.CandidatesExamined) / float64(out.Sched.Passes)
+		scanPerRound = float64(out.Sched.ScanCandidatesExamined) / float64(out.Sched.Passes)
 	}
+	b.ReportMetric(perRound, "candidates/round")
+	b.ReportMetric(scanPerRound, "scan-candidates/round")
 }
 
 // BenchmarkDependencyAnalysis measures static analysis throughput on a

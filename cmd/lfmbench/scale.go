@@ -42,26 +42,10 @@ type scaleResult struct {
 	// scan would have examined over the same rounds (no timing, it did not
 	// run).
 	ScanEquivalent matcherCost `json:"scan_equivalent"`
-	// Scan holds the measured cost of actually re-running the point under
-	// the linear scan; only present on points small enough to afford it.
-	Scan *matcherCost `json:"scan,omitempty"`
-	// IdenticalOutput reports whether the scan re-run's outcome and trace
-	// JSON were byte-identical to the indexed run's; only present with Scan.
-	IdenticalOutput *bool `json:"identical_output,omitempty"`
 
 	// ReductionCandidatesPerRound is scan-equivalent candidates per round
 	// divided by indexed candidates per round.
 	ReductionCandidatesPerRound float64 `json:"reduction_candidates_per_round"`
-
-	// LegacyHeap is the measured cost of re-running the point on the legacy
-	// binary-heap event queue (indexed matcher) — the benchstat-style
-	// old-vs-new engine comparison; present on points small enough to
-	// afford the re-run.
-	LegacyHeap *matcherCost `json:"legacy_heap,omitempty"`
-	// EngineIdenticalOutput reports whether the legacy-heap re-run's
-	// outcome (and trace, when captured) was byte-identical to the calendar
-	// engine's; only present with LegacyHeap.
-	EngineIdenticalOutput *bool `json:"engine_identical_output,omitempty"`
 
 	// Obs is the measured cost and latency yield of re-running the point
 	// with the streaming observability plane attached; present on points
@@ -92,26 +76,24 @@ type obsCost struct {
 type scaleReport struct {
 	SchemaVersion int           `json:"schema_version"`
 	GeneratedBy   string        `json:"generated_by"`
-	Quick       bool          `json:"quick"`
-	Seed        int64         `json:"seed"`
-	Points      []scaleResult `json:"points"`
+	Quick         bool          `json:"quick"`
+	Seed          int64         `json:"seed"`
+	Points        []scaleResult `json:"points"`
 }
 
 const scaleCategories = 8
 
-// scaleRun executes one sweep point under one matcher and engine queue and
-// returns the outcome, the trace JSON (only captured when withTrace, to keep
-// the big points lean), and the process wall time. A non-nil ocfg attaches
-// the observability plane to the run.
-func scaleRun(seed int64, p scalePoint, m lfm.Matcher, q lfm.QueueKind, withTrace bool, ocfg *lfm.ObsConfig) (*lfm.Outcome, []byte, time.Duration, error) {
+// scaleRun executes one sweep point and returns the outcome and the process
+// wall time. A non-nil ocfg attaches the observability plane to the run.
+func scaleRun(seed int64, p scalePoint, ocfg *lfm.ObsConfig) (*lfm.Outcome, time.Duration, error) {
 	w := lfm.ScaleWorkload(seed, p.Tasks, scaleCategories)
 	// The fixed "guess" label keeps Strategy.Next O(1) so the measurement
 	// isolates matcher cost; "auto" recomputes labels from the full
 	// observation history on every query, which at this scale dominates the
-	// runtime identically under both matchers.
+	// runtime.
 	strategy, err := lfm.StrategyFor("guess", w)
 	if err != nil {
-		return nil, nil, 0, err
+		return nil, 0, err
 	}
 	// A synthetic pool: one 4-core node per worker so the backlog stays
 	// several waves deep and every scheduling round has real work.
@@ -120,10 +102,6 @@ func scaleRun(seed int64, p scalePoint, m lfm.Matcher, q lfm.QueueKind, withTrac
 	site.Nodes = p.Workers
 	site.BatchLatency = 0
 	site.Jitter = 0
-	var tr *lfm.ExecutionTrace
-	if withTrace {
-		tr = &lfm.ExecutionTrace{}
-	}
 	// Collect the previous run's garbage outside the timed window: the
 	// sweep re-runs points back to back in one process, and inherited GC
 	// debt otherwise skews whichever run happens to pay it.
@@ -133,21 +111,13 @@ func scaleRun(seed int64, p scalePoint, m lfm.Matcher, q lfm.QueueKind, withTrac
 		Site: &site, Workers: p.Workers,
 		WorkerCores: 4, WorkerMemoryMB: 4 * 1024, WorkerDiskMB: 8 * 1024,
 		Strategy: strategy, Seed: seed, NoBatchLatency: true,
-		Matcher: m, EventQueue: q, Trace: tr, Obs: ocfg,
+		Obs: ocfg,
 	})
 	wall := time.Since(start)
 	if err != nil {
-		return nil, nil, 0, err
+		return nil, 0, err
 	}
-	var tb []byte
-	if withTrace {
-		var buf bytes.Buffer
-		if err := tr.Store().WriteJSON(&buf); err != nil {
-			return nil, nil, 0, err
-		}
-		tb = buf.Bytes()
-	}
-	return out, tb, wall, nil
+	return out, wall, nil
 }
 
 func cost(rounds, tasks, candidates int64, schedNanos int64, wall time.Duration) matcherCost {
@@ -164,10 +134,6 @@ func cost(rounds, tasks, candidates int64, schedNanos int64, wall time.Duration)
 	return c
 }
 
-// runScale sweeps the scheduler over growing backlogs and pools, measures
-// the indexed matcher against the linear scan's counterfactual cost,
-// re-runs the smallest point under the real scan to byte-verify identical
-// output, and writes the JSON report.
 // parsePoints parses a "TASKSxWORKERS,..." override list.
 func parsePoints(spec string) ([]scalePoint, error) {
 	var pts []scalePoint
@@ -181,21 +147,17 @@ func parsePoints(spec string) ([]scalePoint, error) {
 	return pts, nil
 }
 
+// runScale sweeps the scheduler over growing backlogs and pools, measures
+// the indexed matcher against the linear scan's counterfactual cost, and
+// writes the JSON report.
 func runScale(seed int64, quick bool, outPath, pointSpec string) error {
 	points := []scalePoint{{2000, 128}, {10000, 512}, {100000, 5000}, {1000000, 50000}}
-	dualMax := 2000
-	// Every pre-existing point re-runs on the legacy heap engine for
-	// byte-identity verification and an old-vs-new timing comparison; only
-	// the top (million-task) point is calendar-only.
-	heapDualMax := 100000
 	// Points up to this size also re-run with the observability plane
 	// attached, to record scheduling-latency quantiles and measure the
 	// plane's wall-clock overhead against the obs-off base run.
 	obsDualMax := 100000
 	if quick {
 		points = []scalePoint{{1000, 64}, {5000, 512}, {20000, 1000}}
-		dualMax = 1000
-		heapDualMax = 20000
 		obsDualMax = 20000
 	}
 	if pointSpec != "" {
@@ -206,8 +168,7 @@ func runScale(seed int64, quick bool, outPath, pointSpec string) error {
 	}
 	rep := scaleReport{SchemaVersion: 1, GeneratedBy: "lfmbench -scale", Quick: quick, Seed: seed}
 	for _, p := range points {
-		dual := p.Tasks <= dualMax
-		out, trIdx, wall, err := scaleRun(seed, p, lfm.MatcherIndexed, lfm.QueueCalendar, dual, nil)
+		out, wall, err := scaleRun(seed, p, nil)
 		if err != nil {
 			return err
 		}
@@ -226,60 +187,9 @@ func runScale(seed int64, quick bool, outPath, pointSpec string) error {
 			res.ReductionCandidatesPerRound =
 				res.ScanEquivalent.CandidatesPerRound / res.Indexed.CandidatesPerRound
 		}
-		if dual {
-			outScan, trScan, wallScan, err := scaleRun(seed, p, lfm.MatcherScan, lfm.QueueCalendar, true, nil)
-			if err != nil {
-				return err
-			}
-			ss := outScan.Sched
-			sc := cost(ss.Passes, ss.TasksExamined, ss.CandidatesExamined, ss.ElapsedNanos, wallScan)
-			res.Scan = &sc
-			oi, err := json.Marshal(out)
-			if err != nil {
-				return err
-			}
-			os2, err := json.Marshal(outScan)
-			if err != nil {
-				return err
-			}
-			same := bytes.Equal(oi, os2) && bytes.Equal(trIdx, trScan)
-			res.IdenticalOutput = &same
-			if !same {
-				return fmt.Errorf("scale point %dx%d: indexed and scan outputs diverge", p.Tasks, p.Workers)
-			}
-			if ss.CandidatesExamined != s.ScanCandidatesExamined {
-				return fmt.Errorf("scale point %dx%d: counterfactual scan cost %d != measured %d",
-					p.Tasks, p.Workers, s.ScanCandidatesExamined, ss.CandidatesExamined)
-			}
-		}
 		msg := io.Writer(os.Stdout)
 		if outPath == "-" {
 			msg = os.Stderr
-		}
-		if p.Tasks <= heapDualMax {
-			outHeap, trHeap, wallHeap, err := scaleRun(seed, p, lfm.MatcherIndexed, lfm.QueueHeap, dual, nil)
-			if err != nil {
-				return err
-			}
-			hs := outHeap.Sched
-			hc := cost(hs.Passes, hs.TasksExamined, hs.CandidatesExamined, hs.ElapsedNanos, wallHeap)
-			res.LegacyHeap = &hc
-			oi, err := json.Marshal(out)
-			if err != nil {
-				return err
-			}
-			oh, err := json.Marshal(outHeap)
-			if err != nil {
-				return err
-			}
-			same := bytes.Equal(oi, oh) && bytes.Equal(trIdx, trHeap)
-			res.EngineIdenticalOutput = &same
-			if !same {
-				return fmt.Errorf("scale point %dx%d: calendar and legacy-heap engine outputs diverge", p.Tasks, p.Workers)
-			}
-			fmt.Fprintf(msg, "engine %6d tasks x %4d workers: wall calendar %.1fs vs heap %.1fs (%.2fx), identical output\n",
-				p.Tasks, p.Workers, wall.Seconds(), wallHeap.Seconds(),
-				wallHeap.Seconds()/wall.Seconds())
 		}
 		if p.Tasks <= obsDualMax {
 			// Wall-clock noise (GC pauses, machine jitter across the
@@ -297,7 +207,7 @@ func runScale(seed int64, quick bool, outPath, pointSpec string) error {
 					if obs {
 						oc = &lfm.ObsConfig{}
 					}
-					o, _, w, err := scaleRun(seed, p, lfm.MatcherIndexed, lfm.QueueCalendar, false, oc)
+					o, w, err := scaleRun(seed, p, oc)
 					if obs && err == nil {
 						outObs = o
 					}

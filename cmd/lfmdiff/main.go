@@ -19,7 +19,8 @@
 // into CI. `-refresh` rewrites the baselines instead (review the git diff
 // before committing, mirroring `lfmscenario export -refresh`). `-perturb`
 // applies a named config mutation to the fresh runs, the gate's
-// self-test: a perturbed gate run must fail.
+// self-test: a perturbed gate run must fail. The one perturbation is
+// workers-halved, which halves every scenario's worker pool.
 package main
 
 import (
@@ -294,7 +295,7 @@ func cmdGate(w io.Writer, args []string) error {
 	dir := fs.String("baselines", "baselines", "directory of committed baseline archives")
 	names := fs.String("scenarios", "", "comma-separated scenario subset (default: all canned scenarios)")
 	rel := fs.Float64("rel", 0, "override the relative noise threshold (default 0.05)")
-	perturb := fs.String("perturb", "", "apply a named config perturbation to the fresh runs (gate self-test; must fail)")
+	perturb := fs.String("perturb", "", "apply a named config perturbation to the fresh runs (gate self-test; must fail); one of "+strings.Join(lfm.DiffPerturbationNames(), ", "))
 	refresh := fs.Bool("refresh", false, "rewrite the baseline archives from fresh runs instead of diffing")
 	jsonOut := fs.String("json", "", "write the gate report as JSON to this file")
 	mdOut := fs.String("md", "", "write the gate summary as a markdown table to this file")

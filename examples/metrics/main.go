@@ -25,9 +25,10 @@ func main() {
 	reg := lfm.NewMetricsRegistry()
 	out, err := lfm.RunWorkload(w, lfm.RunConfig{
 		SiteName: "ndcrc", Workers: 8, Seed: 11, NoBatchLatency: true,
-		Strategy:        s,
-		WorkerChurnMTBF: 90, // pilot jobs die every ~90s on average
-		Metrics:         reg, MetricsResolution: 2,
+		Strategy: s,
+		// Pilot jobs die every ~90s on average and are replaced.
+		Faults:  &lfm.ChaosSchedule{ChurnMTBF: 90, ChurnReplace: true},
+		Metrics: reg, MetricsResolution: 2,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -161,11 +161,9 @@ type ServingDisruptor interface {
 type Engine struct {
 	eng   *sim.Engine
 	sched Schedule
-	// rng drives victim picks and staging-failure coin flips.
+	// rng drives victim picks, staging-failure coin flips and the churn
+	// loop.
 	rng *sim.RNG
-	// churnRNG is a dedicated stream for the churn loop, so the legacy
-	// WorkerChurnMTBF path replays the exact pre-chaos draw sequence.
-	churnRNG *sim.RNG
 
 	m       *wq.Master
 	cl      *cluster.Cluster
@@ -193,7 +191,7 @@ type Engine struct {
 // seed it independently of the workload so the same disaster can replay over
 // different workloads (and vice versa).
 func New(eng *sim.Engine, sched Schedule, rng *sim.RNG) *Engine {
-	return &Engine{eng: eng, sched: sched, rng: rng, churnRNG: rng}
+	return &Engine{eng: eng, sched: sched, rng: rng}
 }
 
 // Bind attaches the layers the engine injects into. Call before Start.
@@ -204,9 +202,6 @@ func (e *Engine) Bind(m *wq.Master, cl *cluster.Cluster) {
 
 // SetTrace records injections as chaos spans in the store (nil detaches).
 func (e *Engine) SetTrace(st *trace.Store) { e.st = st }
-
-// SetChurnRNG dedicates a stream to the churn loop (default: the fault rng).
-func (e *Engine) SetChurnRNG(r *sim.RNG) { e.churnRNG = r }
 
 // SetObserver installs (or, with nil, removes) a callback fired on every
 // counted injection. Observation is passive: it runs after the count and
@@ -290,13 +285,11 @@ func (e *Engine) Start() error {
 	return nil
 }
 
-// startChurn runs the continuous-crash loop. The draw sequence (one
-// Exponential per cycle, one Intn when a live worker exists) replicates the
-// legacy core churn loop exactly, so seeded runs that predate this engine
-// keep their outcomes.
+// startChurn runs the continuous-crash loop: each cycle draws one
+// Exponential gap and, when a live worker exists, one Intn victim pick.
 func (e *Engine) startChurn() {
 	mtbf := float64(e.sched.ChurnMTBF)
-	rng := e.churnRNG
+	rng := e.rng
 	var churn func()
 	churn = func() {
 		st := e.m.Stats()

@@ -46,16 +46,8 @@ type RunConfig struct {
 	Site *cluster.Site
 	// Strategy is the allocation strategy; default Auto.
 	Strategy alloc.Strategy
-	// Matcher selects the master's matching-loop implementation (default
-	// the indexed matcher; see wq.Matcher). Both produce identical
-	// placement decisions.
-	Matcher wq.Matcher
 	// Seed makes the run reproducible.
 	Seed int64
-	// EventQueue selects the engine's event-queue implementation (default
-	// the calendar queue; see sim.QueueKind). Both dispatch identically —
-	// the legacy heap exists for differential benchmarking.
-	EventQueue sim.QueueKind
 	// NoBatchLatency provisions workers instantly (for experiments
 	// measuring steady-state scheduling rather than queue waits).
 	NoBatchLatency bool
@@ -63,12 +55,6 @@ type RunConfig struct {
 	// grow the pool (up to Workers) as backlog accumulates, instead of
 	// provisioning the whole pool up front.
 	Autoscale bool
-	// WorkerChurnMTBF, when positive, kills a random connected worker on
-	// average every MTBF of simulated time and requests a replacement —
-	// pilot jobs hitting batch time limits. Running tasks are resubmitted.
-	// It is a compatibility shim over Faults.ChurnMTBF; seeded runs using it
-	// keep their pre-chaos-engine outcomes.
-	WorkerChurnMTBF sim.Time
 	// Resilience configures failure detection and mitigation in the master
 	// (heartbeats, speculation, quarantine, staging retries). Zero value
 	// leaves the master's historical behaviour unchanged.
@@ -117,6 +103,11 @@ type RunConfig struct {
 	// streams. The outcome carries the retained snapshots (Outcome.Obs) and
 	// the rule-driven health report (Outcome.Health).
 	Obs *obs.Config
+
+	// matcher selects the master's matching loop. Only the in-package
+	// differential tests set it, to run the linear scan the indexed
+	// matcher is checked against.
+	matcher wq.Matcher
 }
 
 // Outcome summarizes one run.
@@ -229,11 +220,11 @@ func Run(w *workloads.Workload, cfg RunConfig) (*Outcome, error) {
 		strategy = alloc.NewAuto()
 	}
 
-	eng := sim.NewEngineQueue(cfg.Seed, cfg.EventQueue)
+	eng := sim.NewEngine(cfg.Seed)
 	cl := cluster.New(eng, site)
 	mcfg := wq.DefaultConfig()
 	mcfg.Strategy = strategy
-	mcfg.Matcher = cfg.Matcher
+	mcfg.Matcher = cfg.matcher
 	mcfg.Monitor.Metrics = cfg.Metrics
 	mcfg.Resilience = cfg.Resilience
 	master := wq.NewMaster(eng, mcfg)
@@ -345,40 +336,15 @@ func Run(w *workloads.Workload, cfg RunConfig) (*Outcome, error) {
 		return nil, err
 	}
 
-	// Assemble the effective fault schedule: an explicit Faults schedule,
-	// with the legacy WorkerChurnMTBF knob folded in as churn.
-	var sched *chaos.Schedule
-	if cfg.Faults != nil {
-		s := *cfg.Faults
-		sched = &s
-	}
-	if cfg.WorkerChurnMTBF > 0 {
-		if sched == nil {
-			sched = &chaos.Schedule{}
-		}
-		if sched.ChurnMTBF <= 0 {
-			sched.ChurnMTBF = cfg.WorkerChurnMTBF
-			sched.ChurnReplace = true
-		}
-	}
-	var churnRNG *sim.RNG
-	if cfg.WorkerChurnMTBF > 0 {
-		// Forked at the same stream position as the legacy churn loop, so
-		// seeded churn runs replay their historical outcomes.
-		churnRNG = eng.RNG().Fork()
-	}
 	var chaosEng *chaos.Engine
-	if sched != nil {
+	if cfg.Faults != nil {
 		seed := cfg.ChaosSeed
 		if seed == 0 {
 			seed = cfg.Seed
 		}
-		chaosEng = chaos.New(eng, *sched, sim.NewRNG(seed))
+		chaosEng = chaos.New(eng, *cfg.Faults, sim.NewRNG(seed))
 		chaosEng.Bind(master, cl)
-		if churnRNG != nil {
-			chaosEng.SetChurnRNG(churnRNG)
-		}
-		if cfg.Faults != nil && cfg.Trace != nil {
+		if cfg.Trace != nil {
 			chaosEng.SetTrace(cfg.Trace.Store())
 		}
 		if bus != nil {
@@ -481,7 +447,7 @@ func Run(w *workloads.Workload, cfg RunConfig) (*Outcome, error) {
 			Workers: cfg.Workers, Seed: cfg.Seed, Makespan: makespan,
 		})
 	}
-	if chaosEng != nil && cfg.Faults != nil {
+	if chaosEng != nil {
 		// Fold invariant-checker findings into the chaos report: every
 		// submitted task must have terminated and nothing may have leaked,
 		// no matter what the schedule did to the run.

@@ -23,7 +23,7 @@ func matcherRun(t *testing.T, mt wq.Matcher, wl func() *workloads.Workload,
 	}
 	cfg := RunConfig{
 		SiteName: "ndcrc", Workers: 8, Seed: 31, NoBatchLatency: true,
-		Strategy: s, Matcher: mt,
+		Strategy: s, matcher: mt,
 	}
 	if profile != "" {
 		sched, err := chaos.Profile(profile, 600)

@@ -21,8 +21,8 @@ func TestTelemetryBehaviorNeutral(t *testing.T) {
 		w := workloads.HEP(sim.NewRNG(42), 60)
 		out, err := Run(w, RunConfig{
 			SiteName: "ndcrc", Workers: 4, Seed: 42,
-			WorkerChurnMTBF: 150, // churn exercises loss/abort paths too
-			Telemetry:       tcfg,
+			Faults:    churnFaults(150), // churn exercises loss/abort paths too
+			Telemetry: tcfg,
 		})
 		if err != nil {
 			t.Fatal(err)

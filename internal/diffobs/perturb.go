@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"lfm/internal/core"
-	"lfm/internal/wq"
 )
 
 // Perturbations are named RunConfig mutations the gate uses for its
@@ -20,13 +19,6 @@ var perturbations = map[string]func(*core.RunConfig){
 		if cfg.Workers > 1 {
 			cfg.Workers /= 2
 		}
-	},
-	// matcher-scan swaps the indexed matcher for the O(queue × workers)
-	// linear scan. Placements — and thus the outcome digest — stay
-	// identical; only the scheduler work counters (sched_candidates)
-	// regress. Exercises the counter-only gate path.
-	"matcher-scan": func(cfg *core.RunConfig) {
-		cfg.Matcher = wq.MatcherScan
 	},
 }
 

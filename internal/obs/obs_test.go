@@ -329,7 +329,7 @@ func TestTopThrottleAndRender(t *testing.T) {
 	top := &Top{W: &buf, MinInterval: time.Second, Clock: func() time.Time { return clock }}
 	s := &Snapshot{At: 5, QueueDepth: 3, Running: 2, Submitted: 10, Completed: 4,
 		WorkersAlive: 2, PoolCores: 16, AllocatedCores: 8, Utilization: 0.5,
-		SchedLatency: LatencyQuantiles{Count: 4, P50: 0.1, P99: 0.4, P999: 0.5, Max: 1},
+		SchedLatency:  LatencyQuantiles{Count: 4, P50: 0.1, P99: 0.4, P999: 0.5, Max: 1},
 		ChaosInjected: 1, Events: []ChaosEvent{{At: 2, Kind: "worker-crash"}},
 	}
 	top.OnSnapshot(s) // first frame renders

@@ -7,8 +7,8 @@
 // simulated times, and Engine.Run dispatches them in time order. Ties are
 // broken by scheduling order, which keeps runs deterministic: (at, seq) is a
 // strict total order over events, so any correct priority queue yields the
-// same dispatch sequence (see equeue.go for the two interchangeable queue
-// implementations).
+// same dispatch sequence (see equeue.go for the calendar queue that holds
+// pending events).
 package sim
 
 import (
@@ -67,13 +67,12 @@ type eslot struct {
 	seq uint64
 	fn  func()
 	// day is the calendar-queue day floor(at/width), precomputed at push so
-	// hunting never re-divides; the legacy heap ignores it.
+	// hunting never re-divides.
 	day int64
 	gen uint32
-	// pos is the slot's index within its bucket (calendar) or heap (legacy).
+	// pos is the slot's index within its bucket or within the near heap.
 	pos int32
-	// b is the owning bucket index, nearHeap when in the calendar's near
-	// heap; the legacy heap leaves it at nearHeap.
+	// b is the owning bucket index, nearHeap when in the near heap.
 	b int32
 }
 
@@ -97,26 +96,6 @@ func (e Event) Cancelled() bool {
 	return e.slot == nil || e.slot.gen != e.gen || e.slot.fn == nil
 }
 
-// QueueKind selects the Engine's internal event-queue implementation.
-type QueueKind int
-
-const (
-	// QueueCalendar is the default: a calendar queue over arena slots with a
-	// near-term binary heap for the current day (O(1) amortized push/pop).
-	QueueCalendar QueueKind = iota
-	// QueueHeap is the pre-calendar binary heap, kept as an executable
-	// specification for differential testing.
-	QueueHeap
-)
-
-// String names the queue kind.
-func (k QueueKind) String() string {
-	if k == QueueHeap {
-		return "heap"
-	}
-	return "calendar"
-}
-
 // arenaChunk is how many event slots are allocated per arena growth; one
 // allocator object then serves arenaChunk schedules before the next.
 const arenaChunk = 256
@@ -125,7 +104,7 @@ const arenaChunk = 256
 // construct one with NewEngine.
 type Engine struct {
 	now     Time
-	q       evqueue
+	q       *calendarQueue
 	seq     uint64
 	stopped bool
 	rng     *RNG
@@ -144,21 +123,9 @@ type Engine struct {
 }
 
 // NewEngine returns an engine starting at time 0 with a deterministic
-// random-number generator seeded from seed, using the default calendar
-// event queue.
-func NewEngine(seed int64) *Engine { return NewEngineQueue(seed, QueueCalendar) }
-
-// NewEngineQueue is NewEngine with an explicit event-queue implementation.
-// Both kinds dispatch byte-identically; QueueHeap exists as the executable
-// spec the calendar queue is differentially tested against.
-func NewEngineQueue(seed int64, kind QueueKind) *Engine {
-	e := &Engine{rng: NewRNG(seed)}
-	if kind == QueueHeap {
-		e.q = &heapQueue{}
-	} else {
-		e.q = newCalendarQueue()
-	}
-	return e
+// random-number generator seeded from seed.
+func NewEngine(seed int64) *Engine {
+	return &Engine{rng: NewRNG(seed), q: newCalendarQueue()}
 }
 
 // Now returns the current simulated time.

@@ -2,19 +2,6 @@ package sim
 
 import "math"
 
-// evqueue is the engine's pending-event set. Both implementations order
-// slots by the strict total order (at, seq), so they are interchangeable:
-// the dispatch sequence is fully determined by the order, not the structure.
-type evqueue interface {
-	push(s *eslot)
-	// pop removes and returns the minimum slot, or nil when empty. A popped
-	// slot may be handed back via push (the engine peeks by pop + push when
-	// it hits a RunUntil limit or a deferred-drain boundary).
-	pop() *eslot
-	remove(s *eslot)
-	len() int
-}
-
 // eless is the (at, seq) dispatch order.
 func eless(a, b *eslot) bool {
 	if a.at != b.at {
@@ -23,11 +10,8 @@ func eless(a, b *eslot) bool {
 	return a.seq < b.seq
 }
 
-// ---------------------------------------------------------------------------
-// Calendar queue
-
-// nearHeap marks a slot held in the calendar's near-term heap (or in the
-// legacy binary heap) rather than in a calendar bucket.
+// nearHeap marks a slot held in the calendar's near-term heap rather than in
+// a calendar bucket.
 const nearHeap = int32(-1)
 
 const minBuckets = 16
@@ -96,6 +80,9 @@ func (q *calendarQueue) push(s *eslot) {
 	q.buckets[b] = append(q.buckets[b], s)
 }
 
+// pop removes and returns the minimum slot, or nil when empty. A popped slot
+// may be handed back via push (the engine peeks by pop + push when it hits a
+// RunUntil limit or a deferred-drain boundary).
 func (q *calendarQueue) pop() *eslot {
 	if q.n == 0 {
 		return nil
@@ -314,93 +301,6 @@ func (q *calendarQueue) nearDown(i int) bool {
 		q.near[i], q.near[c] = q.near[c], q.near[i]
 		q.near[i].pos = int32(i)
 		q.near[c].pos = int32(c)
-		i = c
-		moved = true
-	}
-	return moved
-}
-
-// ---------------------------------------------------------------------------
-// Legacy binary heap
-
-// heapQueue is the engine's original global binary heap, retained as the
-// executable specification the calendar queue is differentially tested
-// against (and selectable via QueueHeap).
-type heapQueue struct {
-	h []*eslot
-}
-
-func (q *heapQueue) len() int { return len(q.h) }
-
-func (q *heapQueue) push(s *eslot) {
-	s.b = nearHeap
-	s.pos = int32(len(q.h))
-	q.h = append(q.h, s)
-	q.up(len(q.h) - 1)
-}
-
-func (q *heapQueue) pop() *eslot {
-	if len(q.h) == 0 {
-		return nil
-	}
-	s := q.h[0]
-	last := len(q.h) - 1
-	q.h[0] = q.h[last]
-	q.h[0].pos = 0
-	q.h[last] = nil
-	q.h = q.h[:last]
-	if last > 0 {
-		q.down(0)
-	}
-	return s
-}
-
-func (q *heapQueue) remove(s *eslot) {
-	i := int(s.pos)
-	last := len(q.h) - 1
-	if i != last {
-		q.h[i] = q.h[last]
-		q.h[i].pos = int32(i)
-	}
-	q.h[last] = nil
-	q.h = q.h[:last]
-	if i < last {
-		if !q.down(i) {
-			q.up(i)
-		}
-	}
-}
-
-func (q *heapQueue) up(i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !eless(q.h[i], q.h[parent]) {
-			break
-		}
-		q.h[i], q.h[parent] = q.h[parent], q.h[i]
-		q.h[i].pos = int32(i)
-		q.h[parent].pos = int32(parent)
-		i = parent
-	}
-}
-
-func (q *heapQueue) down(i int) bool {
-	moved := false
-	n := len(q.h)
-	for {
-		c := 2*i + 1
-		if c >= n {
-			break
-		}
-		if r := c + 1; r < n && eless(q.h[r], q.h[c]) {
-			c = r
-		}
-		if !eless(q.h[c], q.h[i]) {
-			break
-		}
-		q.h[i], q.h[c] = q.h[c], q.h[i]
-		q.h[i].pos = int32(i)
-		q.h[c].pos = int32(c)
 		i = c
 		moved = true
 	}

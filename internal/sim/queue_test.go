@@ -7,47 +7,34 @@ import (
 	"testing"
 )
 
-// bothKinds runs a subtest under each event-queue implementation, so every
-// property below is checked against the calendar queue and the legacy heap.
-func bothKinds(t *testing.T, f func(t *testing.T, kind QueueKind)) {
-	t.Helper()
-	for _, kind := range []QueueKind{QueueCalendar, QueueHeap} {
-		t.Run(kind.String(), func(t *testing.T) { f(t, kind) })
-	}
-}
-
 // Regression: At used to accept non-finite times. An event at t = +Inf
 // defeated RunUntil's `at > limit` guard (Inf > Inf is false), fired, and
 // corrupted Now() to +Inf for the rest of the run.
 func TestAtRejectsNonFiniteTime(t *testing.T) {
-	bothKinds(t, func(t *testing.T, kind QueueKind) {
-		for _, bad := range []Time{Time(math.Inf(1)), Time(math.Inf(-1)), Time(math.NaN())} {
-			func() {
-				defer func() {
-					if recover() == nil {
-						t.Errorf("At(%v) did not panic", bad)
-					}
-				}()
-				NewEngineQueue(1, kind).At(bad, func() {})
+	for _, bad := range []Time{Time(math.Inf(1)), Time(math.Inf(-1)), Time(math.NaN())} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("At(%v) did not panic", bad)
+				}
 			}()
-		}
-	})
+			NewEngine(1).At(bad, func() {})
+		}()
+	}
 }
 
 func TestRunUntilInfinityKeepsNowFinite(t *testing.T) {
-	bothKinds(t, func(t *testing.T, kind QueueKind) {
-		e := NewEngineQueue(1, kind)
-		fired := 0
-		e.At(1, func() { fired++ })
-		e.At(2, func() { fired++ })
-		end := e.Run()
-		if fired != 2 {
-			t.Fatalf("fired %d events, want 2", fired)
-		}
-		if math.IsInf(float64(end), 0) || end != 2 {
-			t.Fatalf("Run() returned %v, want 2", end)
-		}
-	})
+	e := NewEngine(1)
+	fired := 0
+	e.At(1, func() { fired++ })
+	e.At(2, func() { fired++ })
+	end := e.Run()
+	if fired != 2 {
+		t.Fatalf("fired %d events, want 2", fired)
+	}
+	if math.IsInf(float64(end), 0) || end != 2 {
+		t.Fatalf("Run() returned %v, want 2", end)
+	}
 }
 
 func TestRunUntilNaNLimitPanics(t *testing.T) {
@@ -65,22 +52,20 @@ func TestRunUntilNaNLimitPanics(t *testing.T) {
 // that had already drained) was silently lost. Stop is sticky: it parks the
 // next Run before any dispatch, and that run consumes it.
 func TestStopBeforeRunIsSticky(t *testing.T) {
-	bothKinds(t, func(t *testing.T, kind QueueKind) {
-		e := NewEngineQueue(1, kind)
-		fired := false
-		e.At(1, func() { fired = true })
-		e.Stop()
-		if end := e.RunUntil(10); end != 0 {
-			t.Fatalf("stopped run advanced time to %v, want 0", end)
-		}
-		if fired {
-			t.Fatal("stopped run dispatched an event")
-		}
-		// The Stop was consumed: the next run proceeds normally.
-		if end := e.RunUntil(10); end != 1 || !fired {
-			t.Fatalf("second run: end=%v fired=%v, want 1 true", end, fired)
-		}
-	})
+	e := NewEngine(1)
+	fired := false
+	e.At(1, func() { fired = true })
+	e.Stop()
+	if end := e.RunUntil(10); end != 0 {
+		t.Fatalf("stopped run advanced time to %v, want 0", end)
+	}
+	if fired {
+		t.Fatal("stopped run dispatched an event")
+	}
+	// The Stop was consumed: the next run proceeds normally.
+	if end := e.RunUntil(10); end != 1 || !fired {
+		t.Fatalf("second run: end=%v fired=%v, want 1 true", end, fired)
+	}
 }
 
 // Regression: Duration() used to produce garbage for non-finite and
@@ -107,29 +92,27 @@ func TestTimeDurationEdgeCases(t *testing.T) {
 }
 
 func TestDeferRunsBeforeTimeAdvances(t *testing.T) {
-	bothKinds(t, func(t *testing.T, kind QueueKind) {
-		e := NewEngineQueue(1, kind)
-		var order []string
-		e.At(1, func() {
-			e.Defer(func() {
-				order = append(order, fmt.Sprintf("defer1@%v", e.Now()))
-				e.Defer(func() { order = append(order, fmt.Sprintf("nested@%v", e.Now())) })
-			})
-			e.Defer(func() { order = append(order, fmt.Sprintf("defer2@%v", e.Now())) })
-			order = append(order, "event@1")
+	e := NewEngine(1)
+	var order []string
+	e.At(1, func() {
+		e.Defer(func() {
+			order = append(order, fmt.Sprintf("defer1@%v", e.Now()))
+			e.Defer(func() { order = append(order, fmt.Sprintf("nested@%v", e.Now())) })
 		})
-		e.At(2, func() { order = append(order, "event@2") })
-		e.Run()
-		want := []string{"event@1", "defer1@1", "defer2@1", "nested@1", "event@2"}
-		if len(order) != len(want) {
+		e.Defer(func() { order = append(order, fmt.Sprintf("defer2@%v", e.Now())) })
+		order = append(order, "event@1")
+	})
+	e.At(2, func() { order = append(order, "event@2") })
+	e.Run()
+	want := []string{"event@1", "defer1@1", "defer2@1", "nested@1", "event@2"}
+	if len(order) != len(want) {
+		t.Fatalf("order = %v, want %v", order, want)
+	}
+	for i := range want {
+		if order[i] != want[i] {
 			t.Fatalf("order = %v, want %v", order, want)
 		}
-		for i := range want {
-			if order[i] != want[i] {
-				t.Fatalf("order = %v, want %v", order, want)
-			}
-		}
-	})
+	}
 }
 
 func TestDeferCountsInPending(t *testing.T) {
@@ -155,128 +138,191 @@ func TestDeferNilPanics(t *testing.T) {
 }
 
 // Property: a burst of events sharing one timestamp dispatches in exact
-// scheduling (seq) order, and timestamps never regress — under both queue
-// implementations. This is the batched-round dispatch invariant the wq
-// master relies on for determinism.
+// scheduling (seq) order, and timestamps never regress. This is the
+// batched-round dispatch invariant the wq master relies on for determinism.
 func TestBatchedSameTimestampOrderProperty(t *testing.T) {
-	bothKinds(t, func(t *testing.T, kind QueueKind) {
-		rng := rand.New(rand.NewSource(42))
-		for trial := 0; trial < 20; trial++ {
-			e := NewEngineQueue(1, kind)
-			type rec struct {
-				at  Time
-				seq int
-			}
-			var got []rec
-			n := 0
-			// A few distinct timestamps, each carrying a burst of events.
-			for _, at := range []Time{0, 1, 1, 2.5} {
-				burst := 1 + rng.Intn(8)
-				for i := 0; i < burst; i++ {
-					at, seq := at, n
-					e.At(at, func() { got = append(got, rec{at, seq}) })
-					n++
-				}
-			}
-			e.Run()
-			if len(got) != n {
-				t.Fatalf("trial %d: dispatched %d of %d events", trial, len(got), n)
-			}
-			for i := 1; i < len(got); i++ {
-				a, b := got[i-1], got[i]
-				if b.at < a.at || (b.at == a.at && b.seq < a.seq) {
-					t.Fatalf("trial %d: dispatch %d (%v,%d) before %d (%v,%d) violates (at,seq) order",
-						trial, i-1, a.at, a.seq, i, b.at, b.seq)
-				}
+	rng := rand.New(rand.NewSource(42))
+	for trial := 0; trial < 20; trial++ {
+		e := NewEngine(1)
+		type rec struct {
+			at  Time
+			seq int
+		}
+		var got []rec
+		n := 0
+		// A few distinct timestamps, each carrying a burst of events.
+		for _, at := range []Time{0, 1, 1, 2.5} {
+			burst := 1 + rng.Intn(8)
+			for i := 0; i < burst; i++ {
+				at, seq := at, n
+				e.At(at, func() { got = append(got, rec{at, seq}) })
+				n++
 			}
 		}
-	})
+		e.Run()
+		if len(got) != n {
+			t.Fatalf("trial %d: dispatched %d of %d events", trial, len(got), n)
+		}
+		for i := 1; i < len(got); i++ {
+			a, b := got[i-1], got[i]
+			if b.at < a.at || (b.at == a.at && b.seq < a.seq) {
+				t.Fatalf("trial %d: dispatch %d (%v,%d) before %d (%v,%d) violates (at,seq) order",
+					trial, i-1, a.at, a.seq, i, b.at, b.seq)
+			}
+		}
+	}
 }
 
 // Property: cancelling a same-timestamp sibling from inside a firing
 // callback prevents its dispatch — the burst is not snapshotted before the
 // cancel takes effect.
 func TestSameTimestampSiblingCancel(t *testing.T) {
-	bothKinds(t, func(t *testing.T, kind QueueKind) {
-		e := NewEngineQueue(1, kind)
-		var fired []int
-		var victim Event
-		e.At(1, func() {
-			fired = append(fired, 0)
-			e.Cancel(victim)
-		})
-		e.At(1, func() { fired = append(fired, 1) })
-		victim = e.At(1, func() { fired = append(fired, 2) })
-		e.At(1, func() { fired = append(fired, 3) })
-		e.Run()
-		want := []int{0, 1, 3}
-		if len(fired) != len(want) {
+	e := NewEngine(1)
+	var fired []int
+	var victim Event
+	e.At(1, func() {
+		fired = append(fired, 0)
+		e.Cancel(victim)
+	})
+	e.At(1, func() { fired = append(fired, 1) })
+	victim = e.At(1, func() { fired = append(fired, 2) })
+	e.At(1, func() { fired = append(fired, 3) })
+	e.Run()
+	want := []int{0, 1, 3}
+	if len(fired) != len(want) {
+		t.Fatalf("fired %v, want %v", fired, want)
+	}
+	for i := range want {
+		if fired[i] != want[i] {
 			t.Fatalf("fired %v, want %v", fired, want)
 		}
-		for i := range want {
-			if fired[i] != want[i] {
-				t.Fatalf("fired %v, want %v", fired, want)
-			}
-		}
-		if !victim.Cancelled() {
-			t.Fatal("victim handle not Cancelled after cancel")
-		}
-	})
+	}
+	if !victim.Cancelled() {
+		t.Fatal("victim handle not Cancelled after cancel")
+	}
 }
 
-// Differential: the calendar queue and the legacy heap must produce the
-// byte-identical dispatch sequence on randomized schedule/cancel workloads,
-// including re-entrant scheduling from callbacks. Any correct priority
-// queue yields the same (at,seq)-ordered sequence, so divergence here means
-// a queue bug.
-func TestCalendarHeapDifferentialDispatch(t *testing.T) {
-	run := func(kind QueueKind, seed int64) []string {
-		rng := rand.New(rand.NewSource(seed))
-		e := NewEngineQueue(1, kind)
-		var trace []string
-		var live []Event
-		id := 0
-		var spawn func(depth int)
-		spawn = func(depth int) {
-			k := 1 + rng.Intn(4)
-			for i := 0; i < k; i++ {
-				id++
-				me := id
-				var d Time
-				switch rng.Intn(3) {
-				case 0:
-					d = 0 // same-timestamp burst
-				case 1:
-					d = Time(rng.Intn(5)) // collisions across spawns
-				default:
-					d = Time(rng.Float64() * 10)
-				}
-				ev := e.After(d, func() {
-					trace = append(trace, fmt.Sprintf("%d@%.6f", me, float64(e.Now())))
-					if depth < 3 && rng.Intn(2) == 0 {
-						spawn(depth + 1)
-					}
-					if len(live) > 0 && rng.Intn(3) == 0 {
-						e.Cancel(live[rng.Intn(len(live))])
-					}
-				})
-				live = append(live, ev)
-			}
-		}
-		spawn(0)
-		e.Run()
-		return trace
+// refQueue is the reference pending-event set: an unordered slice whose pop
+// is a linear min-scan on (at, seq).
+type refQueue []*eslot
+
+func (r *refQueue) push(s *eslot) { *r = append(*r, s) }
+
+func (r *refQueue) pop() *eslot {
+	if len(*r) == 0 {
+		return nil
 	}
-	for seed := int64(0); seed < 30; seed++ {
-		cal := run(QueueCalendar, seed)
-		hp := run(QueueHeap, seed)
-		if len(cal) != len(hp) {
-			t.Fatalf("seed %d: calendar dispatched %d events, heap %d", seed, len(cal), len(hp))
+	m := 0
+	for i, s := range *r {
+		if eless(s, (*r)[m]) {
+			m = i
 		}
-		for i := range cal {
-			if cal[i] != hp[i] {
-				t.Fatalf("seed %d: dispatch %d diverges: calendar %s, heap %s", seed, i, cal[i], hp[i])
+	}
+	s := (*r)[m]
+	r.removeAt(m)
+	return s
+}
+
+func (r *refQueue) remove(s *eslot) {
+	for i, x := range *r {
+		if x == s {
+			r.removeAt(i)
+			return
+		}
+	}
+}
+
+func (r *refQueue) removeAt(i int) {
+	q := *r
+	q[i] = q[len(q)-1]
+	*r = q[:len(q)-1]
+}
+
+// Differential: the calendar queue must pop exactly the slot the reference
+// queue pops under randomized push, pop, remove, and pop-then-push-back (the
+// engine's peek at a RunUntil limit). Pushes mix same-timestamp bursts,
+// sparse far-future events and ordinary near-term events; each seed grows
+// the population past several doubling resizes, then drains it through the
+// shrink threshold.
+func TestCalendarQueueMatchesReference(t *testing.T) {
+	for seed := int64(0); seed < 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		q := newCalendarQueue()
+		var ref refQueue
+		var live []*eslot
+		var now Time
+		var seq uint64
+		peakBuckets := 0
+		push := func() {
+			var at Time
+			switch rng.Intn(4) {
+			case 0:
+				at = now // same-timestamp burst
+			case 1:
+				at = now + Time(rng.Float64()*1e6) // sparse far future
+			default:
+				at = now + Time(rng.Float64()*10)
 			}
+			s := &eslot{at: at, seq: seq}
+			seq++
+			q.push(s)
+			ref.push(s)
+			live = append(live, s)
+		}
+		forget := func(s *eslot) {
+			for i, x := range live {
+				if x == s {
+					live[i] = live[len(live)-1]
+					live = live[:len(live)-1]
+					return
+				}
+			}
+		}
+		pop := func(op int) *eslot {
+			got, want := q.pop(), ref.pop()
+			if got != want {
+				t.Fatalf("seed %d op %d: calendar popped %+v, reference %+v", seed, op, got, want)
+			}
+			return got
+		}
+		for op := 0; op < 6000; op++ {
+			pushBias := 6 // grow to thousands pending...
+			if op >= 3000 {
+				pushBias = 2 // ...then drain back below the shrink threshold
+			}
+			switch r := rng.Intn(10); {
+			case r < pushBias:
+				push()
+			case r < pushBias+1 && len(live) > 0:
+				s := live[rng.Intn(len(live))]
+				q.remove(s)
+				ref.remove(s)
+				forget(s)
+			case r < pushBias+2:
+				if s := pop(op); s != nil {
+					q.push(s)
+					ref.push(s)
+				}
+			default:
+				if s := pop(op); s != nil {
+					now = s.at
+					forget(s)
+				}
+			}
+			if q.len() != len(ref) {
+				t.Fatalf("seed %d op %d: calendar len %d, reference %d", seed, op, q.len(), len(ref))
+			}
+			peakBuckets = max(peakBuckets, len(q.buckets))
+		}
+		for len(ref) > 0 {
+			pop(-1)
+		}
+		if q.len() != 0 {
+			t.Fatalf("seed %d: calendar holds %d slots after drain", seed, q.len())
+		}
+		if peakBuckets < 256 || len(q.buckets) != minBuckets {
+			t.Fatalf("seed %d: buckets peaked at %d and ended at %d; the input must grow past 256 and shrink back to %d",
+				seed, peakBuckets, len(q.buckets), minBuckets)
 		}
 	}
 }
@@ -314,7 +360,7 @@ func TestZeroEventHandle(t *testing.T) {
 // to thousands of pending events across a wide time span, drain half,
 // schedule more at fine granularity, and verify global (at,seq) order.
 func TestCalendarQueueResizeStress(t *testing.T) {
-	e := NewEngineQueue(1, QueueCalendar)
+	e := NewEngine(1)
 	rng := rand.New(rand.NewSource(7))
 	var last Time
 	var fired int

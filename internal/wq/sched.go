@@ -27,8 +27,7 @@ const (
 	// mutated by Observe (true for all strategies in alloc).
 	MatcherIndexed Matcher = iota
 	// MatcherScan is the original O(queue x workers) linear scan, kept as
-	// the oracle for differential testing and as a fallback for strategies
-	// that violate the purity contract above.
+	// the oracle the indexed matcher is differentially tested against.
 	MatcherScan
 )
 

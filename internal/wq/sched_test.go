@@ -131,10 +131,21 @@ func diffWorkload() []*Task {
 	return tasks
 }
 
-// runMatcher executes the differential workload under one matcher and
+// prioritized returns tasks with every fourth one raised to priority 1-3,
+// so the matchers must agree on priority order as well as ready order.
+func prioritized(tasks []*Task) []*Task {
+	for i, tk := range tasks {
+		if i%4 == 0 {
+			tk.Priority = 1 + (i/4)%3
+		}
+	}
+	return tasks
+}
+
+// runMatcher executes a differential workload under one matcher and
 // placement policy and returns the trace bytes, the stats JSON, and the
 // scheduling counters.
-func runMatcher(t *testing.T, mt Matcher, p Placement, s alloc.Strategy) ([]byte, []byte, SchedStats) {
+func runMatcher(t *testing.T, mt Matcher, p Placement, s alloc.Strategy, tasks []*Task) ([]byte, []byte, SchedStats) {
 	t.Helper()
 	eng := sim.NewEngine(3)
 	site := cluster.Sites()["ndcrc"]
@@ -150,7 +161,6 @@ func runMatcher(t *testing.T, mt Matcher, p Placement, s alloc.Strategy) ([]byte
 	if err := cl.Provision(4, func(n *cluster.Node) { m.AddWorker(n) }); err != nil {
 		t.Fatal(err)
 	}
-	tasks := diffWorkload()
 	// Three submission waves create distinct busy periods and re-fill the
 	// blocked sets.
 	eng.At(0, func() {
@@ -185,8 +195,8 @@ func runMatcher(t *testing.T, mt Matcher, p Placement, s alloc.Strategy) ([]byte
 
 // TestMatcherDifferential proves the indexed matcher makes byte-identical
 // decisions to the linear scan under every placement policy and several
-// strategies, and that its counterfactual scan-cost counters equal the
-// scan's measured costs for the same rounds.
+// strategies, with and without task priorities, and that its counterfactual
+// scan-cost counters equal the scan's measured costs for the same rounds.
 func TestMatcherDifferential(t *testing.T) {
 	policies := []Placement{PlaceCacheAffinity, PlaceFirstFit, PlaceBestFit, PlaceWorstFit}
 	strategies := map[string]func() alloc.Strategy{
@@ -200,31 +210,37 @@ func TestMatcherDifferential(t *testing.T) {
 			}, Pad: 0.05}
 		},
 	}
+	inputs := map[string]func() []*Task{
+		"":          diffWorkload,
+		"/priority": func() []*Task { return prioritized(diffWorkload()) },
+	}
 	for _, p := range policies {
 		for name, mk := range strategies {
-			t.Run(fmt.Sprintf("%v/%s", p, name), func(t *testing.T) {
-				trIdx, stIdx, schedIdx := runMatcher(t, MatcherIndexed, p, mk())
-				trScan, stScan, schedScan := runMatcher(t, MatcherScan, p, mk())
-				if !bytes.Equal(trIdx, trScan) {
-					t.Fatal("matchers produced different traces")
-				}
-				if !bytes.Equal(stIdx, stScan) {
-					t.Fatalf("matchers produced different stats:\n%s\n%s", stIdx, stScan)
-				}
-				if schedIdx.Passes != schedScan.Passes {
-					t.Fatalf("rounds diverge: indexed %d, scan %d", schedIdx.Passes, schedScan.Passes)
-				}
-				if schedIdx.ScanTasksExamined != schedScan.TasksExamined ||
-					schedIdx.ScanCandidatesExamined != schedScan.CandidatesExamined {
-					t.Fatalf("counterfactual scan cost %d/%d != measured %d/%d",
-						schedIdx.ScanTasksExamined, schedIdx.ScanCandidatesExamined,
-						schedScan.TasksExamined, schedScan.CandidatesExamined)
-				}
-				if schedIdx.CandidatesExamined > schedScan.CandidatesExamined {
-					t.Fatalf("indexed matcher examined more candidates (%d) than the scan (%d)",
-						schedIdx.CandidatesExamined, schedScan.CandidatesExamined)
-				}
-			})
+			for suffix, tasks := range inputs {
+				t.Run(fmt.Sprintf("%v/%s%s", p, name, suffix), func(t *testing.T) {
+					trIdx, stIdx, schedIdx := runMatcher(t, MatcherIndexed, p, mk(), tasks())
+					trScan, stScan, schedScan := runMatcher(t, MatcherScan, p, mk(), tasks())
+					if !bytes.Equal(trIdx, trScan) {
+						t.Fatal("matchers produced different traces")
+					}
+					if !bytes.Equal(stIdx, stScan) {
+						t.Fatalf("matchers produced different stats:\n%s\n%s", stIdx, stScan)
+					}
+					if schedIdx.Passes != schedScan.Passes {
+						t.Fatalf("rounds diverge: indexed %d, scan %d", schedIdx.Passes, schedScan.Passes)
+					}
+					if schedIdx.ScanTasksExamined != schedScan.TasksExamined ||
+						schedIdx.ScanCandidatesExamined != schedScan.CandidatesExamined {
+						t.Fatalf("counterfactual scan cost %d/%d != measured %d/%d",
+							schedIdx.ScanTasksExamined, schedIdx.ScanCandidatesExamined,
+							schedScan.TasksExamined, schedScan.CandidatesExamined)
+					}
+					if schedIdx.CandidatesExamined > schedScan.CandidatesExamined {
+						t.Fatalf("indexed matcher examined more candidates (%d) than the scan (%d)",
+							schedIdx.CandidatesExamined, schedScan.CandidatesExamined)
+					}
+				})
+			}
 		}
 	}
 }

@@ -10,6 +10,7 @@ package wq
 
 import (
 	"fmt"
+	"sort"
 	"time"
 
 	"lfm/internal/alloc"
@@ -56,8 +57,7 @@ type Task struct {
 	// strategies learn and label per category.
 	Category string
 	// Priority orders scheduling: higher-priority ready tasks are examined
-	// first, ties breaking by ready order (submit sequence). Only the
-	// indexed matcher honours it (the scan predates it), and it must not
+	// first, ties breaking by ready order (submit sequence). It must not
 	// change after Submit.
 	Priority int
 	// Spec is the ground-truth process behaviour (visible only through the
@@ -162,7 +162,8 @@ type Config struct {
 	// Placement selects the worker-choice policy (default cache affinity).
 	Placement Placement
 	// Matcher selects the matching-loop implementation (default the indexed
-	// matcher; see Matcher). Both make identical placement decisions.
+	// matcher; see Matcher). Both make identical placement decisions; the
+	// scan exists for the differential tests.
 	Matcher Matcher
 	// Resilience configures failure detection and mitigation (heartbeats,
 	// speculation, quarantine, staging retries). The zero value disables
@@ -619,6 +620,9 @@ func (m *Master) schedulePass() {
 	st.Passes++
 	candBefore := st.CandidatesExamined
 	tasksBefore := st.TasksExamined
+	// Examine in the indexed matcher's (-Priority, readySeq) order: m.ready
+	// is already in ready order, so a stable sort on priority suffices.
+	sort.SliceStable(m.ready, func(i, j int) bool { return m.ready[i].Priority > m.ready[j].Priority })
 	var remaining []*Task
 	for _, t := range m.ready {
 		if !m.place(t) {

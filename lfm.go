@@ -42,13 +42,13 @@ import (
 	"lfm/internal/metrics"
 	"lfm/internal/monitor"
 	"lfm/internal/obs"
-	"lfm/internal/serve"
 	"lfm/internal/parsl"
 	"lfm/internal/procmon"
 	"lfm/internal/pyast"
 	"lfm/internal/pypkg"
 	"lfm/internal/runarchive"
 	"lfm/internal/scenario"
+	"lfm/internal/serve"
 	"lfm/internal/sim"
 	"lfm/internal/trace"
 	"lfm/internal/tseries"
@@ -299,29 +299,6 @@ type Site = cluster.Site
 
 // Sites returns the built-in site catalog by name.
 func Sites() map[string]Site { return cluster.Sites() }
-
-// Matcher selects the master's scheduling implementation: the default
-// indexed matcher or the reference linear scan. Both make byte-identical
-// placement decisions; they differ only in cost.
-type Matcher = wq.Matcher
-
-// Matcher implementations.
-const (
-	MatcherIndexed = wq.MatcherIndexed
-	MatcherScan    = wq.MatcherScan
-)
-
-// QueueKind selects the simulation engine's event-queue implementation: the
-// default calendar queue or the legacy binary heap kept as its executable
-// specification. Both dispatch events byte-identically; they differ only in
-// cost.
-type QueueKind = sim.QueueKind
-
-// Event-queue implementations.
-const (
-	QueueCalendar = sim.QueueCalendar
-	QueueHeap     = sim.QueueHeap
-)
 
 // SchedStats reports the scheduler's work counters for a run (rounds,
 // tasks and candidate workers examined, wall-clock time), available on
