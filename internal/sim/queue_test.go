@@ -7,34 +7,45 @@ import (
 	"testing"
 )
 
+// onCalendar runs f as a subtest named for the engine's event queue, the
+// calendar queue, so each property below reports under that queue's name.
+func onCalendar(t *testing.T, f func(t *testing.T)) {
+	t.Helper()
+	t.Run("calendar", f)
+}
+
 // Regression: At used to accept non-finite times. An event at t = +Inf
 // defeated RunUntil's `at > limit` guard (Inf > Inf is false), fired, and
 // corrupted Now() to +Inf for the rest of the run.
 func TestAtRejectsNonFiniteTime(t *testing.T) {
-	for _, bad := range []Time{Time(math.Inf(1)), Time(math.Inf(-1)), Time(math.NaN())} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("At(%v) did not panic", bad)
-				}
+	onCalendar(t, func(t *testing.T) {
+		for _, bad := range []Time{Time(math.Inf(1)), Time(math.Inf(-1)), Time(math.NaN())} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("At(%v) did not panic", bad)
+					}
+				}()
+				NewEngine(1).At(bad, func() {})
 			}()
-			NewEngine(1).At(bad, func() {})
-		}()
-	}
+		}
+	})
 }
 
 func TestRunUntilInfinityKeepsNowFinite(t *testing.T) {
-	e := NewEngine(1)
-	fired := 0
-	e.At(1, func() { fired++ })
-	e.At(2, func() { fired++ })
-	end := e.Run()
-	if fired != 2 {
-		t.Fatalf("fired %d events, want 2", fired)
-	}
-	if math.IsInf(float64(end), 0) || end != 2 {
-		t.Fatalf("Run() returned %v, want 2", end)
-	}
+	onCalendar(t, func(t *testing.T) {
+		e := NewEngine(1)
+		fired := 0
+		e.At(1, func() { fired++ })
+		e.At(2, func() { fired++ })
+		end := e.Run()
+		if fired != 2 {
+			t.Fatalf("fired %d events, want 2", fired)
+		}
+		if math.IsInf(float64(end), 0) || end != 2 {
+			t.Fatalf("Run() returned %v, want 2", end)
+		}
+	})
 }
 
 func TestRunUntilNaNLimitPanics(t *testing.T) {
@@ -52,20 +63,22 @@ func TestRunUntilNaNLimitPanics(t *testing.T) {
 // that had already drained) was silently lost. Stop is sticky: it parks the
 // next Run before any dispatch, and that run consumes it.
 func TestStopBeforeRunIsSticky(t *testing.T) {
-	e := NewEngine(1)
-	fired := false
-	e.At(1, func() { fired = true })
-	e.Stop()
-	if end := e.RunUntil(10); end != 0 {
-		t.Fatalf("stopped run advanced time to %v, want 0", end)
-	}
-	if fired {
-		t.Fatal("stopped run dispatched an event")
-	}
-	// The Stop was consumed: the next run proceeds normally.
-	if end := e.RunUntil(10); end != 1 || !fired {
-		t.Fatalf("second run: end=%v fired=%v, want 1 true", end, fired)
-	}
+	onCalendar(t, func(t *testing.T) {
+		e := NewEngine(1)
+		fired := false
+		e.At(1, func() { fired = true })
+		e.Stop()
+		if end := e.RunUntil(10); end != 0 {
+			t.Fatalf("stopped run advanced time to %v, want 0", end)
+		}
+		if fired {
+			t.Fatal("stopped run dispatched an event")
+		}
+		// The Stop was consumed: the next run proceeds normally.
+		if end := e.RunUntil(10); end != 1 || !fired {
+			t.Fatalf("second run: end=%v fired=%v, want 1 true", end, fired)
+		}
+	})
 }
 
 // Regression: Duration() used to produce garbage for non-finite and
@@ -92,27 +105,29 @@ func TestTimeDurationEdgeCases(t *testing.T) {
 }
 
 func TestDeferRunsBeforeTimeAdvances(t *testing.T) {
-	e := NewEngine(1)
-	var order []string
-	e.At(1, func() {
-		e.Defer(func() {
-			order = append(order, fmt.Sprintf("defer1@%v", e.Now()))
-			e.Defer(func() { order = append(order, fmt.Sprintf("nested@%v", e.Now())) })
+	onCalendar(t, func(t *testing.T) {
+		e := NewEngine(1)
+		var order []string
+		e.At(1, func() {
+			e.Defer(func() {
+				order = append(order, fmt.Sprintf("defer1@%v", e.Now()))
+				e.Defer(func() { order = append(order, fmt.Sprintf("nested@%v", e.Now())) })
+			})
+			e.Defer(func() { order = append(order, fmt.Sprintf("defer2@%v", e.Now())) })
+			order = append(order, "event@1")
 		})
-		e.Defer(func() { order = append(order, fmt.Sprintf("defer2@%v", e.Now())) })
-		order = append(order, "event@1")
-	})
-	e.At(2, func() { order = append(order, "event@2") })
-	e.Run()
-	want := []string{"event@1", "defer1@1", "defer2@1", "nested@1", "event@2"}
-	if len(order) != len(want) {
-		t.Fatalf("order = %v, want %v", order, want)
-	}
-	for i := range want {
-		if order[i] != want[i] {
+		e.At(2, func() { order = append(order, "event@2") })
+		e.Run()
+		want := []string{"event@1", "defer1@1", "defer2@1", "nested@1", "event@2"}
+		if len(order) != len(want) {
 			t.Fatalf("order = %v, want %v", order, want)
 		}
-	}
+		for i := range want {
+			if order[i] != want[i] {
+				t.Fatalf("order = %v, want %v", order, want)
+			}
+		}
+	})
 }
 
 func TestDeferCountsInPending(t *testing.T) {
@@ -141,65 +156,69 @@ func TestDeferNilPanics(t *testing.T) {
 // scheduling (seq) order, and timestamps never regress. This is the
 // batched-round dispatch invariant the wq master relies on for determinism.
 func TestBatchedSameTimestampOrderProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	for trial := 0; trial < 20; trial++ {
-		e := NewEngine(1)
-		type rec struct {
-			at  Time
-			seq int
-		}
-		var got []rec
-		n := 0
-		// A few distinct timestamps, each carrying a burst of events.
-		for _, at := range []Time{0, 1, 1, 2.5} {
-			burst := 1 + rng.Intn(8)
-			for i := 0; i < burst; i++ {
-				at, seq := at, n
-				e.At(at, func() { got = append(got, rec{at, seq}) })
-				n++
+	onCalendar(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(42))
+		for trial := 0; trial < 20; trial++ {
+			e := NewEngine(1)
+			type rec struct {
+				at  Time
+				seq int
+			}
+			var got []rec
+			n := 0
+			// A few distinct timestamps, each carrying a burst of events.
+			for _, at := range []Time{0, 1, 1, 2.5} {
+				burst := 1 + rng.Intn(8)
+				for i := 0; i < burst; i++ {
+					at, seq := at, n
+					e.At(at, func() { got = append(got, rec{at, seq}) })
+					n++
+				}
+			}
+			e.Run()
+			if len(got) != n {
+				t.Fatalf("trial %d: dispatched %d of %d events", trial, len(got), n)
+			}
+			for i := 1; i < len(got); i++ {
+				a, b := got[i-1], got[i]
+				if b.at < a.at || (b.at == a.at && b.seq < a.seq) {
+					t.Fatalf("trial %d: dispatch %d (%v,%d) before %d (%v,%d) violates (at,seq) order",
+						trial, i-1, a.at, a.seq, i, b.at, b.seq)
+				}
 			}
 		}
-		e.Run()
-		if len(got) != n {
-			t.Fatalf("trial %d: dispatched %d of %d events", trial, len(got), n)
-		}
-		for i := 1; i < len(got); i++ {
-			a, b := got[i-1], got[i]
-			if b.at < a.at || (b.at == a.at && b.seq < a.seq) {
-				t.Fatalf("trial %d: dispatch %d (%v,%d) before %d (%v,%d) violates (at,seq) order",
-					trial, i-1, a.at, a.seq, i, b.at, b.seq)
-			}
-		}
-	}
+	})
 }
 
 // Property: cancelling a same-timestamp sibling from inside a firing
 // callback prevents its dispatch — the burst is not snapshotted before the
 // cancel takes effect.
 func TestSameTimestampSiblingCancel(t *testing.T) {
-	e := NewEngine(1)
-	var fired []int
-	var victim Event
-	e.At(1, func() {
-		fired = append(fired, 0)
-		e.Cancel(victim)
-	})
-	e.At(1, func() { fired = append(fired, 1) })
-	victim = e.At(1, func() { fired = append(fired, 2) })
-	e.At(1, func() { fired = append(fired, 3) })
-	e.Run()
-	want := []int{0, 1, 3}
-	if len(fired) != len(want) {
-		t.Fatalf("fired %v, want %v", fired, want)
-	}
-	for i := range want {
-		if fired[i] != want[i] {
+	onCalendar(t, func(t *testing.T) {
+		e := NewEngine(1)
+		var fired []int
+		var victim Event
+		e.At(1, func() {
+			fired = append(fired, 0)
+			e.Cancel(victim)
+		})
+		e.At(1, func() { fired = append(fired, 1) })
+		victim = e.At(1, func() { fired = append(fired, 2) })
+		e.At(1, func() { fired = append(fired, 3) })
+		e.Run()
+		want := []int{0, 1, 3}
+		if len(fired) != len(want) {
 			t.Fatalf("fired %v, want %v", fired, want)
 		}
-	}
-	if !victim.Cancelled() {
-		t.Fatal("victim handle not Cancelled after cancel")
-	}
+		for i := range want {
+			if fired[i] != want[i] {
+				t.Fatalf("fired %v, want %v", fired, want)
+			}
+		}
+		if !victim.Cancelled() {
+			t.Fatal("victim handle not Cancelled after cancel")
+		}
+	})
 }
 
 // refQueue is the reference pending-event set: an unordered slice whose pop
