@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check fmt build vet test test-race chaos bench profile obs serve scenarios diff
+.PHONY: check fmt build vet test test-race fuzz chaos bench profile obs serve scenarios diff
 
 check: fmt build vet test-race
 
@@ -22,6 +22,13 @@ test:
 
 test-race:
 	$(GO) test -race ./...
+
+# Native fuzzing of Auto's memoised label: random Observe/Preload/Retry/
+# Next/CurrentLabel sequences and field changes, with arbitrary float peaks,
+# must never panic and must always read the label a fresh computation
+# gives. Seed inputs also run as plain tests under `make test`.
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzAutoLabel$$' -fuzztime 10s ./internal/alloc
 
 # Deterministic chaos soak: drive the fault-injection engine, the hardening
 # features, and the invariant checker under the race detector, then survive

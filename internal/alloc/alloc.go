@@ -119,6 +119,12 @@ func (u *Unmanaged) Observe(string, monitor.Report) {}
 // of a category under a large allocation with monitoring enabled, then label
 // subsequent tasks with the allocation that minimizes expected resource
 // waste, retrying at full size on exhaustion. See §VI-B2 and [21].
+//
+// The label is memoised per category. It is recomputed only after the
+// category's history changes (a completed observation or a preload) or
+// after Pad, BootstrapBoost or SafetyStds changed since it was computed.
+// Next stays a pure function of per-category state; between new peaks it
+// costs one map lookup.
 type Auto struct {
 	// MinSamples is how many completed observations a category needs before
 	// labels shrink below a whole node — the paper's "run a task under a
@@ -170,6 +176,27 @@ func (a *Auto) count(name, category string) {
 type history struct {
 	peaks   []monitor.Resources
 	retries int
+	// label memoises computeLabel(peaks) under the knobs in labelFor;
+	// labelOK is cleared whenever peaks change. Retries do not enter the
+	// label, so Retry leaves it alone.
+	label    monitor.Resources
+	labelFor labelKnobs
+	labelOK  bool
+}
+
+// labelKnobs are the bit patterns of the Auto fields the label reads, so a
+// field changed between calls (NaN and signed zeros included) forces a
+// recompute.
+type labelKnobs struct{ pad, boost, stds uint64 }
+
+func (a *Auto) knobs() labelKnobs {
+	return labelKnobs{math.Float64bits(a.Pad), math.Float64bits(a.BootstrapBoost), math.Float64bits(a.SafetyStds)}
+}
+
+// bootstrapping reports whether a category has too few observations to
+// label. An empty history always bootstraps, whatever MinSamples says.
+func (a *Auto) bootstrapping(h *history) bool {
+	return h == nil || len(h.peaks) == 0 || len(h.peaks) < a.MinSamples
 }
 
 // NewAuto returns an Auto strategy with the defaults described above.
@@ -183,7 +210,7 @@ func (a *Auto) Name() string { return "Auto" }
 // Next implements Strategy.
 func (a *Auto) Next(category string) Decision {
 	h := a.hist[category]
-	if h == nil || len(h.peaks) < a.MinSamples {
+	if a.bootstrapping(h) {
 		// Bootstrap: large allocation, monitored.
 		a.count("alloc_bootstraps_total", category)
 		return Decision{WholeNode: true}
@@ -219,6 +246,7 @@ func (a *Auto) Observe(category string, rep monitor.Report) {
 	if a.MaxSamples > 0 && len(h.peaks) > a.MaxSamples {
 		h.peaks = h.peaks[len(h.peaks)-a.MaxSamples:]
 	}
+	h.labelOK = false
 }
 
 // CurrentLabel reports the allocation the strategy would issue for the
@@ -227,7 +255,7 @@ func (a *Auto) Observe(category string, rep monitor.Report) {
 // the observed peak distribution.
 func (a *Auto) CurrentLabel(category string) (monitor.Resources, bool) {
 	h := a.hist[category]
-	if h == nil || len(h.peaks) < a.MinSamples {
+	if a.bootstrapping(h) {
 		return monitor.Resources{}, false
 	}
 	return a.label(h), true
@@ -246,6 +274,7 @@ func (a *Auto) Preload(category string, peaks []monitor.Resources) {
 	if a.MaxSamples > 0 && len(h.peaks) > a.MaxSamples {
 		h.peaks = h.peaks[len(h.peaks)-a.MaxSamples:]
 	}
+	h.labelOK = false
 }
 
 // History exports a category's observed peaks, for persisting between runs
@@ -276,16 +305,26 @@ func (a *Auto) Samples(category string) int {
 	return 0
 }
 
-// label picks, per resource dimension, the first allocation minimizing
-// expected waste: candidate values are observed peaks, and the cost of
-// candidate c is c (paid by every task) plus the overflow probability times
-// the retry's cost, with tail headroom added per SafetyStds.
+// label returns a non-empty history's label, recomputing it only when the
+// peaks or the knobs it reads changed since it was last computed.
 func (a *Auto) label(h *history) monitor.Resources {
-	scale := 1 + a.Pad + a.BootstrapBoost/float64(len(h.peaks))
+	if k := a.knobs(); !h.labelOK || h.labelFor != k {
+		h.label, h.labelFor, h.labelOK = a.computeLabel(h.peaks), k, true
+	}
+	return h.label
+}
+
+// computeLabel picks, per resource dimension, the first allocation
+// minimizing expected waste: candidate values are observed peaks, and the
+// cost of candidate c is c (paid by every task) plus the overflow
+// probability times the retry's cost, with tail headroom added per
+// SafetyStds.
+func (a *Auto) computeLabel(peaks []monitor.Resources) monitor.Resources {
+	scale := 1 + a.Pad + a.BootstrapBoost/float64(len(peaks))
 	return monitor.Resources{
-		Cores:    math.Ceil(a.chooseDim(h.peaks, func(r monitor.Resources) float64 { return r.Cores }) - 1e-9),
-		MemoryMB: a.chooseDim(h.peaks, func(r monitor.Resources) float64 { return r.MemoryMB }) * scale,
-		DiskMB:   a.chooseDim(h.peaks, func(r monitor.Resources) float64 { return r.DiskMB }) * scale,
+		Cores:    math.Ceil(a.chooseDim(peaks, func(r monitor.Resources) float64 { return r.Cores }) - 1e-9),
+		MemoryMB: a.chooseDim(peaks, func(r monitor.Resources) float64 { return r.MemoryMB }) * scale,
+		DiskMB:   a.chooseDim(peaks, func(r monitor.Resources) float64 { return r.DiskMB }) * scale,
 	}
 }
 

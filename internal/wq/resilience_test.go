@@ -264,3 +264,48 @@ func TestSlowWorkerStretchesRuntime(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestFinishedAttemptsNotRetained checks that removing an attempt from a
+// task or a worker clears the vacated slot. A stale slot past the slice's
+// length keeps a finished attempt reachable — and with it the monitor's
+// execution state — for as long as the task or worker lives.
+func TestFinishedAttemptsNotRetained(t *testing.T) {
+	cfg := quickCfg(&alloc.Guess{Fixed: monitor.Resources{Cores: 1, MemoryMB: 200, DiskMB: 100}})
+	cfg.Resilience = ResilienceConfig{SpeculationMultiplier: 2}
+	eng, m := testRig(t, 2, cfg)
+	var tasks []*Task
+	eng.At(0, func() {
+		m.SlowWorker(m.workers[0], 10)
+		for i := 0; i < 16; i++ {
+			tasks = append(tasks, simpleTask(i, 10, 100))
+		}
+		tasks = append(tasks, simpleTask(16, 10, 800)) // killed once, retried whole-node
+		for _, tk := range tasks {
+			m.Submit(tk)
+		}
+	})
+	eng.Run()
+	if got := m.Stats().Completed; got != len(tasks) {
+		t.Fatalf("completed = %d, want %d", got, len(tasks))
+	}
+	if m.Stats().Retries != 1 {
+		t.Fatalf("retries = %d, want 1", m.Stats().Retries)
+	}
+	if rs := m.Stats().Resilience; rs == nil || rs.SpecLaunched == 0 {
+		t.Fatalf("no speculative attempts launched: %+v", rs)
+	}
+	for _, tk := range tasks {
+		for i, a := range tk.active[:cap(tk.active)] {
+			if a != nil {
+				t.Errorf("task %d active slot %d (len %d) still holds an attempt", tk.ID, i, len(tk.active))
+			}
+		}
+	}
+	for _, w := range m.workers {
+		for i, a := range w.attempts[len(w.attempts):cap(w.attempts)] {
+			if a != nil {
+				t.Errorf("worker %d attempts slot %d past len %d still holds an attempt", w.Node.ID, len(w.attempts)+i, len(w.attempts))
+			}
+		}
+	}
+}

@@ -204,6 +204,13 @@ type schedState struct {
 	// and the gate runs once per blocked category per placement.
 	dirty   []*Worker
 	dirtyIx *workerIndex
+
+	// spare holds blocked-task nodes that strategyObserved drained back to
+	// the ready heap, for block to reuse: a label change can requeue a
+	// whole category, and re-blocking it with fresh nodes was most of an
+	// Auto run's garbage. schedulePassIndexed empties it at the end of
+	// every round, so no node outlives a pass.
+	spare []*tnode
 }
 
 func newSchedState(m *Master) *schedState {
@@ -452,6 +459,7 @@ func (s *schedState) strategyObserved(cat string) {
 		s.nblocked--
 		s.m.obs.TaskUnblocked()
 		heap.Push(&s.readyQ, n.be.t)
+		s.spare = append(s.spare, n)
 	}
 }
 
@@ -463,8 +471,19 @@ func (s *schedState) block(t *Task, dec alloc.Decision) {
 		s.blocked[t.Category] = cb
 		s.catOrder = append(s.catOrder, t.Category)
 	}
-	e := &blockedEntry{t: t, dec: dec, pinned: t.retryNext != nil}
-	n := &tnode{key: t.orderKey(), be: e}
+	var n *tnode
+	if k := len(s.spare) - 1; k >= 0 {
+		// insert resets the links and priority; the values are reset here.
+		n = s.spare[k]
+		s.spare[k] = nil
+		s.spare = s.spare[:k]
+		*n = tnode{be: n.be}
+	} else {
+		n = &tnode{be: new(blockedEntry)}
+	}
+	e := n.be
+	*e = blockedEntry{t: t, dec: dec, pinned: t.retryNext != nil}
+	n.key = t.orderKey()
 	if e.pinned {
 		// Pinned nodes carry their negated effective requirement as treap
 		// values, so bestBlockedCandidate's scan can prune whole subtrees no
@@ -672,6 +691,8 @@ func (m *Master) schedulePassIndexed() {
 		}
 	}
 	s.dirty = s.dirty[:0]
+	clear(s.spare)
+	s.spare = s.spare[:0]
 	elapsed := time.Since(start)
 	st.ElapsedNanos += elapsed.Nanoseconds()
 	m.obs.SchedRound(int(st.TasksExamined-tasksBefore), int(st.CandidatesExamined-candBefore),

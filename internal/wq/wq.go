@@ -10,6 +10,7 @@ package wq
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -108,7 +109,7 @@ func (t *Task) ActiveAttempts() int { return len(t.active) }
 func (t *Task) dropActive(a *attempt) {
 	for i, o := range t.active {
 		if o == a {
-			t.active = append(t.active[:i], t.active[i+1:]...)
+			t.active = slices.Delete(t.active, i, i+1)
 			return
 		}
 	}
@@ -297,7 +298,7 @@ func (w *Worker) Quarantined() bool { return w.quarantined }
 func (w *Worker) dropAttempt(a *attempt) {
 	for i, o := range w.attempts {
 		if o == a {
-			w.attempts = append(w.attempts[:i], w.attempts[i+1:]...)
+			w.attempts = slices.Delete(w.attempts, i, i+1)
 			return
 		}
 	}
@@ -512,7 +513,7 @@ func (m *Master) RemoveWorker(w *Worker) {
 	m.traceWorkerLeave(w)
 	for i, other := range m.workers {
 		if other == w {
-			m.workers = append(m.workers[:i], m.workers[i+1:]...)
+			m.workers = slices.Delete(m.workers, i, i+1)
 			break
 		}
 	}
