@@ -403,6 +403,7 @@ func BenchmarkFairShare(b *testing.B) {
 // scheduling cost dominates, reporting candidate fit-tests per scheduling
 // round next to what the linear scan would have examined in the same rounds.
 func BenchmarkMatcher(b *testing.B) {
+	b.ReportAllocs()
 	var perRound, scanPerRound float64
 	for i := 0; i < b.N; i++ {
 		w := workloads.Scale(sim.NewRNG(7), 4000, 8)

@@ -1,6 +1,9 @@
 package sim
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // FairShare models a capacity shared equally among active flows, such as a
 // network link or the aggregate data bandwidth of a parallel filesystem.
@@ -30,6 +33,9 @@ type FairShare struct {
 	next    Event
 	seq     uint64
 	scratch []*Flow
+	// onDue is complete bound once: a method value passed to After would
+	// allocate a fresh closure on every reschedule.
+	onDue func()
 
 	// Completed counts finished flows; MovedUnits integrates total work done.
 	Completed  uint64
@@ -51,7 +57,9 @@ func NewFairShare(eng *Engine, capacity float64) *FairShare {
 	if capacity <= 0 {
 		panic("sim: fair share capacity must be positive")
 	}
-	return &FairShare{eng: eng, Capacity: capacity}
+	f := &FairShare{eng: eng, Capacity: capacity}
+	f.onDue = f.complete
+	return f
 }
 
 // Active reports the number of in-progress flows.
@@ -96,7 +104,7 @@ func (f *FairShare) reschedule() {
 	if eta < 0 {
 		eta = 0
 	}
-	f.next = f.eng.After(eta, f.complete)
+	f.next = f.eng.After(eta, f.onDue)
 }
 
 // complete fires when the earliest flow(s) finish.
@@ -125,7 +133,7 @@ func (f *FairShare) complete() {
 	}
 	// Callbacks fire in start order, after bookkeeping, so they can start
 	// new flows safely.
-	sort.Slice(finished, func(i, j int) bool { return finished[i].seq < finished[j].seq })
+	slices.SortFunc(finished, func(a, b *Flow) int { return cmp.Compare(a.seq, b.seq) })
 	for _, fl := range finished {
 		fl.fs = nil
 		if fl.done != nil {

@@ -4,6 +4,8 @@ import (
 	"container/heap"
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -110,49 +112,89 @@ type workerMeta struct {
 	// dirty marks the worker as having gained capacity (or joined) since the
 	// last round, making it a candidate for unblocking blocked tasks.
 	dirty bool
+	// stale has bit i set while the worker sits on the stale list of the
+	// affinity index in slot i: its entry there still carries the key and
+	// capacity of before its last capacity change or cache add.
+	stale uint32
+
+	// Handles on the worker's index entries: capNode in the capacity index,
+	// dirtyNode in the dirty index, aff[i] in the affinity index in slot i.
+	// A node is allocated the first time the worker enters that index and
+	// is reused on every re-key and re-entry after; membership is recorded
+	// by indexed, dirty and the live slots, not by the handle.
+	capNode, dirtyNode *tnode
+	aff                []*tnode
 }
 
-// workerIndex is one ordered worker set: a treap plus a handle map so
-// removal can reproduce the exact stored key.
-type workerIndex struct {
-	tr    treap
-	nodes map[*Worker]*tnode
-}
-
-func newWorkerIndex() *workerIndex {
-	return &workerIndex{nodes: make(map[*Worker]*tnode)}
-}
-
-func (ix *workerIndex) insert(w *Worker, k tkey) {
-	free := w.free()
-	n := &tnode{key: k, w: w, v1: free.Cores, v2: free.MemoryMB, v3: free.DiskMB, vi: w.running}
-	ix.tr.insert(n)
-	ix.nodes[w] = n
-}
-
-func (ix *workerIndex) remove(w *Worker) {
-	n := ix.nodes[w]
-	if n == nil {
-		return
+// affHandle returns the worker's handle for affinity slot i.
+func (mw *workerMeta) affHandle(i int) **tnode {
+	if i >= len(mw.aff) {
+		mw.aff = append(mw.aff, make([]*tnode, i+1-len(mw.aff))...)
 	}
-	ix.tr.remove(n.key)
-	delete(ix.nodes, w)
+	return &mw.aff[i]
+}
+
+// setCap writes the worker's current capacity into its node and reports
+// whether it changed.
+func (n *tnode) setCap(w *Worker) bool {
+	free, running := w.free(), int32(w.running)
+	if n.v1 == free.Cores && n.v2 == free.MemoryMB && n.v3 == free.DiskMB && n.vi == running {
+		return false
+	}
+	n.v1, n.v2, n.v3, n.vi = free.Cores, free.MemoryMB, free.DiskMB, running
+	return true
+}
+
+// enter inserts w into tr under key k through the handle h, allocating the
+// node only the first time w enters this index.
+func enter(tr *treap, h **tnode, w *Worker, k tkey) {
+	n := *h
+	if n == nil {
+		n = &tnode{w: w}
+		*h = n
+	}
+	n.key = k
+	n.setCap(w)
+	tr.insert(n)
+}
+
+// rekey re-files the worker node n of tr under key k with the worker's
+// current capacity, reusing the node: nothing happens if neither moved, an
+// unchanged key re-pulls the aggregates on its root path, and a new key
+// removes and reinserts the node.
+func rekey(tr *treap, n *tnode, k tkey) {
+	changed := n.setCap(n.w)
+	switch {
+	case k != n.key:
+		tr.remove(n.key)
+		n.key = k
+		tr.insert(n)
+	case changed:
+		tr.repull(k)
+	}
 }
 
 // affinityIndex orders the pool for one cache set (the sorted cacheable
 // input names of a task): by cached bytes of the set descending, then free
 // cores descending, then join order — the scan's cache-affinity argmax as a
-// leftmost lookup.
+// leftmost lookup. Its entries are repaired lazily: capacity changes and
+// cache adds only list the worker on stale, and affinityFor re-keys the
+// listed workers just before the index is searched.
 type affinityIndex struct {
 	key     string
 	files   map[string]int64 // name -> bytes the set attributes to it
-	ix      *workerIndex
+	tr      treap
+	slot    int       // bit of workerMeta.stale and index into workerMeta.aff
+	stale   []*Worker // indexed workers whose entry awaits a re-key
 	lastUse int64
 }
 
 // maxAffinityIndexes caps live per-cache-set indexes; beyond it the
 // least-recently-used index is dropped and rebuilt on demand.
 const maxAffinityIndexes = 32
+
+// Each live index owns one bit of workerMeta.stale and of schedState.slots.
+const _ uint32 = 1 << (maxAffinityIndexes - 1)
 
 // blockedEntry is one ready task the last rounds could not place, parked
 // under its category until some worker plausibly fits it again.
@@ -187,9 +229,10 @@ type schedState struct {
 
 	// cap is the single capacity index used by first/best/worst-fit;
 	// cache-affinity uses per-cache-set aff indexes instead.
-	cap     *workerIndex
+	cap     *treap
 	aff     map[string]*affinityIndex
 	affList []*affinityIndex // creation order, for deterministic iteration
+	slots   uint32           // bit i set while an affinity index holds slot i
 	clock   int64
 
 	blocked  map[string]*catBlocked
@@ -203,7 +246,7 @@ type schedState struct {
 	// a batched round can admit thousands of workers at one timestamp,
 	// and the gate runs once per blocked category per placement.
 	dirty   []*Worker
-	dirtyIx *workerIndex
+	dirtyIx treap
 
 	// spare holds blocked-task nodes that strategyObserved drained back to
 	// the ready heap, for block to reuse: a label change can requeue a
@@ -218,10 +261,9 @@ func newSchedState(m *Master) *schedState {
 		m:       m,
 		aff:     make(map[string]*affinityIndex),
 		blocked: make(map[string]*catBlocked),
-		dirtyIx: newWorkerIndex(),
 	}
 	if m.Cfg.Placement != PlaceCacheAffinity {
-		s.cap = newWorkerIndex()
+		s.cap = new(treap)
 	}
 	return s
 }
@@ -287,8 +329,8 @@ func cacheSetSlow(t *Task) (string, map[string]int64) {
 	return strings.Join(names, "\x00"), files
 }
 
-// affinityFor returns (building on demand) the affinity index for the
-// task's cache set.
+// affinityFor returns the affinity index for the task's cache set, building
+// it on demand and repairing its stale entries, ready to search.
 func (s *schedState) affinityFor(t *Task) *affinityIndex {
 	key, files := cacheSet(t)
 	ai := s.aff[key]
@@ -296,22 +338,66 @@ func (s *schedState) affinityFor(t *Task) *affinityIndex {
 		if len(s.affList) >= maxAffinityIndexes {
 			s.evictAffinity()
 		}
-		ai = &affinityIndex{key: key, files: files, ix: newWorkerIndex()}
+		ai = &affinityIndex{key: key, files: files, slot: bits.TrailingZeros32(^s.slots)}
+		s.slots |= 1 << ai.slot
 		s.aff[key] = ai
 		s.affList = append(s.affList, ai)
 		for _, w := range s.m.workers {
 			if mw := w.smeta; mw != nil && mw.indexed {
-				ai.ix.insert(w, s.affKey(ai, w))
+				enter(&ai.tr, mw.affHandle(ai.slot), w, s.affKey(ai, w))
 			}
 		}
 	}
+	s.repair(ai)
 	s.clock++
 	ai.lastUse = s.clock
 	return ai
 }
 
-// evictAffinity drops the least-recently-used affinity index. lastUse
-// values are unique, so the victim is deterministic.
+// repair re-keys the affinity index's stale entries. A treap's shape is a
+// function of its key set alone (priorities derive from the fixed key.c),
+// so a repaired index is node-for-node the index an eager re-key after
+// every change would have kept, whatever order the repairs run in.
+func (s *schedState) repair(ai *affinityIndex) {
+	bit := uint32(1) << ai.slot
+	for _, w := range ai.stale {
+		mw := w.smeta
+		mw.stale &^= bit
+		rekey(&ai.tr, mw.aff[ai.slot], s.affKey(ai, w))
+	}
+	clear(ai.stale)
+	ai.stale = ai.stale[:0]
+}
+
+// markStale lists an indexed worker for re-keying at the index's next
+// query.
+func (ai *affinityIndex) markStale(w *Worker) {
+	mw := w.smeta
+	if bit := uint32(1) << ai.slot; mw.stale&bit == 0 {
+		mw.stale |= bit
+		ai.stale = append(ai.stale, w)
+	}
+}
+
+// unlistStale takes an indexed worker off the index's stale list.
+func (ai *affinityIndex) unlistStale(w *Worker) {
+	mw := w.smeta
+	bit := uint32(1) << ai.slot
+	if mw.stale&bit == 0 {
+		return
+	}
+	mw.stale &^= bit
+	// Repair order does not matter, so a swap-delete will do.
+	i := slices.Index(ai.stale, w)
+	last := len(ai.stale) - 1
+	ai.stale[i] = ai.stale[last]
+	ai.stale[last] = nil
+	ai.stale = ai.stale[:last]
+}
+
+// evictAffinity drops the least-recently-used affinity index and frees its
+// slot. lastUse values are unique, so the victim is deterministic. Worker
+// handles for the slot stay, for the next index built there to reuse.
 func (s *schedState) evictAffinity() {
 	victim := -1
 	for i, ai := range s.affList {
@@ -319,7 +405,13 @@ func (s *schedState) evictAffinity() {
 			victim = i
 		}
 	}
-	delete(s.aff, s.affList[victim].key)
+	ai := s.affList[victim]
+	bit := uint32(1) << ai.slot
+	for _, w := range ai.stale {
+		w.smeta.stale &^= bit
+	}
+	s.slots &^= bit
+	delete(s.aff, ai.key)
 	s.affList = append(s.affList[:victim], s.affList[victim+1:]...)
 }
 
@@ -352,10 +444,10 @@ func (s *schedState) admit(w *Worker) {
 	}
 	mw.indexed = true
 	if s.cap != nil {
-		s.cap.insert(w, s.capKey(w))
+		enter(s.cap, &mw.capNode, w, s.capKey(w))
 	}
 	for _, ai := range s.affList {
-		ai.ix.insert(w, s.affKey(ai, w))
+		enter(&ai.tr, mw.affHandle(ai.slot), w, s.affKey(ai, w))
 	}
 	s.markDirty(w)
 }
@@ -367,17 +459,18 @@ func (s *schedState) exclude(w *Worker) {
 	if mw == nil || !mw.indexed {
 		return
 	}
-	mw.indexed = false
 	if s.cap != nil {
-		s.cap.remove(w)
+		s.cap.remove(mw.capNode.key)
 	}
 	for _, ai := range s.affList {
-		ai.ix.remove(w)
+		ai.unlistStale(w)
+		ai.tr.remove(mw.aff[ai.slot].key)
 	}
+	mw.indexed = false
 	if mw.dirty {
 		// A stale entry would keep the wake gate matching a gone worker;
 		// the retire sweep tolerates the leftover slice entry.
-		s.dirtyIx.remove(w)
+		s.dirtyIx.remove(mw.dirtyNode.key)
 		mw.dirty = false
 	}
 }
@@ -390,37 +483,38 @@ func (s *schedState) markDirty(w *Worker) {
 	}
 	mw.dirty = true
 	s.dirty = append(s.dirty, w)
-	s.dirtyIx.insert(w, tkey{c: mw.joinSeq})
+	enter(&s.dirtyIx, &mw.dirtyNode, w, tkey{c: mw.joinSeq})
 }
 
-// capacityChanged re-keys a worker after its free capacity moved. freed
-// marks capacity releases, which additionally dirty the worker — an
-// allocation can only shrink what fits, so it never wakes blocked tasks.
+// capacityChanged re-keys a worker after its free capacity moved: eagerly
+// in the capacity and dirty indexes, lazily (see repair) in the affinity
+// indexes. freed marks capacity releases, which additionally dirty the
+// worker — an allocation can only shrink what fits, so it never wakes
+// blocked tasks.
 func (s *schedState) capacityChanged(w *Worker, freed bool) {
 	mw := w.smeta
 	if mw == nil || !mw.indexed {
 		return
 	}
 	if s.cap != nil {
-		s.cap.remove(w)
-		s.cap.insert(w, s.capKey(w))
+		rekey(s.cap, mw.capNode, s.capKey(w))
 	}
-	for _, ai := range s.affList {
-		ai.ix.remove(w)
-		ai.ix.insert(w, s.affKey(ai, w))
+	if mw.stale != s.slots {
+		for _, ai := range s.affList {
+			ai.markStale(w)
+		}
 	}
 	if mw.dirty {
 		// Keep the dirty index's capacity values fresh: mid-round
 		// placements consume a dirty worker's free capacity, and the wake
 		// gate prunes on these aggregates.
-		s.dirtyIx.remove(w)
-		s.dirtyIx.insert(w, tkey{c: mw.joinSeq})
+		rekey(&s.dirtyIx, mw.dirtyNode, mw.dirtyNode.key)
 	} else if freed {
 		s.markDirty(w)
 	}
 }
 
-// cacheAdded re-keys a worker in the affinity indexes whose cache set
+// cacheAdded marks a worker stale in the affinity indexes whose cache set
 // contains the newly cached file. Cache contents never affect feasibility,
 // only preference, so no worker turns dirty.
 func (s *schedState) cacheAdded(w *Worker, f *File) {
@@ -429,11 +523,9 @@ func (s *schedState) cacheAdded(w *Worker, f *File) {
 		return
 	}
 	for _, ai := range s.affList {
-		if _, ok := ai.files[f.Name]; !ok {
-			continue
+		if _, ok := ai.files[f.Name]; ok {
+			ai.markStale(w)
 		}
-		ai.ix.remove(w)
-		ai.ix.insert(w, s.affKey(ai, w))
 	}
 }
 
@@ -527,7 +619,7 @@ func (s *schedState) unblock(cb *catBlocked, n *tnode) {
 // capacity treap, so the common negative answer costs one aggregate test
 // at the root rather than a scan of the dirty set.
 func (s *schedState) decFitsDirty(dec alloc.Decision) bool {
-	if s.dirtyIx.tr.root == nil {
+	if s.dirtyIx.root == nil {
 		return false
 	}
 	var may func(*tnode) bool
@@ -546,7 +638,7 @@ func (s *schedState) decFitsDirty(dec alloc.Decision) bool {
 	}
 	m := s.m
 	visits := 0
-	return s.dirtyIx.tr.findFit(may, func(n *tnode) bool { return m.fitsOn(n.w, dec) }, &visits) != nil
+	return s.dirtyIx.findFit(may, func(n *tnode) bool { return m.fitsOn(n.w, dec) }, &visits) != nil
 }
 
 // bestBlockedCandidate returns the scheduling-order-first blocked entry
@@ -554,7 +646,7 @@ func (s *schedState) decFitsDirty(dec alloc.Decision) bool {
 // guaranteed to place: the fitting dirty worker is indexed, so the
 // subsequent full search at least finds it.
 func (s *schedState) bestBlockedCandidate() (*catBlocked, *tnode) {
-	root := s.dirtyIx.tr.root
+	root := s.dirtyIx.root
 	if root == nil || s.nblocked == 0 {
 		return nil, nil
 	}
@@ -602,7 +694,7 @@ func (s *schedState) bestBlockedCandidate() (*catBlocked, *tnode) {
 func (s *schedState) selectWorker(t *Task, dec alloc.Decision, exclude *Worker) (*Worker, int) {
 	ix := s.cap
 	if s.m.Cfg.Placement == PlaceCacheAffinity {
-		ix = s.affinityFor(t).ix
+		ix = &s.affinityFor(t).tr
 	}
 	var may func(*tnode) bool
 	if dec.WholeNode {
@@ -623,7 +715,7 @@ func (s *schedState) selectWorker(t *Task, dec alloc.Decision, exclude *Worker) 
 	m := s.m
 	ok := func(n *tnode) bool { return n.w != exclude && m.fitsOn(n.w, dec) }
 	visits := 0
-	found := ix.tr.findFit(may, ok, &visits)
+	found := ix.findFit(may, ok, &visits)
 	if found == nil {
 		return nil, visits
 	}
@@ -684,13 +776,18 @@ func (m *Master) schedulePassIndexed() {
 		st.BlockedWakes++
 		s.examine(bn.be.t)
 	}
+	// The dirty index holds exactly the workers still flagged, all of them
+	// on the dirty list, so retiring them empties it. Their nodes are
+	// unlinked as treap.remove would.
 	for _, w := range s.dirty {
 		if mw := w.smeta; mw != nil && mw.dirty {
 			mw.dirty = false
-			s.dirtyIx.remove(w)
+			mw.dirtyNode.left, mw.dirtyNode.right = nil, nil
 		}
 	}
+	clear(s.dirty)
 	s.dirty = s.dirty[:0]
+	s.dirtyIx = treap{}
 	clear(s.spare)
 	s.spare = s.spare[:0]
 	elapsed := time.Since(start)
@@ -722,24 +819,25 @@ func (s *schedState) check() error {
 			indexed++
 		}
 	}
-	checkIndex := func(name string, ix *workerIndex, key func(*Worker) tkey) error {
-		if got := ix.tr.len(); got != indexed {
-			return fmt.Errorf("wq: %s index holds %d workers, want %d", name, got, indexed)
-		}
-		if len(ix.nodes) != indexed {
-			return fmt.Errorf("wq: %s handle map holds %d workers, want %d", name, len(ix.nodes), indexed)
+	// checkIndex verifies one worker index: it holds, through their
+	// handles, exactly the want workers for which handle is non-nil, under
+	// fresh keys and capacity values and with exact aggregates.
+	checkIndex := func(name string, tr *treap, want int, handle func(*workerMeta) *tnode, key func(*Worker) tkey) error {
+		if got := tr.len(); got != want {
+			return fmt.Errorf("wq: %s index holds %d workers, want %d", name, got, want)
 		}
 		var err error
-		ix.tr.each(func(n *tnode) {
+		tr.each(func(n *tnode) {
 			if err != nil {
 				return
 			}
 			w := n.w
-			if mw := w.smeta; mw == nil || !mw.indexed {
+			mw := w.smeta
+			if mw == nil || !mw.indexed {
 				err = fmt.Errorf("wq: %s index holds unindexed worker %d", name, w.Node.ID)
 				return
 			}
-			if ix.nodes[w] != n {
+			if handle(mw) != n {
 				err = fmt.Errorf("wq: %s handle for worker %d is stale", name, w.Node.ID)
 				return
 			}
@@ -748,25 +846,50 @@ func (s *schedState) check() error {
 				return
 			}
 			free := w.free()
-			if n.v1 != free.Cores || n.v2 != free.MemoryMB || n.v3 != free.DiskMB || n.vi != w.running {
+			if n.v1 != free.Cores || n.v2 != free.MemoryMB || n.v3 != free.DiskMB || int(n.vi) != w.running {
 				err = fmt.Errorf("wq: %s capacity for worker %d is stale", name, w.Node.ID)
 			}
 		})
 		if err != nil {
 			return err
 		}
-		return checkAggregates(name, ix.tr.root)
+		return checkAggregates(name, tr.root)
 	}
 	if s.cap != nil {
-		if err := checkIndex("capacity", s.cap, s.capKey); err != nil {
+		capNode := func(mw *workerMeta) *tnode { return mw.capNode }
+		if err := checkIndex("capacity", s.cap, indexed, capNode, s.capKey); err != nil {
 			return err
 		}
 	}
+	if err := s.checkStale(); err != nil {
+		return err
+	}
 	for _, ai := range s.affList {
+		s.repair(ai)
+		name := fmt.Sprintf("affinity[%q]", ai.key)
+		handle := func(mw *workerMeta) *tnode { return mw.aff[ai.slot] }
 		key := func(w *Worker) tkey { return s.affKey(ai, w) }
-		if err := checkIndex(fmt.Sprintf("affinity[%q]", ai.key), ai.ix, key); err != nil {
+		if err := checkIndex(name, &ai.tr, indexed, handle, key); err != nil {
 			return err
 		}
+	}
+	// The dirty index must hold exactly the dirty workers, with fresh
+	// capacity values (the wake gate prunes on its aggregates).
+	ndirty := 0
+	for _, w := range m.workers {
+		if w.smeta.dirty {
+			ndirty++
+		}
+	}
+	dirtyNode := func(mw *workerMeta) *tnode {
+		if mw.dirty {
+			return mw.dirtyNode
+		}
+		return nil
+	}
+	joinKey := func(w *Worker) tkey { return tkey{c: w.smeta.joinSeq} }
+	if err := checkIndex("dirty", &s.dirtyIx, ndirty, dirtyNode, joinKey); err != nil {
+		return err
 	}
 	nblocked := 0
 	for _, cat := range s.catOrder {
@@ -823,27 +946,33 @@ func (s *schedState) check() error {
 			return fmt.Errorf("wq: queued task %d in state %d, want ready", t.ID, t.State)
 		}
 	}
-	// The dirty index must hold exactly the dirty workers, with fresh
-	// capacity values (the wake gate prunes on its aggregates).
-	ndirty := 0
-	for _, w := range m.workers {
-		if mw := w.smeta; mw != nil && mw.dirty {
-			ndirty++
-			n := s.dirtyIx.nodes[w]
-			if n == nil {
-				return fmt.Errorf("wq: dirty worker %d missing from dirty index", w.Node.ID)
+	return nil
+}
+
+// checkStale verifies the lazy-repair bookkeeping: a worker has an affinity
+// slot's stale bit set if and only if it is listed, once, on that index's
+// stale list, and no bit is set for a slot without a live index.
+func (s *schedState) checkStale() error {
+	for _, ai := range s.affList {
+		bit := uint32(1) << ai.slot
+		listed := make(map[*Worker]bool, len(ai.stale))
+		for _, w := range ai.stale {
+			mw := w.smeta
+			if mw == nil || !mw.indexed || mw.stale&bit == 0 || listed[w] {
+				return fmt.Errorf("wq: affinity[%q] stale list holds worker %d without its stale bit, unindexed or twice", ai.key, w.Node.ID)
 			}
-			free := w.free()
-			if n.v1 != free.Cores || n.v2 != free.MemoryMB || n.v3 != free.DiskMB || n.vi != w.running {
-				return fmt.Errorf("wq: dirty index capacity for worker %d is stale", w.Node.ID)
+			listed[w] = true
+		}
+		for _, w := range s.m.workers {
+			if w.smeta.stale&bit != 0 && !listed[w] {
+				return fmt.Errorf("wq: worker %d stale in affinity[%q] but not listed", w.Node.ID, ai.key)
 			}
 		}
 	}
-	if got := s.dirtyIx.tr.len(); got != ndirty {
-		return fmt.Errorf("wq: dirty index holds %d workers, want %d", got, ndirty)
-	}
-	if err := checkAggregates("dirty", s.dirtyIx.tr.root); err != nil {
-		return err
+	for _, w := range s.m.workers {
+		if extra := w.smeta.stale &^ s.slots; extra != 0 {
+			return fmt.Errorf("wq: worker %d has stale bits %#x for dead affinity slots", w.Node.ID, extra)
+		}
 	}
 	return nil
 }

@@ -14,9 +14,9 @@ import (
 )
 
 // TestTreapOrdersAndAggregates drives the treap with a seeded random
-// op-sequence and checks, after every operation, that in-order traversal is
-// sorted, handles resolve, and the subtree aggregates match a bottom-up
-// recomputation.
+// sequence of inserts, removes and in-place value rewrites and checks that
+// in-order traversal is sorted, handles resolve, and the subtree aggregates
+// match a bottom-up recomputation.
 func TestTreapOrdersAndAggregates(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	var tr treap
@@ -39,7 +39,15 @@ func TestTreapOrdersAndAggregates(t *testing.T) {
 		}
 	}
 	for i := 0; i < 2000; i++ {
-		if len(live) == 0 || rng.Float64() < 0.6 {
+		if len(live) > 0 && rng.Float64() < 0.2 {
+			// Rewrite one node's values in place, as a re-key that keeps the
+			// key does, and re-pull its root path.
+			for _, n := range live {
+				n.v1, n.vi = rng.Float64()*8, int32(rng.Intn(3))
+				tr.repull(n.key)
+				break
+			}
+		} else if len(live) == 0 || rng.Float64() < 0.6 {
 			c := rng.Int63n(500)
 			if _, ok := live[c]; ok {
 				continue
@@ -47,7 +55,7 @@ func TestTreapOrdersAndAggregates(t *testing.T) {
 			n := &tnode{
 				key: tkey{a: float64(rng.Intn(8)), b: float64(rng.Intn(4)), c: c},
 				v1:  rng.Float64() * 8, v2: rng.Float64() * 1000, v3: rng.Float64() * 1000,
-				vi: rng.Intn(3),
+				vi: int32(rng.Intn(3)),
 			}
 			tr.insert(n)
 			live[c] = n
@@ -289,6 +297,168 @@ func TestIndexedMatcherSkipsHopelessRounds(t *testing.T) {
 			st.CandidatesExamined, st.ScanCandidatesExamined)
 	}
 	if err := m.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// freshTree builds, from scratch, the treap an index over the currently
+// indexed workers holds under the given key.
+func freshTree(s *schedState, key func(*Worker) tkey) *tnode {
+	var tr treap
+	for _, w := range s.m.workers {
+		if mw := w.smeta; mw != nil && mw.indexed {
+			n := &tnode{w: w, key: key(w)}
+			n.setCap(w)
+			tr.insert(n)
+		}
+	}
+	return tr.root
+}
+
+// sameTree reports where two treaps differ in shape, keys, priorities,
+// workers, values or aggregates.
+func sameTree(got, want *tnode) error {
+	if got == nil || want == nil {
+		if got != want {
+			return fmt.Errorf("shape differs: got %v, want %v", got, want)
+		}
+		return nil
+	}
+	g, w := *got, *want
+	g.left, g.right, w.left, w.right = nil, nil, nil, nil
+	if g != w {
+		return fmt.Errorf("node differs:\n got %+v\nwant %+v", g, w)
+	}
+	if err := sameTree(got.left, want.left); err != nil {
+		return err
+	}
+	return sameTree(got.right, want.right)
+}
+
+// TestLazyAffinityMatchesRebuild drives the worker indexes with seeded
+// random allocations, releases, cache adds, quarantine exclude/admit, joins
+// and leaves over more cache sets than maxAffinityIndexes, so indexes are
+// evicted and their slots reused. After every affinityFor the returned
+// index, and every other live index with nothing listed stale, must be node
+// for node the index a fresh build over the same pool produces.
+func TestLazyAffinityMatchesRebuild(t *testing.T) {
+	const sets = maxAffinityIndexes + 8
+	req := monitor.Resources{Cores: 1, MemoryMB: 500, DiskMB: 100}
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		m := NewMaster(sim.NewEngine(seed), quickCfg(&alloc.Unmanaged{}))
+		s := m.sched
+		var files []*File
+		for i := 0; i < 16; i++ {
+			files = append(files, &File{Name: fmt.Sprintf("f%d", i), SizeBytes: int64(1+rng.Intn(4)) << 20, Cacheable: true})
+		}
+		var tasks []*Task
+		for i := 0; i < sets; i++ {
+			// Distinct pairs of files give distinct cache sets.
+			a, b := i%len(files), (i/len(files)+1+i)%len(files)
+			tasks = append(tasks, &Task{ID: i, Inputs: []*File{files[a], files[b]}})
+		}
+		held := map[*Worker]int{}
+		nextNode := 0
+		join := func() {
+			m.AddWorker(&cluster.Node{ID: nextNode, Cores: 4, MemoryMB: 4096, DiskMB: 8192})
+			nextNode++
+		}
+		for range 10 {
+			join()
+		}
+		compare := func(ai *affinityIndex) {
+			t.Helper()
+			want := freshTree(s, func(w *Worker) tkey { return s.affKey(ai, w) })
+			if err := sameTree(ai.tr.root, want); err != nil {
+				t.Fatalf("seed %d: affinity[%q] differs from a rebuild: %v", seed, ai.key, err)
+			}
+		}
+		for step := 0; step < 1500; step++ {
+			w := m.workers[rng.Intn(len(m.workers))]
+			switch op := rng.Intn(20); {
+			case op < 5:
+				if w.running < 4 {
+					m.allocCapacity(w, req)
+					held[w]++
+				}
+			case op < 9:
+				if held[w] > 0 {
+					m.releaseCapacity(w, req)
+					held[w]--
+				}
+			case op < 12:
+				if f := files[rng.Intn(len(files))]; !w.cache[f.Name] {
+					w.cache[f.Name] = true
+					s.cacheAdded(w, f)
+				}
+			case op < 14:
+				if w.quarantined = !w.quarantined; w.quarantined {
+					s.exclude(w)
+				} else {
+					s.admit(w)
+				}
+			case op == 14:
+				if len(m.workers) < 16 {
+					join()
+				}
+			case op == 15:
+				if len(m.workers) > 4 {
+					m.RemoveWorker(w)
+					delete(held, w)
+				}
+			default:
+				compare(s.affinityFor(tasks[rng.Intn(len(tasks))]))
+				for _, ai := range s.affList {
+					if len(ai.stale) == 0 {
+						compare(ai)
+					}
+				}
+			}
+			if step%100 == 99 {
+				if err := s.check(); err != nil {
+					t.Fatalf("seed %d step %d: %v", seed, step, err)
+				}
+			}
+		}
+		if len(s.affList) != maxAffinityIndexes {
+			t.Fatalf("seed %d: %d live affinity indexes, want the cap %d", seed, len(s.affList), maxAffinityIndexes)
+		}
+		if err := s.check(); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+	}
+}
+
+// TestIndexUpkeepAllocationFree checks that, once every index is built and
+// each worker holds its nodes, an allocate + release + affinityFor cycle
+// allocates nothing: nodes are re-keyed in place and stale workers are
+// listed on slices that have already grown.
+func TestIndexUpkeepAllocationFree(t *testing.T) {
+	m := NewMaster(sim.NewEngine(1), quickCfg(&alloc.Unmanaged{}))
+	for i := 0; i < 64; i++ {
+		m.AddWorker(&cluster.Node{ID: i, Cores: 4, MemoryMB: 4096, DiskMB: 8192})
+	}
+	s := m.sched
+	tk := &Task{Inputs: []*File{{Name: "env.tar.gz", SizeBytes: 1 << 28, Cacheable: true}}}
+	other := &Task{Inputs: []*File{{Name: "db.sqlite", SizeBytes: 1 << 20, Cacheable: true}}}
+	req := monitor.Resources{Cores: 1, MemoryMB: 500, DiskMB: 100}
+	i := 0
+	cycle := func() {
+		w := m.workers[i%len(m.workers)]
+		i++
+		m.allocCapacity(w, req)
+		s.affinityFor(tk)
+		m.releaseCapacity(w, req)
+		s.affinityFor(other)
+	}
+	for range 2 * len(m.workers) {
+		cycle()
+	}
+	if n := testing.AllocsPerRun(200, cycle); n != 0 {
+		t.Fatalf("index upkeep allocated %v objects per cycle, want 0", n)
+	}
+	if err := s.check(); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -51,13 +51,14 @@ type tnode struct {
 	w  *Worker
 	be *blockedEntry
 
-	// Capacity values of this node (worker indexes only).
-	v1, v2, v3 float64
-	vi         int
-
-	// Aggregates over the subtree rooted here, including this node.
+	// Capacity values of this node (worker indexes only), and aggregates
+	// over the subtree rooted here, including this node. The running
+	// counts vi and minVi are int32 so that they share a word and a node
+	// fits the 128-byte allocation size class: workers hold one node per
+	// index they are in for the whole run.
+	v1, v2, v3          float64
 	maxV1, maxV2, maxV3 float64
-	minVi               int
+	vi, minVi           int32
 	size                int
 
 	left, right *tnode
@@ -150,7 +151,37 @@ func rotLeft(n *tnode) *tnode {
 func (t *treap) remove(k tkey) *tnode {
 	var removed *tnode
 	t.root, removed = tremove(t.root, k)
+	if removed != nil {
+		// Worker nodes outlive their membership (they are reused on
+		// re-entry); unlinking keeps them from pinning former neighbours.
+		removed.left, removed.right = nil, nil
+	}
 	return removed
+}
+
+// repull recomputes the aggregates on the root path of the node with key k
+// after that node's values were rewritten in place. It stops climbing at
+// the first node whose aggregates come out unchanged: its ancestors cannot
+// move either.
+func (t *treap) repull(k tkey) {
+	trepull(t.root, k)
+}
+
+// trepull reports whether n's aggregates changed.
+func trepull(n *tnode, k tkey) bool {
+	switch {
+	case k.less(n.key):
+		if !trepull(n.left, k) {
+			return false
+		}
+	case n.key.less(k):
+		if !trepull(n.right, k) {
+			return false
+		}
+	}
+	maxV1, maxV2, maxV3, minVi := n.maxV1, n.maxV2, n.maxV3, n.minVi
+	n.pull()
+	return n.maxV1 != maxV1 || n.maxV2 != maxV2 || n.maxV3 != maxV3 || n.minVi != minVi
 }
 
 func tremove(n *tnode, k tkey) (root, removed *tnode) {
