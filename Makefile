@@ -23,12 +23,19 @@ test:
 test-race:
 	$(GO) test -race ./...
 
-# Native fuzzing of Auto's memoised label: random Observe/Preload/Retry/
-# Next/CurrentLabel sequences and field changes, with arbitrary float peaks,
+# Native fuzzing. FuzzAutoLabel: random Observe/Preload/Retry/Next/
+# CurrentLabel sequences and field changes, with arbitrary float peaks,
 # must never panic and must always read the label a fresh computation
-# gives. Seed inputs also run as plain tests under `make test`.
+# gives. FuzzReaders: every input goes to all four artifact readers
+# (archive, trace, obs stream, telemetry export); none may panic, every
+# failure must be the shared typed error, and accepted input must
+# re-encode to a fixed point. Its seeds are whole artifacts of tens to
+# hundreds of KB, so minimizing each new input is capped at 50 runs to
+# leave the 10 s for fuzzing. Seed inputs also run as plain tests under
+# `make test`.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzAutoLabel$$' -fuzztime 10s ./internal/alloc
+	$(GO) test -run '^$$' -fuzz '^FuzzReaders$$' -fuzztime 10s -fuzzminimizetime 50x ./internal/artifact
 
 # Deterministic chaos soak: drive the fault-injection engine, the hardening
 # features, and the invariant checker under the race detector, then survive

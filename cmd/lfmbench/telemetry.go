@@ -24,7 +24,7 @@ var telemetrySweepPoints = []telemetryPoint{
 	{"genomics", "aspire", 8, lfm.GenomicsWorkload, 16},
 }
 
-// runTelemetry executes telemetry-enabled runs and writes their combined
+// runTelemetry executes telemetry-enabled runs and writes them as one
 // JSONL export. Without -telemetry-sweep it records one HEP/auto run; with
 // it, every paper workload under every strategy, followed by a waste table.
 func runTelemetry(seed int64, quick, sweep bool, outPath string) error {
@@ -75,12 +75,7 @@ func runTelemetry(seed int64, quick, sweep bool, outPath string) error {
 	}
 
 	if err := writeTo(outPath, func(f io.Writer) error {
-		for _, rt := range recorded {
-			if err := rt.WriteJSONL(f); err != nil {
-				return err
-			}
-		}
-		return nil
+		return lfm.WriteTelemetry(f, recorded)
 	}); err != nil {
 		return err
 	}

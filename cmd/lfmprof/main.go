@@ -1,5 +1,5 @@
 // Command lfmprof renders a telemetry export (as written by
-// lfmbench -telemetry-out or RunTelemetry.WriteJSONL) as human-readable
+// lfmbench -telemetry-out or lfm.WriteTelemetry) as human-readable
 // profiles: per-category resource usage distributions with allocation-label
 // audit, per-node allocated-versus-used utilization timelines, detected
 // anomalies, and — when the export holds several runs — a comparative

@@ -8,10 +8,11 @@
 //
 //	lfmreport [-json FILE] [-width N] [-allow-unhealthy] OBS.jsonl
 //
-// The file may be "-" for stdin. When the stream carries no trailing
-// health line (a truncated or live capture), the health rules are re-run
-// over the streamed snapshots. -json additionally re-exports the health
-// report as JSON for machine consumption.
+// The file may be "-" for stdin. When the stream carries no health line
+// (a bus closed without one), the health rules are re-run over the
+// streamed snapshots; a stream cut off before its footer (a truncated or
+// live capture) is refused as corrupt. -json additionally re-exports the
+// health report as JSON for machine consumption.
 //
 // Exit status: 0 healthy, 1 operational error (unreadable or corrupt
 // stream), 2 usage, 3 unhealthy verdict. -allow-unhealthy renders an

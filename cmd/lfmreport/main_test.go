@@ -54,11 +54,14 @@ func TestRenderGolden(t *testing.T) {
 	}
 }
 
-// TestRenderWithoutHealthLine drops the stream's trailing health line and
-// checks the report re-derives the analysis from the snapshots instead of
-// rendering an empty verdict.
+// TestRenderWithoutHealthLine drops the health record from the fixture's
+// parsed stream and checks the report re-derives the analysis from the
+// snapshots instead of rendering an empty verdict.
 func TestRenderWithoutHealthLine(t *testing.T) {
 	st := readFixture(t)
+	if st.Health == nil {
+		t.Fatal("fixture carries no health record to drop")
+	}
 	st.Health = nil
 	health := lfm.AnalyzeObs(st.RunObs(), nil)
 	var buf bytes.Buffer

@@ -150,7 +150,7 @@ type Outcome struct {
 	// Telemetry carries the recorded time-series products when
 	// RunConfig.Telemetry was set, nil otherwise. Excluded from JSON (like
 	// Sched) so outcome snapshots stay byte-identical; export it with
-	// tseries.RunTelemetry.WriteJSONL.
+	// tseries.WriteJSONL.
 	Telemetry *tseries.RunTelemetry `json:"-"`
 	// Obs carries the retained run snapshots when RunConfig.Obs was set,
 	// nil otherwise. Excluded from JSON (like Sched) so outcome snapshots
@@ -467,7 +467,7 @@ func Run(w *workloads.Workload, cfg RunConfig) (*Outcome, error) {
 		}
 		out.Obs = ro
 		out.Health = obs.Analyze(ro, cfg.Obs.Health)
-		if err := bus.WriteHealth(out.Health); err != nil {
+		if err := bus.Close(out.Health); err != nil {
 			return nil, fmt.Errorf("core: obs stream: %w", err)
 		}
 	}

@@ -64,7 +64,7 @@ func TestObsBehaviorNeutral(t *testing.T) {
 
 // TestObsStreamDeterministic checks the other half of the invariant: two
 // same-seed runs with obs enabled emit byte-identical JSONL streams
-// (including the trailing health line).
+// (including the health line and footer).
 func TestObsStreamDeterministic(t *testing.T) {
 	export := func() []byte {
 		w := workloads.DrugScreen(sim.NewRNG(17), 10)

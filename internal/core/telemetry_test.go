@@ -86,7 +86,7 @@ func TestTelemetryDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		var b bytes.Buffer
-		if err := out.Telemetry.WriteJSONL(&b); err != nil {
+		if err := tseries.WriteJSONL(&b, []*tseries.RunTelemetry{out.Telemetry}); err != nil {
 			t.Fatal(err)
 		}
 		return b.Bytes()

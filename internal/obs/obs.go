@@ -25,12 +25,11 @@
 package obs
 
 import (
-	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
 
+	"lfm/internal/artifact"
 	"lfm/internal/metrics"
 	"lfm/internal/sim"
 )
@@ -46,7 +45,7 @@ const (
 	tickerCap = 5
 )
 
-// StreamMeta identifies the run on the stream's leading meta line and in
+// StreamMeta identifies the run on the stream's header line and in
 // RunObs.
 type StreamMeta struct {
 	Workload string `json:"workload,omitempty"`
@@ -65,10 +64,12 @@ type Config struct {
 	// DefaultRingCap). Past the cap the ring decimates: every other
 	// snapshot is dropped and the retention stride doubles.
 	RingCap int
-	// Stream, when non-nil, receives the run as JSONL: one meta line, one
-	// line per sealed snapshot (full fidelity, never decimated), a final
-	// snapshot at the makespan, and a trailing health line. Output is
-	// byte-deterministic for a given seed.
+	// Stream, when non-nil, receives the run as framed JSONL (see
+	// ReadStream): a header line with Meta, Cadence and RingCap, one line
+	// per sealed snapshot (full fidelity, never decimated), a final
+	// snapshot at the makespan, then, from Close, the health line and a
+	// footer counting the snapshots. Output is byte-deterministic for a
+	// given seed.
 	Stream io.Writer
 	// OnSnapshot, when non-nil, observes every sealed snapshot — the hook
 	// the lfmtop dashboard renders from. It must not mutate the snapshot
@@ -76,7 +77,7 @@ type Config struct {
 	OnSnapshot func(*Snapshot)
 	// Health tunes the end-of-run health analysis; nil uses defaults.
 	Health *HealthConfig
-	// Meta identifies the run on the stream's meta line.
+	// Meta identifies the run on the stream's header line.
 	Meta StreamMeta
 }
 
@@ -148,9 +149,7 @@ type Bus struct {
 	stride int      // ring retention stride (doubles on decimation)
 	ring   []*Snapshot
 
-	bw   *bufio.Writer
-	enc  *json.Encoder
-	werr error
+	out *artifact.Writer // nil without a stream
 
 	// Live pushed counters; see the mutators for semantics.
 	queueDepth, blocked, running, speculating int
@@ -177,8 +176,8 @@ type Bus struct {
 }
 
 // NewBus returns a bus sealing snapshots of eng's simulation at cfg's
-// cadence. A nil cfg uses defaults. When cfg.Stream is set the meta line
-// is written immediately.
+// cadence. A nil cfg uses defaults. When cfg.Stream is set the header
+// line is written immediately.
 func NewBus(eng *sim.Engine, cfg *Config) (*Bus, error) {
 	var c Config
 	if cfg != nil {
@@ -204,12 +203,7 @@ func NewBus(eng *sim.Engine, cfg *Config) (*Bus, error) {
 		cats:   map[string]*catAgg{},
 	}
 	if c.Stream != nil {
-		b.bw = bufio.NewWriter(c.Stream)
-		b.enc = json.NewEncoder(b.bw)
-		b.put(streamLine{Type: "meta", Meta: &metaLine{
-			SchemaVersion: StreamVersion,
-			StreamMeta:    c.Meta, Cadence: c.Cadence, RingCap: c.RingCap,
-		}})
+		b.out = openStream(c.Stream, c.Meta, c.Cadence, c.RingCap)
 	}
 	return b, nil
 }
@@ -250,13 +244,13 @@ func (b *Bus) seal(at sim.Time) {
 	tick := b.tick
 	b.tick++
 	retain := tick%b.stride == 0
-	if b.enc == nil && b.cfg.OnSnapshot == nil && !retain {
+	if b.out == nil && b.cfg.OnSnapshot == nil && !retain {
 		return
 	}
 	s := b.build(at, tick)
 	b.latest = s
-	if b.enc != nil {
-		b.put(streamLine{Type: "snapshot", Snapshot: s})
+	if b.out != nil {
+		b.out.Put("snapshot", s)
 	}
 	if b.cfg.OnSnapshot != nil {
 		b.cfg.OnSnapshot(s)
@@ -596,8 +590,8 @@ func (b *Bus) Finalize(end sim.Time) (*RunObs, error) {
 	}
 	b.final = b.build(end, b.tick)
 	b.latest = b.final
-	if b.enc != nil {
-		b.put(streamLine{Type: "final", Snapshot: b.final})
+	if b.out != nil {
+		b.out.Put("final", b.final)
 	}
 	ro := &RunObs{
 		Meta:       b.cfg.Meta,
@@ -607,39 +601,20 @@ func (b *Bus) Finalize(end sim.Time) (*RunObs, error) {
 		Snapshots:  append([]*Snapshot(nil), b.ring...),
 		Final:      b.final,
 	}
-	b.flush()
-	return ro, b.werr
+	if b.out == nil {
+		return ro, nil
+	}
+	return ro, b.out.Flush()
 }
 
-// WriteHealth appends the trailing health line to the stream (no-op
-// without one) and reports any stream error.
-func (b *Bus) WriteHealth(h *Health) error {
-	if b == nil {
+// Close ends the stream after Finalize: the health line, if h is non-nil,
+// then the footer counting the streamed snapshots. It reports the first
+// stream error and is a no-op without a stream.
+func (b *Bus) Close(h *Health) error {
+	if b == nil || b.out == nil {
 		return nil
 	}
-	if b.enc != nil && h != nil {
-		b.put(streamLine{Type: "health", Health: h})
-		b.flush()
-	}
-	return b.werr
-}
-
-func (b *Bus) put(l streamLine) {
-	if b.werr != nil {
-		return
-	}
-	if err := b.enc.Encode(l); err != nil {
-		b.werr = err
-	}
-}
-
-func (b *Bus) flush() {
-	if b.bw == nil {
-		return
-	}
-	if err := b.bw.Flush(); err != nil && b.werr == nil {
-		b.werr = err
-	}
+	return closeStream(b.out, h, b.tick)
 }
 
 // CheckConsistency compares the pushed counters against the master's

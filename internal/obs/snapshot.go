@@ -1,11 +1,9 @@
 package obs
 
 import (
-	"bufio"
-	"encoding/json"
-	"fmt"
 	"io"
 
+	"lfm/internal/artifact"
 	"lfm/internal/metrics"
 	"lfm/internal/sim"
 )
@@ -125,49 +123,38 @@ type RunObs struct {
 	Final      *Snapshot   `json:"final"`
 }
 
-// streamLine is the envelope of one JSONL stream line. Type is one of
-// "meta", "snapshot", "final", "health"; exactly one other field is set.
-type streamLine struct {
-	Type     string    `json:"type"`
-	Meta     *metaLine `json:"meta,omitempty"`
-	Snapshot *Snapshot `json:"snapshot,omitempty"`
-	Health   *Health   `json:"health,omitempty"`
-}
+// StreamFormat and StreamVersion identify the obs stream container, framed
+// by internal/artifact. Version 2 moved the stream onto the shared framing;
+// earlier streams fail to read as bad-format.
+const (
+	StreamFormat  = "lfm-obs-stream"
+	StreamVersion = 2
+)
 
-// StreamVersion is the obs JSONL stream schema version, stamped on the
-// meta line. Readers accept any version up to it (absent means 0, the
-// pre-versioning format) and refuse newer streams with a typed
-// *StreamVersionError.
-const StreamVersion = 1
+var streamFrame = artifact.Frame{Format: StreamFormat, Version: StreamVersion}
 
-// StreamVersionError reports a stream written by a newer schema than this
-// reader understands.
-type StreamVersionError struct {
-	Version int
-}
-
-func (e *StreamVersionError) Error() string {
-	return fmt.Sprintf("obs: stream schema version %d, reader supports <= %d", e.Version, StreamVersion)
-}
-
-type metaLine struct {
-	SchemaVersion int `json:"schema_version"`
+// streamHeader is the stream's first line: the run's identity and the
+// bus's cadence and ring bound.
+type streamHeader struct {
+	artifact.Header
 	StreamMeta
 	Cadence sim.Time `json:"cadence"`
 	RingCap int      `json:"ring_cap"`
 }
 
-// Stream is a parsed obs JSONL stream.
+// streamFooter closes the stream with its snapshot count.
+type streamFooter struct {
+	Snapshots int `json:"snapshots"`
+}
+
+// Stream is a parsed obs stream.
 type Stream struct {
-	// SchemaVersion is the meta line's schema_version (0 for streams
-	// predating versioning).
-	SchemaVersion int
-	Meta          StreamMeta
-	Cadence       sim.Time
-	RingCap       int
-	Snapshots     []*Snapshot
-	Final         *Snapshot
-	Health        *Health
+	Meta      StreamMeta
+	Cadence   sim.Time
+	RingCap   int
+	Snapshots []*Snapshot
+	Final     *Snapshot
+	Health    *Health
 }
 
 // RunObs reassembles the stream into the in-memory form Analyze consumes.
@@ -184,51 +171,55 @@ func (s *Stream) RunObs() *RunObs {
 	return ro
 }
 
-// ReadStream parses one obs JSONL stream. Unknown line types are skipped
-// so the format can grow.
+// ReadStream parses one obs stream; every failure is a typed
+// *artifact.Error.
 func ReadStream(r io.Reader) (*Stream, error) {
-	out := &Stream{}
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<26)
-	lineNo := 0
-	sawMeta := false
-	for sc.Scan() {
-		lineNo++
-		raw := sc.Bytes()
-		if len(raw) == 0 {
-			continue
-		}
-		var l streamLine
-		if err := json.Unmarshal(raw, &l); err != nil {
-			return nil, fmt.Errorf("obs: line %d: %w", lineNo, err)
-		}
-		switch l.Type {
-		case "meta":
-			if l.Meta != nil {
-				if l.Meta.SchemaVersion > StreamVersion {
-					return nil, &StreamVersionError{Version: l.Meta.SchemaVersion}
-				}
-				out.SchemaVersion = l.Meta.SchemaVersion
-				out.Meta = l.Meta.StreamMeta
-				out.Cadence = l.Meta.Cadence
-				out.RingCap = l.Meta.RingCap
-			}
-			sawMeta = true
-		case "snapshot":
-			if l.Snapshot != nil {
-				out.Snapshots = append(out.Snapshots, l.Snapshot)
-			}
-		case "final":
-			out.Final = l.Snapshot
-		case "health":
-			out.Health = l.Health
-		}
-	}
-	if err := sc.Err(); err != nil {
+	st := &Stream{}
+	var h streamHeader
+	var f streamFooter
+	err := streamFrame.Read(r, &h, map[string]artifact.Record{
+		"snapshot": artifact.Decode(func(s *Snapshot) { st.Snapshots = append(st.Snapshots, s) }),
+		"final":    artifact.Decode(func(s *Snapshot) { st.Final = s }),
+		"health":   artifact.Decode(func(hl *Health) { st.Health = hl }),
+	}, &f)
+	if err != nil {
 		return nil, err
 	}
-	if !sawMeta && len(out.Snapshots) == 0 && out.Final == nil {
-		return nil, fmt.Errorf("obs: no recognizable stream lines")
+	if len(st.Snapshots) != f.Snapshots {
+		return nil, streamFrame.Errorf(artifact.Corrupt, 0, "%d snapshot lines, footer says %d", len(st.Snapshots), f.Snapshots)
 	}
-	return out, nil
+	st.Meta, st.Cadence, st.RingCap = h.StreamMeta, h.Cadence, h.RingCap
+	return st, nil
+}
+
+// WriteStream writes a parsed stream back out in the layout the bus
+// streams; ReadStream of the result reproduces st.
+func WriteStream(w io.Writer, st *Stream) error {
+	out := openStream(w, st.Meta, st.Cadence, st.RingCap)
+	for _, s := range st.Snapshots {
+		out.Put("snapshot", s)
+	}
+	if st.Final != nil {
+		out.Put("final", st.Final)
+	}
+	return closeStream(out, st.Health, len(st.Snapshots))
+}
+
+// openStream starts a stream with its header line.
+func openStream(w io.Writer, meta StreamMeta, cadence sim.Time, ringCap int) *artifact.Writer {
+	out := streamFrame.NewWriter(w)
+	out.Put("header", &streamHeader{
+		Header: streamFrame.Header(), StreamMeta: meta,
+		Cadence: cadence, RingCap: ringCap,
+	})
+	return out
+}
+
+// closeStream ends a stream: the health line, if any, then the footer.
+func closeStream(out *artifact.Writer, h *Health, snapshots int) error {
+	if h != nil {
+		out.Put("health", h)
+	}
+	out.Put("footer", &streamFooter{Snapshots: snapshots})
+	return out.Flush()
 }

@@ -3,9 +3,12 @@ package runarchive_test
 import (
 	"bytes"
 	"errors"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
+	"lfm/internal/artifact"
 	"lfm/internal/core"
 	"lfm/internal/obs"
 	"lfm/internal/runarchive"
@@ -102,15 +105,41 @@ func TestArchiveByteDeterminism(t *testing.T) {
 	}
 }
 
-// wantArchiveError asserts err is an *ArchiveError with the given reason.
+// TestBaselinesRoundTrip pins the archive bytes: every committed baseline
+// re-encodes to exactly the bytes it was read from.
+func TestBaselinesRoundTrip(t *testing.T) {
+	paths, err := filepath.Glob("../../baselines/*.lfma")
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no baselines found (%v)", err)
+	}
+	for _, path := range paths {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := runarchive.Read(data)
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		again, err := runarchive.Write(a)
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		if !bytes.Equal(data, again) {
+			t.Errorf("%s: write(read(x)) differs from x", path)
+		}
+	}
+}
+
+// wantArchiveError asserts err is an *artifact.Error with the given reason.
 func wantArchiveError(t *testing.T, err error, reason string) {
 	t.Helper()
-	var ae *runarchive.ArchiveError
+	var ae *artifact.Error
 	if !errors.As(err, &ae) {
-		t.Fatalf("got %v, want *ArchiveError", err)
+		t.Fatalf("got %v, want *artifact.Error", err)
 	}
-	if ae.Reason != reason {
-		t.Fatalf("reason %q, want %q (err: %v)", ae.Reason, reason, err)
+	if ae.Reason != reason || ae.Format != runarchive.Format {
+		t.Fatalf("reason %q of %q, want %q of %q (err: %v)", ae.Reason, ae.Format, reason, runarchive.Format, err)
 	}
 }
 
@@ -124,23 +153,23 @@ func TestArchiveReadErrors(t *testing.T) {
 
 	t.Run("empty", func(t *testing.T) {
 		_, err := runarchive.Read(nil)
-		wantArchiveError(t, err, runarchive.BadFormat)
+		wantArchiveError(t, err, artifact.BadFormat)
 	})
 	t.Run("not-jsonl", func(t *testing.T) {
 		_, err := runarchive.Read([]byte("definitely not json\n"))
-		wantArchiveError(t, err, runarchive.BadFormat)
+		wantArchiveError(t, err, artifact.BadFormat)
 	})
 	t.Run("wrong-format-tag", func(t *testing.T) {
 		_, err := runarchive.Read([]byte(`{"kind":"header","header":{"format":"something-else","version":1}}` + "\n"))
-		wantArchiveError(t, err, runarchive.BadFormat)
+		wantArchiveError(t, err, artifact.BadFormat)
 	})
 	t.Run("newer-version", func(t *testing.T) {
 		_, err := runarchive.Read([]byte(`{"kind":"header","header":{"format":"lfm-run-archive","version":99}}` + "\n"))
-		wantArchiveError(t, err, runarchive.BadVersion)
+		wantArchiveError(t, err, artifact.BadVersion)
 	})
 	t.Run("truncated", func(t *testing.T) {
 		_, err := runarchive.Read([]byte(strings.Join(lines[:len(lines)-1], "\n") + "\n"))
-		wantArchiveError(t, err, runarchive.Corrupt)
+		wantArchiveError(t, err, artifact.Corrupt)
 	})
 	t.Run("snapshot-count-mismatch", func(t *testing.T) {
 		// Drop one snapshot line but keep the footer.
@@ -157,16 +186,16 @@ func TestArchiveReadErrors(t *testing.T) {
 			t.Fatal("no snapshot line to drop")
 		}
 		_, err := runarchive.Read([]byte(strings.Join(kept, "\n") + "\n"))
-		wantArchiveError(t, err, runarchive.Corrupt)
+		wantArchiveError(t, err, artifact.Corrupt)
 	})
 	t.Run("content-after-footer", func(t *testing.T) {
 		_, err := runarchive.Read([]byte(string(data) + lines[1] + "\n"))
-		wantArchiveError(t, err, runarchive.Corrupt)
+		wantArchiveError(t, err, artifact.Corrupt)
 	})
 	t.Run("unknown-kind", func(t *testing.T) {
 		bad := lines[0] + "\n" + `{"kind":"mystery"}` + "\n" + strings.Join(lines[1:], "\n") + "\n"
 		_, err := runarchive.Read([]byte(bad))
-		wantArchiveError(t, err, runarchive.Corrupt)
+		wantArchiveError(t, err, artifact.Corrupt)
 	})
 }
 

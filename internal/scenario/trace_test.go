@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"lfm/internal/artifact"
 	"lfm/internal/wq"
 )
 
@@ -106,14 +107,26 @@ func TestTraceRoundTripBatch(t *testing.T) {
 	if ro.Header.Scenario != "heavy-tail" || ro.Header.Workload != res.Summary.Workload {
 		t.Errorf("header mismatch: %+v", ro.Header)
 	}
+	// A recorded trace re-encodes to exactly its own bytes.
+	parsed, err := ReadTrace(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := parsed.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(data, again) {
+		t.Error("ReadTrace(x).Encode() differs from x")
+	}
 }
 
 // reasonOf extracts the typed reason from a trace error.
 func reasonOf(t *testing.T, err error) string {
 	t.Helper()
-	var te *TraceError
-	if !errors.As(err, &te) {
-		t.Fatalf("expected *TraceError, got %T: %v", err, err)
+	var te *artifact.Error
+	if !errors.As(err, &te) || te.Format != TraceFormat {
+		t.Fatalf("expected a trace *artifact.Error, got %T: %v", err, err)
 	}
 	return te.Reason
 }
@@ -147,15 +160,15 @@ func TestTraceDecodeRejects(t *testing.T) {
 
 	t.Run("empty", func(t *testing.T) {
 		_, err := ReplayTrace(nil, nil)
-		if got := reasonOf(t, err); got != TraceBadFormat {
-			t.Errorf("reason = %q, want %q", got, TraceBadFormat)
+		if got := reasonOf(t, err); got != artifact.BadFormat {
+			t.Errorf("reason = %q, want %q", got, artifact.BadFormat)
 		}
 	})
 
 	t.Run("not-json", func(t *testing.T) {
 		_, err := ReplayTrace([]byte("this is not a trace\n"), nil)
-		if got := reasonOf(t, err); got != TraceBadFormat {
-			t.Errorf("reason = %q, want %q", got, TraceBadFormat)
+		if got := reasonOf(t, err); got != artifact.BadFormat {
+			t.Errorf("reason = %q, want %q", got, artifact.BadFormat)
 		}
 	})
 
@@ -164,8 +177,8 @@ func TestTraceDecodeRejects(t *testing.T) {
 			m["header"].(map[string]any)["format"] = "some-other-trace"
 		})
 		_, err := ReplayTrace(bad, nil)
-		if got := reasonOf(t, err); got != TraceBadFormat {
-			t.Errorf("reason = %q, want %q", got, TraceBadFormat)
+		if got := reasonOf(t, err); got != artifact.BadFormat {
+			t.Errorf("reason = %q, want %q", got, artifact.BadFormat)
 		}
 	})
 
@@ -174,8 +187,8 @@ func TestTraceDecodeRejects(t *testing.T) {
 			m["header"].(map[string]any)["version"] = TraceVersion + 1
 		})
 		_, err := ReplayTrace(bad, nil)
-		if got := reasonOf(t, err); got != TraceBadVersion {
-			t.Errorf("reason = %q, want %q", got, TraceBadVersion)
+		if got := reasonOf(t, err); got != artifact.BadVersion {
+			t.Errorf("reason = %q, want %q", got, artifact.BadVersion)
 		}
 	})
 
@@ -183,8 +196,8 @@ func TestTraceDecodeRejects(t *testing.T) {
 		lines := bytes.Split(data, []byte("\n"))
 		lines[1] = []byte("{{{ corrupted")
 		_, err := ReplayTrace(bytes.Join(lines, []byte("\n")), nil)
-		if got := reasonOf(t, err); got != TraceCorrupt {
-			t.Errorf("reason = %q, want %q", got, TraceCorrupt)
+		if got := reasonOf(t, err); got != artifact.Corrupt {
+			t.Errorf("reason = %q, want %q", got, artifact.Corrupt)
 		}
 	})
 
@@ -193,8 +206,8 @@ func TestTraceDecodeRejects(t *testing.T) {
 		trimmed := bytes.TrimRight(data, "\n")
 		cut := bytes.LastIndexByte(trimmed, '\n')
 		_, err := ReplayTrace(trimmed[:cut+1], nil)
-		if got := reasonOf(t, err); got != TraceCorrupt {
-			t.Errorf("reason = %q, want %q", got, TraceCorrupt)
+		if got := reasonOf(t, err); got != artifact.Corrupt {
+			t.Errorf("reason = %q, want %q", got, artifact.Corrupt)
 		}
 	})
 
@@ -209,8 +222,8 @@ func TestTraceDecodeRejects(t *testing.T) {
 			t.Fatalf("replay of digest-tampered trace should run: %v", err)
 		}
 		verr := ro.Verify()
-		if got := reasonOf(t, verr); got != TraceDigestMismatch {
-			t.Errorf("reason = %q, want %q", got, TraceDigestMismatch)
+		if got := reasonOf(t, verr); got != DigestMismatch {
+			t.Errorf("reason = %q, want %q", got, DigestMismatch)
 		}
 	})
 }

@@ -2,10 +2,10 @@ package tseries
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 
+	"lfm/internal/artifact"
 	"lfm/internal/monitor"
 	"lfm/internal/sim"
 )
@@ -109,136 +109,87 @@ func checkPoints(pts []Point, cap, raw int, peak *monitor.Resources) error {
 	return nil
 }
 
-// jsonlLine is the envelope of one exported JSONL line. Type is one of
-// "meta", "profile", "node", "attempt", "anomaly", "util"; exactly one other
-// field is set accordingly. A run is a "meta" line followed by its records;
-// files concatenate runs.
-type jsonlLine struct {
-	Type    string              `json:"type"`
-	Meta    *metaLine           `json:"meta,omitempty"`
-	Profile *ProfileSummary     `json:"profile,omitempty"`
-	Node    *NodeSummary        `json:"node,omitempty"`
-	Attempt *AttemptSummary     `json:"attempt,omitempty"`
-	Anomaly *Anomaly            `json:"anomaly,omitempty"`
-	Util    *UtilizationSummary `json:"util,omitempty"`
-}
+// ExportFormat and ExportVersion identify the telemetry export container,
+// framed by internal/artifact. Version 2 moved the export onto the shared
+// framing: one file is one frame holding every run. Earlier exports fail
+// to read as bad-format.
+const (
+	ExportFormat  = "lfm-telemetry-export"
+	ExportVersion = 2
+)
 
-// ExportVersion is the telemetry JSONL schema version, stamped on every
-// run's meta line. Readers accept any version up to it (absent means 0,
-// the pre-versioning format) and refuse newer exports with a typed
-// *ExportVersionError.
-const ExportVersion = 1
+var exportFrame = artifact.Frame{Format: ExportFormat, Version: ExportVersion}
 
-// ExportVersionError reports an export written by a newer schema than this
-// reader understands.
-type ExportVersionError struct {
-	Version int
-}
-
-func (e *ExportVersionError) Error() string {
-	return fmt.Sprintf("tseries: export schema version %d, reader supports <= %d", e.Version, ExportVersion)
-}
-
-type metaLine struct {
-	SchemaVersion int `json:"schema_version"`
+// runLine opens each run's records: the run's identity and series cap.
+type runLine struct {
 	RunMeta
 	SeriesCap int `json:"series_cap"`
 }
 
-// WriteJSONL streams the run as line-delimited JSON: one meta line, then one
-// line per profile/node/attempt/anomaly, then the utilization summary.
-// Output is byte-deterministic for identical telemetry.
-func (rt *RunTelemetry) WriteJSONL(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	put := func(l jsonlLine) error { return enc.Encode(l) }
-	if err := put(jsonlLine{Type: "meta", Meta: &metaLine{SchemaVersion: ExportVersion, RunMeta: rt.Meta, SeriesCap: rt.SeriesCap}}); err != nil {
-		return err
-	}
-	for _, p := range rt.Profiles {
-		if err := put(jsonlLine{Type: "profile", Profile: p}); err != nil {
-			return err
-		}
-	}
-	for _, n := range rt.Nodes {
-		if err := put(jsonlLine{Type: "node", Node: n}); err != nil {
-			return err
-		}
-	}
-	for i := range rt.Attempts {
-		if err := put(jsonlLine{Type: "attempt", Attempt: &rt.Attempts[i]}); err != nil {
-			return err
-		}
-	}
-	for i := range rt.Anomalies {
-		if err := put(jsonlLine{Type: "anomaly", Anomaly: &rt.Anomalies[i]}); err != nil {
-			return err
-		}
-	}
-	if err := put(jsonlLine{Type: "util", Util: &rt.Util}); err != nil {
-		return err
-	}
-	return bw.Flush()
+// exportFooter closes the export with its run count.
+type exportFooter struct {
+	Runs int `json:"runs"`
 }
 
-// ReadJSONL parses a (possibly multi-run) JSONL telemetry stream back into
-// runs. Unknown line types are skipped, so the format can grow.
+// WriteJSONL writes runs as one export: a header line, then per run a
+// "run" line followed by one line per profile/node/attempt/anomaly and the
+// utilization summary, then a footer counting the runs. Output is
+// byte-deterministic for identical telemetry.
+func WriteJSONL(w io.Writer, runs []*RunTelemetry) error {
+	out := exportFrame.NewWriter(w)
+	out.Put("header", exportFrame.Header())
+	for _, rt := range runs {
+		out.Put("run", &runLine{RunMeta: rt.Meta, SeriesCap: rt.SeriesCap})
+		for _, p := range rt.Profiles {
+			out.Put("profile", p)
+		}
+		for _, n := range rt.Nodes {
+			out.Put("node", n)
+		}
+		for i := range rt.Attempts {
+			out.Put("attempt", &rt.Attempts[i])
+		}
+		for i := range rt.Anomalies {
+			out.Put("anomaly", &rt.Anomalies[i])
+		}
+		out.Put("util", &rt.Util)
+	}
+	out.Put("footer", &exportFooter{Runs: len(runs)})
+	return out.Flush()
+}
+
+// ReadJSONL parses an export back into its runs; every failure is a typed
+// *artifact.Error.
 func ReadJSONL(r io.Reader) ([]*RunTelemetry, error) {
 	var runs []*RunTelemetry
 	var cur *RunTelemetry
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<26)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		b := sc.Bytes()
-		if len(b) == 0 {
-			continue
-		}
-		var l jsonlLine
-		if err := json.Unmarshal(b, &l); err != nil {
-			return nil, fmt.Errorf("tseries: line %d: %w", lineNo, err)
-		}
-		if l.Type == "meta" {
-			if l.Meta != nil && l.Meta.SchemaVersion > ExportVersion {
-				return nil, &ExportVersionError{Version: l.Meta.SchemaVersion}
+	// inRun guards the per-run records: they must follow a run line.
+	inRun := func(rec artifact.Record) artifact.Record {
+		return func(p []byte) error {
+			if cur == nil {
+				return fmt.Errorf("record before any run line")
 			}
-			cur = &RunTelemetry{}
-			if l.Meta != nil {
-				cur.Meta = l.Meta.RunMeta
-				cur.SeriesCap = l.Meta.SeriesCap
-			}
-			runs = append(runs, cur)
-			continue
-		}
-		if cur == nil {
-			return nil, fmt.Errorf("tseries: line %d: %q record before any meta line", lineNo, l.Type)
-		}
-		switch l.Type {
-		case "profile":
-			if l.Profile != nil {
-				cur.Profiles = append(cur.Profiles, l.Profile)
-			}
-		case "node":
-			if l.Node != nil {
-				cur.Nodes = append(cur.Nodes, l.Node)
-			}
-		case "attempt":
-			if l.Attempt != nil {
-				cur.Attempts = append(cur.Attempts, *l.Attempt)
-			}
-		case "anomaly":
-			if l.Anomaly != nil {
-				cur.Anomalies = append(cur.Anomalies, *l.Anomaly)
-			}
-		case "util":
-			if l.Util != nil {
-				cur.Util = *l.Util
-			}
+			return rec(p)
 		}
 	}
-	if err := sc.Err(); err != nil {
+	var hdr artifact.Header
+	var f exportFooter
+	err := exportFrame.Read(r, &hdr, map[string]artifact.Record{
+		"run": artifact.Decode(func(l runLine) {
+			cur = &RunTelemetry{Meta: l.RunMeta, SeriesCap: l.SeriesCap}
+			runs = append(runs, cur)
+		}),
+		"profile": inRun(artifact.Decode(func(p *ProfileSummary) { cur.Profiles = append(cur.Profiles, p) })),
+		"node":    inRun(artifact.Decode(func(n *NodeSummary) { cur.Nodes = append(cur.Nodes, n) })),
+		"attempt": inRun(artifact.Decode(func(a AttemptSummary) { cur.Attempts = append(cur.Attempts, a) })),
+		"anomaly": inRun(artifact.Decode(func(a Anomaly) { cur.Anomalies = append(cur.Anomalies, a) })),
+		"util":    inRun(artifact.Decode(func(u UtilizationSummary) { cur.Util = u })),
+	}, &f)
+	if err != nil {
 		return nil, err
+	}
+	if len(runs) != f.Runs {
+		return nil, exportFrame.Errorf(artifact.Corrupt, 0, "%d run lines, footer says %d", len(runs), f.Runs)
 	}
 	return runs, nil
 }

@@ -473,17 +473,15 @@ type TelemetryPoint = tseries.Point
 // DefaultTelemetryConfig returns the default telemetry configuration.
 func DefaultTelemetryConfig() *TelemetryConfig { return tseries.DefaultConfig() }
 
-// ReadTelemetry parses a JSONL telemetry export (as written by
-// RunTelemetry.WriteJSONL, possibly several runs concatenated).
+// ReadTelemetry parses a telemetry export (as written by WriteTelemetry):
+// one framed file holding every run. An export in the pre-v2 layout, from
+// a newer schema, or cut off before its footer fails with an error naming
+// the reason (bad-format, bad-version or corrupt) and the line.
 func ReadTelemetry(r io.Reader) ([]*RunTelemetry, error) { return tseries.ReadJSONL(r) }
 
-// TelemetryExportVersion is the telemetry JSONL schema version;
-// ReadTelemetry refuses newer exports with *TelemetryExportVersionError.
-const TelemetryExportVersion = tseries.ExportVersion
-
-// TelemetryExportVersionError reports a telemetry export written by a
-// newer schema than this reader understands.
-type TelemetryExportVersionError = tseries.ExportVersionError
+// WriteTelemetry writes runs as one telemetry export, byte-deterministic
+// for identical telemetry.
+func WriteTelemetry(w io.Writer, runs []*RunTelemetry) error { return tseries.WriteJSONL(w, runs) }
 
 // ---- Streaming run observability ----
 
@@ -493,7 +491,7 @@ type TelemetryExportVersionError = tseries.ExportVersionError
 // perturbing the run (outcomes, placements, and traces stay byte-identical).
 type ObsConfig = obs.Config
 
-// ObsStreamMeta identifies a run on its obs stream's leading meta line.
+// ObsStreamMeta identifies a run on its obs stream's header line.
 type ObsStreamMeta = obs.StreamMeta
 
 // RunSnapshot is the run's state sealed at one cadence boundary: queue
@@ -521,7 +519,7 @@ type HealthFinding = obs.Finding
 // SLOs; set it on ObsConfig.Health.
 type HealthConfig = obs.HealthConfig
 
-// ObsStream is a parsed obs JSONL stream (meta, snapshots, final, health).
+// ObsStream is a parsed obs stream (run identity, snapshots, final, health).
 type ObsStream = obs.Stream
 
 // ObsTop is the lfmtop-style live terminal dashboard; wire its OnSnapshot
@@ -533,16 +531,11 @@ type ObsTop = obs.Top
 // rendered by Outcome.WriteSummaryJSON.
 type RunSummary = core.RunSummary
 
-// ReadObsStream parses an obs JSONL stream written via ObsConfig.Stream.
+// ReadObsStream parses an obs stream written via ObsConfig.Stream. A stream
+// in the pre-v2 layout, from a newer schema, or cut off before its footer
+// fails with an error naming the reason (bad-format, bad-version or
+// corrupt) and the line.
 func ReadObsStream(r io.Reader) (*ObsStream, error) { return obs.ReadStream(r) }
-
-// ObsStreamVersion is the obs JSONL stream schema version; ReadObsStream
-// refuses newer streams with *ObsStreamVersionError.
-const ObsStreamVersion = obs.StreamVersion
-
-// ObsStreamVersionError reports an obs stream written by a newer schema
-// than this reader understands.
-type ObsStreamVersionError = obs.StreamVersionError
 
 // SummaryVersion is the unified summary document's schema version
 // (RunSummary.SchemaVersion).
@@ -638,11 +631,6 @@ type ScenarioServingShape = scenario.ServingShape
 
 // ScenarioTenantShape describes one serving tenant of a scenario.
 type ScenarioTenantShape = scenario.TenantShape
-
-// ScenarioTraceError is the typed error for every way a scenario trace can
-// fail to load or verify: bad-format, bad-version, corrupt, or
-// digest-mismatch.
-type ScenarioTraceError = scenario.TraceError
 
 // ScenarioTraceHeader is the first line of a scenario trace: format tag,
 // version, and the serializable run configuration.
@@ -745,22 +733,8 @@ func (e *UnknownExperimentError) Error() string {
 // optionally the flat scheduler event stream.
 type RunArchive = runarchive.Archive
 
-// RunArchiveError is the typed error for every way an archive can fail to
-// load; its Reason is one of ArchiveBadFormat/ArchiveBadVersion/
-// ArchiveCorrupt.
-type RunArchiveError = runarchive.ArchiveError
-
 // RunArchiveOptions parameterize BuildRunArchive.
 type RunArchiveOptions = runarchive.BuildOptions
-
-// Archive error reasons and container identity.
-const (
-	ArchiveBadFormat     = runarchive.BadFormat
-	ArchiveBadVersion    = runarchive.BadVersion
-	ArchiveCorrupt       = runarchive.Corrupt
-	ArchiveFormat        = runarchive.Format
-	ArchiveSchemaVersion = runarchive.SchemaVersion
-)
 
 // BuildRunArchive assembles an archive from a finished run (attach a trace
 // via RunConfig.Trace first for bottleneck attribution and bisection).
@@ -772,8 +746,8 @@ func BuildRunArchive(out *Outcome, cfg ScenarioConfig, opt RunArchiveOptions) *R
 // identical archives.
 func WriteRunArchive(a *RunArchive) ([]byte, error) { return runarchive.Write(a) }
 
-// ReadRunArchive parses and validates an archive; failures are typed
-// *RunArchiveError values.
+// ReadRunArchive parses and validates an archive; failures name the
+// reason (bad-format, bad-version or corrupt) and the line.
 func ReadRunArchive(data []byte) (*RunArchive, error) { return runarchive.Read(data) }
 
 // ScenarioArchiveOptions parameterize RunScenarioArchived.
