@@ -105,9 +105,16 @@ scenarios:
 # JSON artifact and the markdown verdict table (CI uploads the former and
 # posts the latter to the job summary). The second invocation is the
 # gate's self-test: a deliberately perturbed run MUST fail, proving the
-# gate can actually catch a regression. After an intentional behaviour
-# change, refresh with `lfmdiff gate -refresh` and review the git diff
-# (see baselines/README.md).
+# gate can actually catch a regression. The third regenerates every
+# baseline into a temporary directory and byte-compares it with the
+# committed one, so "same behaviour" is exact: each archive embeds the
+# run's outcome digest and its whole snapshot stream. After an intentional
+# behaviour change, refresh with `lfmdiff gate -refresh` and review the
+# git diff (see baselines/README.md).
 diff:
 	$(GO) run ./cmd/lfmdiff gate -json DIFF_report.json -md DIFF_report.md
 	! $(GO) run ./cmd/lfmdiff gate -perturb workers-halved -scenarios heavy-tail
+	@fresh="$$(mktemp -d)"; status=0; \
+	$(GO) run ./cmd/lfmdiff gate -refresh -baselines "$$fresh" || status=1; \
+	for f in baselines/*.lfma; do cmp "$$f" "$$fresh/$${f##*/}" || status=1; done; \
+	rm -rf "$$fresh"; exit $$status

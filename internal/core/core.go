@@ -71,9 +71,10 @@ type RunConfig struct {
 	Trace *wq.Trace
 	// Metrics, when non-nil, instruments the whole stack (master, monitor,
 	// cluster, filesystem, and — for Auto — the allocation strategy) on the
-	// registry, and a sampler records counter/gauge timelines at
-	// MetricsResolution. The sampler's final tick can extend the run by up
-	// to one resolution interval past the last model event.
+	// registry, and a passive sampler records counter/gauge timelines at
+	// MetricsResolution on the engine's clock boundaries, plus one sample
+	// at the makespan. It schedules no events, so the run's outcome and
+	// trace are byte-identical with Metrics on or off.
 	Metrics *metrics.Registry
 	// MetricsResolution is the sampling period (default 1s).
 	MetricsResolution sim.Time
@@ -95,7 +96,7 @@ type RunConfig struct {
 	// serving layer existed.
 	Serving *serve.Config
 	// Obs, when non-nil, attaches the streaming observability plane: a
-	// snapshot bus that seals a RunSnapshot of scheduler state every
+	// snapshot bus that seals an obs.Snapshot of scheduler state every
 	// Obs.Cadence of simulated time, keeps a bounded downsampled ring, and
 	// optionally streams every boundary as JSONL. Observation is strictly
 	// passive — the run's outcome, placements, and traces are byte-identical
@@ -255,9 +256,6 @@ func Run(w *workloads.Workload, cfg RunConfig) (*Outcome, error) {
 		}
 		if auto, ok := strategy.(*alloc.Auto); ok {
 			telem.SetLabelAudit(auto.CurrentLabel)
-		}
-		if bus != nil {
-			telem.SetAnomalyObserver(bus.AnomalyFlagged)
 		}
 		master.SetTelemetry(telem)
 	}

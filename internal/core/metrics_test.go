@@ -2,11 +2,14 @@ package core
 
 import (
 	"bytes"
+	"encoding/json"
 	"testing"
 
+	"lfm/internal/chaos"
 	"lfm/internal/metrics"
 	"lfm/internal/sim"
 	"lfm/internal/workloads"
+	"lfm/internal/wq"
 )
 
 func TestInstrumentedRun(t *testing.T) {
@@ -52,9 +55,9 @@ func TestInstrumentedRun(t *testing.T) {
 	if last := ts.Points[len(ts.Points)-1]; last.V != 0 {
 		t.Fatalf("final cores allocated = %v", last.V)
 	}
-	// The sampler extends the run by at most one resolution interval.
-	if lastAt := ts.Points[len(ts.Points)-1].At; lastAt > out.Makespan {
-		t.Fatalf("sample at %v after makespan %v", lastAt, out.Makespan)
+	// The last sample is the drained run's, at exactly the makespan.
+	if lastAt := ts.Points[len(ts.Points)-1].At; lastAt != out.Makespan {
+		t.Fatalf("last sample at %v, makespan %v", lastAt, out.Makespan)
 	}
 
 	// The registry exports as valid (non-empty) Prometheus text.
@@ -81,10 +84,53 @@ func TestInstrumentedRun(t *testing.T) {
 	if plain.Stats.Completed != out.Stats.Completed || plain.Stats.Retries != out.Stats.Retries {
 		t.Fatalf("instrumentation changed outcomes: %+v vs %+v", plain.Stats, out.Stats)
 	}
-	if plain.Makespan > out.Makespan {
-		t.Fatalf("plain makespan %v > instrumented %v", plain.Makespan, out.Makespan)
+	if plain.Makespan != out.Makespan {
+		t.Fatalf("sampler moved the makespan %v -> %v", plain.Makespan, out.Makespan)
 	}
-	if out.Makespan > plain.Makespan+2*sim.Second {
-		t.Fatalf("sampler extended makespan %v -> %v, more than one resolution", plain.Makespan, out.Makespan)
+}
+
+// TestMetricsBehaviorNeutral is TestObsBehaviorNeutral for the metrics
+// sampler: with a registry attached, the Outcome (bar the sampler itself)
+// and the trace are byte-identical to an uninstrumented run, on a hostile
+// run (chaos storm + full resilience) whose end the sampler could stretch.
+func TestMetricsBehaviorNeutral(t *testing.T) {
+	run := func(reg *metrics.Registry) (outcome, trace []byte) {
+		t.Helper()
+		w := workloads.HEP(sim.NewRNG(31), 60)
+		s, _ := StrategyFor("auto", w)
+		sched, err := chaos.Profile("storm", 500)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr := &wq.Trace{}
+		out, err := Run(w, RunConfig{
+			SiteName: "ndcrc", Workers: 6, Seed: 31, NoBatchLatency: true,
+			Strategy: s, Resilience: fullResilience(), Faults: sched,
+			Trace: tr, Metrics: reg, MetricsResolution: 7 * sim.Second,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if (out.Sampler != nil) != (reg != nil) {
+			t.Fatalf("sampler = %v with registry %v", out.Sampler, reg)
+		}
+		out.Sampler = nil
+		ob, err := json.Marshal(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var tb bytes.Buffer
+		if err := tr.Store().WriteJSON(&tb); err != nil {
+			t.Fatal(err)
+		}
+		return ob, tb.Bytes()
+	}
+	bareOut, bareTr := run(nil)
+	metOut, metTr := run(metrics.NewRegistry())
+	if !bytes.Equal(bareOut, metOut) {
+		t.Fatalf("metrics run outcome differs from bare:\nbare:    %s\nmetrics: %s", bareOut, metOut)
+	}
+	if !bytes.Equal(bareTr, metTr) {
+		t.Fatal("metrics perturbed the trace")
 	}
 }

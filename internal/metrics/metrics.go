@@ -1,8 +1,9 @@
 // Package metrics is a lightweight in-process observability layer for the
 // simulation: a registry of counters, gauges, and fixed-bucket histograms,
-// each identified by a metric name plus ordered key/value labels; a
-// simulated-clock sampler that turns registered instruments into time series
-// at a fixed resolution (in the spirit of fine-grained agent monitors that
+// each identified by a metric name plus ordered key/value labels; a passive
+// simulated-clock sampler that reads registered instruments into time series
+// at the engine's clock boundaries, at a fixed resolution and without
+// scheduling events (in the spirit of fine-grained agent monitors that
 // collect per-component metrics on a 1-second loop); and exporters for the
 // Prometheus text format and a JSON timeline.
 //

@@ -37,19 +37,20 @@ func (ts *TimeSeries) Label(key string) string {
 // cumulative and exported whole); counters are sampled cumulatively so
 // consumers can derive rates by differencing.
 //
-// The sampler stops itself when the simulation drains: once its own tick is
-// the only pending event nothing can change anymore, and rescheduling would
-// keep Engine.Run alive forever. It therefore extends a run by at most one
-// resolution interval past the last model event.
+// Sampling is passive: the sampler rides the engine's clock boundaries
+// (sim.Engine.Every) and schedules no event, so an instrumented run
+// dispatches, places and ends exactly as a bare one. Each sample at grid
+// point B reads the state after every event at or before B, and the run's
+// final time gets one last sample when the simulation drains.
 type Sampler struct {
 	eng *sim.Engine
 	reg *Registry
 	res sim.Time
 
-	series  map[string]*TimeSeries
-	order   []*TimeSeries
-	ev      sim.Event
-	running bool
+	series map[string]*TimeSeries
+	order  []*TimeSeries
+	ticker *sim.Ticker // nil while stopped
+	last   sim.Time    // time of the latest sample
 
 	// Samples counts completed sampling sweeps.
 	Samples int
@@ -57,9 +58,8 @@ type Sampler struct {
 
 // NewSampler returns a sampler over reg at the given resolution.
 // Non-positive and non-finite resolutions fall back to the 1s default, so
-// a sampler can never feed NaN/Inf tick times into the engine; callers
-// wanting a hard error should validate the resolution up front (core.Run
-// does).
+// a sampler can never hand the engine an unusable period; callers wanting
+// a hard error should validate the resolution up front (core.Run does).
 func NewSampler(eng *sim.Engine, reg *Registry, resolution sim.Time) *Sampler {
 	if f := float64(resolution); resolution <= 0 || math.IsNaN(f) || math.IsInf(f, 0) {
 		resolution = sim.Second
@@ -70,40 +70,38 @@ func NewSampler(eng *sim.Engine, reg *Registry, resolution sim.Time) *Sampler {
 // Resolution reports the sampling period.
 func (s *Sampler) Resolution() sim.Time { return s.res }
 
-// Start takes an immediate sample and begins periodic collection. The first
-// periodic tick is always scheduled (so starting before the model's events
-// are queued is safe); auto-stop applies from then on. Starting a running
-// sampler is a no-op.
+// Start takes an immediate sample and attaches the sampler to the clock
+// grid. Starting a running sampler is a no-op.
 func (s *Sampler) Start() {
-	if s.running {
+	if s.ticker != nil {
 		return
 	}
-	s.running = true
 	s.Sample()
-	s.ev = s.eng.After(s.res, s.tick)
+	s.ticker = s.eng.Every(s.res, s.boundary)
 }
 
-// Stop cancels periodic collection; Start resumes it.
+// Stop detaches periodic collection; Start resumes it.
 func (s *Sampler) Stop() {
-	s.running = false
-	s.eng.Cancel(s.ev)
-	s.ev = sim.Event{}
+	if s.ticker != nil {
+		s.ticker.Stop()
+		s.ticker = nil
+	}
 }
 
-func (s *Sampler) tick() {
-	s.Sample()
-	if s.eng.Pending() == 0 {
-		// The simulation has drained; a final sample was just taken.
-		s.running = false
-		return
+// boundary samples at a clock boundary unless that instant is already
+// sampled (Start's own sample, taken mid-round, keeps its place).
+func (s *Sampler) boundary(at sim.Time) {
+	if at > s.last {
+		s.sampleAt(at)
 	}
-	s.ev = s.eng.After(s.res, s.tick)
 }
 
 // Sample takes one sweep over the registry's counters and gauges now. It can
 // also be called manually (e.g. to snapshot at a known interesting instant).
-func (s *Sampler) Sample() {
-	now := s.eng.Now()
+func (s *Sampler) Sample() { s.sampleAt(s.eng.Now()) }
+
+// sampleAt sweeps the registry, stamping every point with `at`.
+func (s *Sampler) sampleAt(at sim.Time) {
 	for _, ins := range s.reg.order {
 		if ins.removed {
 			continue
@@ -123,8 +121,9 @@ func (s *Sampler) Sample() {
 			s.series[ins.id] = ts
 			s.order = append(s.order, ts)
 		}
-		ts.Points = append(ts.Points, Point{At: now, V: v})
+		ts.Points = append(ts.Points, Point{At: at, V: v})
 	}
+	s.last = at
 	s.Samples++
 }
 

@@ -36,7 +36,7 @@ func TestSamplerCollectsAtResolution(t *testing.T) {
 	if ts == nil {
 		t.Fatal("queue_depth never sampled")
 	}
-	// Samples at 0,1,...: at least 10 sweeps, auto-stopped when drained.
+	// Samples at 0,1,...,9 and at the drain time 9.5.
 	if s.Samples < 10 {
 		t.Fatalf("samples = %d", s.Samples)
 	}
@@ -76,7 +76,7 @@ func TestSamplerStopAndRestart(t *testing.T) {
 	eng.At(7, s.Start)
 	eng.Run()
 	ts := s.Find("g")
-	// Samples at 0,1,2,3 then 7,8,9,10(,11 final tick before auto-stop).
+	// Samples at 0,1,2,3 then 7,8,9 and 10 when the run drains.
 	var gap bool
 	for i := 1; i < len(ts.Points); i++ {
 		if ts.Points[i].At-ts.Points[i-1].At > 2 {

@@ -169,8 +169,8 @@ func Analyze(ro *RunObs, cfg *HealthConfig) *Health {
 		})
 	}
 
-	// Serving overload rule: fires only when a serving frontend pushed
-	// counters (Offered > 0), so batch runs are unaffected. Shedding is the
+	// Serving overload rule: fires only when a serving frontend offered
+	// work (Offered > 0), so batch runs are unaffected. Shedding is the
 	// designed response to overload — info when mild, warning once a large
 	// slice of offered load is being turned away.
 	if fin.Offered > 0 {

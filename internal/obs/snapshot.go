@@ -94,7 +94,7 @@ type Snapshot struct {
 	Events        []ChaosEvent `json:"events,omitempty"`
 	Anomalies     int          `json:"anomalies,omitempty"`
 
-	// Serving-frontend counters (cumulative), pushed by internal/serve when
+	// Serving-frontend counters (cumulative), read from internal/serve when
 	// RunConfig.Serving is set; all zero — and omitted from the JSON, so
 	// serving-off streams stay byte-identical — otherwise. Accepted tasks
 	// are exactly Submitted.

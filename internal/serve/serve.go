@@ -215,7 +215,6 @@ type Frontend struct {
 	eng *sim.Engine
 	m   *wq.Master
 	cfg Config
-	bus *obs.Bus
 
 	tenants []*tenant
 	byTask  map[*wq.Task]*tenant
@@ -291,10 +290,9 @@ func New(eng *sim.Engine, m *wq.Master, cfg *Config) (*Frontend, error) {
 	return f, nil
 }
 
-// SetObs attaches the snapshot bus: serving counters ride the snapshot
-// stream, and the bus's consistency checker learns the frontend's truth.
+// SetObs attaches the snapshot bus, which reads the serving counters at
+// each cadence boundary.
 func (f *Frontend) SetObs(bus *obs.Bus) {
-	f.bus = bus
 	bus.SetServeTruth(func() obs.ServeTruth {
 		return obs.ServeTruth{
 			Offered: f.offered, Shed: f.shed,
@@ -341,7 +339,6 @@ func (f *Frontend) arrive(tn *tenant) {
 	}
 	tn.offered++
 	f.offered++
-	f.bus.ServeOffered()
 	if f.resolve(&pending{tn: tn, task: t}) {
 		tn.holding = true
 		return
@@ -405,7 +402,6 @@ func (f *Frontend) hold(tn *tenant) {
 	tn.backpressured++
 	f.backpressured++
 	f.pendingHolds++
-	f.bus.ServeBackpressured()
 }
 
 // releaseTimed re-resolves a token-wait hold when its token has refilled.
@@ -461,15 +457,12 @@ func (f *Frontend) drop(tn *tenant, t *wq.Task, r OverloadReason) {
 	case ReasonThrottled:
 		tn.throttled++
 		f.throttled++
-		f.bus.ServeThrottled()
 	case ReasonQueueFull:
 		tn.rejected++
 		f.rejected++
-		f.bus.ServeRejected()
 	default: // ReasonShed, ReasonDepDropped
 		tn.shed++
 		f.shed++
-		f.bus.ServeShed()
 	}
 	ov := &Overload{Tenant: tn.cfg.Name, Reason: r, At: f.eng.Now(), Inflight: f.inflight}
 	if len(f.sampleDrops) < dropSampleCap {

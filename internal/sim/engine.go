@@ -14,6 +14,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Time is a simulated timestamp or duration in seconds.
@@ -113,6 +114,10 @@ type Engine struct {
 	freeSlots []*eslot
 	// deferred holds end-of-timestamp procedures (see Defer), FIFO.
 	deferred []func()
+	// tickers are the passive clock-boundary registrations (see Every);
+	// nextTick is the earliest grid point among them, +Inf with none.
+	tickers  []*Ticker
+	nextTick Time
 
 	// Processed counts callbacks dispatched so far — timed events plus
 	// deferred procedures; useful for runaway guards.
@@ -125,7 +130,7 @@ type Engine struct {
 // NewEngine returns an engine starting at time 0 with a deterministic
 // random-number generator seeded from seed.
 func NewEngine(seed int64) *Engine {
-	return &Engine{rng: NewRNG(seed), q: newCalendarQueue()}
+	return &Engine{rng: NewRNG(seed), q: newCalendarQueue(), nextTick: Time(math.Inf(1))}
 }
 
 // Now returns the current simulated time.
@@ -247,7 +252,13 @@ func (e *Engine) RunUntil(limit Time) Time {
 				e.drainDeferred()
 				continue
 			}
+			if s == nil {
+				e.drained()
+			}
 			break
+		}
+		if s.at > e.nextTick {
+			e.cross(s.at)
 		}
 		e.now = s.at
 		fn := s.fn
@@ -259,6 +270,78 @@ func (e *Engine) RunUntil(limit Time) Time {
 	}
 	e.stopped = false
 	return e.now
+}
+
+// Ticker is a passive clock-boundary registration; see Every.
+type Ticker struct {
+	e      *Engine
+	period Time
+	next   Time // next grid point to fire
+	fn     func(at Time)
+}
+
+// Every registers fn to observe the clock at the grid points 0, period,
+// 2·period, …, each the previous point plus period (so the points equal
+// those of a loop that keeps adding the period). fn(B) fires once for each
+// grid point B the clock moves strictly past, in order, after every event
+// and deferred procedure at or before B and before the first event after B.
+// When Run drains, fn fires once more at the final time, which consumes a
+// grid point the run ends exactly on. Points before Now are never fired.
+//
+// A registration is invisible to the simulation: it schedules no event,
+// draws no sequence number, does not count in Pending or Processed, and
+// never keeps Run alive. fn must only observe — it may not schedule, Defer,
+// or register or stop tickers. Stop the returned Ticker to detach.
+func (e *Engine) Every(period Time, fn func(at Time)) *Ticker {
+	if !(period > 0) || math.IsInf(float64(period), 1) {
+		panic(fmt.Sprintf("sim: Every with non-positive or non-finite period %v", float64(period)))
+	}
+	t := &Ticker{e: e, period: period, fn: fn}
+	for t.next < e.now {
+		t.next += period
+	}
+	e.tickers = append(e.tickers, t)
+	e.nextTick = min(e.nextTick, t.next)
+	return t
+}
+
+// Stop detaches the ticker; stopping it again is a no-op.
+func (t *Ticker) Stop() {
+	e := t.e
+	if i := slices.Index(e.tickers, t); i >= 0 {
+		e.tickers = slices.Delete(e.tickers, i, i+1)
+		e.retick()
+	}
+}
+
+// cross fires every registered grid point before the next event time at.
+func (e *Engine) cross(at Time) {
+	for _, t := range e.tickers {
+		for t.next < at {
+			t.fn(t.next)
+			t.next += t.period
+		}
+	}
+	e.retick()
+}
+
+// drained fires every ticker at the final time of a drained run.
+func (e *Engine) drained() {
+	for _, t := range e.tickers {
+		t.fn(e.now)
+		for t.next <= e.now {
+			t.next += t.period
+		}
+	}
+	e.retick()
+}
+
+// retick recomputes the earliest pending grid point.
+func (e *Engine) retick() {
+	e.nextTick = Time(math.Inf(1))
+	for _, t := range e.tickers {
+		e.nextTick = min(e.nextTick, t.next)
+	}
 }
 
 // drainDeferred runs queued end-of-round procedures in FIFO order, including

@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -226,4 +228,57 @@ func isNonDecreasing(ts []Time) bool {
 		}
 	}
 	return true
+}
+
+// TestEngineEvery pins the clock-boundary contract: each grid point the
+// clock moves past fires once, in order, after that round's deferred
+// procedures and before any later event; a drained run fires once more at
+// its final time, which is the only firing of a grid point it ends on; and
+// a registration changes neither Pending, Processed nor Run's end time.
+func TestEngineEvery(t *testing.T) {
+	build := func(log *[]string) *Engine {
+		e := NewEngine(1)
+		e.At(0.5, func() {
+			*log = append(*log, "ev0.5")
+			e.Defer(func() { *log = append(*log, "def0.5") })
+		})
+		e.At(2.5, func() { *log = append(*log, "ev2.5") })
+		e.At(4, func() { *log = append(*log, "ev4") })
+		return e
+	}
+	var bare []string
+	plain := build(&bare)
+	plainPending := plain.Pending()
+	plainEnd := plain.Run()
+
+	var log []string
+	e := build(&log)
+	e.Every(1, func(at Time) { log = append(log, fmt.Sprintf("tick%v", float64(at))) })
+	if e.Pending() != plainPending {
+		t.Fatalf("pending = %d with a ticker, %d without", e.Pending(), plainPending)
+	}
+	if end := e.Run(); end != plainEnd || e.Processed != plain.Processed {
+		t.Fatalf("run ended at %v after %d dispatches, want %v after %d", end, e.Processed, plainEnd, plain.Processed)
+	}
+	want := []string{"tick0", "ev0.5", "def0.5", "tick1", "tick2", "ev2.5", "tick3", "ev4", "tick4"}
+	if !slices.Equal(log, want) {
+		t.Fatalf("order = %v, want %v", log, want)
+	}
+
+	// A drain off the grid fires at the final time; a stopped ticker is
+	// silent from then on.
+	e = NewEngine(1)
+	var ats []Time
+	tk := e.Every(2, func(at Time) { ats = append(ats, at) })
+	e.At(3, func() {})
+	e.Run()
+	if !slices.Equal(ats, []Time{0, 2, 3}) {
+		t.Fatalf("off-grid drain fired at %v, want [0 2 3]", ats)
+	}
+	tk.Stop()
+	e.At(9, func() {})
+	e.Run()
+	if len(ats) != 3 {
+		t.Fatalf("stopped ticker fired at %v", ats[3:])
+	}
 }

@@ -40,10 +40,6 @@ type Collector struct {
 	open      []*AttemptRecorder
 	attempts  []AttemptSummary
 	anomalies []Anomaly
-
-	// anomalyFn, if set, observes every flagged anomaly (the obs snapshot
-	// bus's anomaly counter rides on it).
-	anomalyFn func()
 }
 
 // NewCollector returns a collector on the engine. A nil cfg uses defaults.
@@ -84,13 +80,13 @@ func (c *Collector) SetCategoryMeans(fn func(category string) (mean float64, n i
 	}
 }
 
-// SetAnomalyObserver installs (or, with nil, removes) a callback fired on
-// every flagged anomaly. Observation is passive: the callback must not
-// schedule events or mutate run state.
-func (c *Collector) SetAnomalyObserver(fn func()) {
-	if c != nil {
-		c.anomalyFn = fn
+// AnomalyCount reports how many anomalies have been flagged so far; zero
+// on a nil collector.
+func (c *Collector) AnomalyCount() int {
+	if c == nil {
+		return 0
 	}
+	return len(c.anomalies)
 }
 
 func (c *Collector) profile(category string) *categoryProfile {
@@ -216,9 +212,6 @@ func (c *Collector) flagAnomaly(kind string, rec *AttemptRecorder, at sim.Time, 
 		Kind: kind, Task: rec.task, Attempt: rec.attempt,
 		Category: rec.category, Node: rec.node, At: at, Detail: detail,
 	})
-	if c.anomalyFn != nil {
-		c.anomalyFn()
-	}
 	if c.tr != nil {
 		c.tr.Instant(trace.Span{
 			Kind: trace.KindAnomaly, Task: rec.task, Category: rec.category,

@@ -2,43 +2,41 @@ package wq
 
 import "lfm/internal/obs"
 
-// SetObs attaches a snapshot bus: the master (and, through it, the matcher
-// and the resilience machinery) pushes every observable state change —
-// queue movement, placements, attempt terminations, worker churn,
-// quarantine trips, scheduler rounds — into the bus, which seals them into
-// cadence snapshots. Recording is strictly passive: no events are
-// scheduled and no decision path reads the bus, so an obs-enabled run
-// places, traces, and completes byte-identically to a bare one. Attach
-// before workers join or tasks submit; a nil bus detaches.
+// SetObs attaches a snapshot bus. At each cadence boundary the bus reads
+// the master's counts through the Truth source installed here — every one
+// an O(1) read of state the master keeps anyway — and the master pushes
+// only the per-task latency observations nothing else records. Recording is
+// strictly passive: no events are scheduled and no decision path reads the
+// bus, so an obs-enabled run places, traces, and completes byte-identically
+// to a bare one. Attach before workers join or tasks submit; a nil bus
+// detaches.
 func (m *Master) SetObs(b *obs.Bus) {
 	m.obs = b
-	if b == nil {
-		return
-	}
 	b.SetTruth(func() obs.Truth {
+		st := &m.schedStats
 		t := obs.Truth{
-			QueueDepth:     m.QueueLen(),
-			WorkersAlive:   len(m.workers),
-			PoolCores:      m.poolCores,
-			AllocatedCores: m.poolUsedCores,
-			Submitted:      m.stats.Submitted,
-			Completed:      m.stats.Completed,
-			Failed:         m.stats.Failed,
+			QueueDepth:         m.QueueLen(),
+			Running:            m.running,
+			Speculating:        m.speculating,
+			WorkersAlive:       len(m.workers),
+			WorkersQuarantined: m.quarantined,
+			PoolCores:          m.poolCores,
+			AllocatedCores:     m.poolUsedCores,
+			Submitted:          m.stats.Submitted,
+			Completed:          m.stats.Completed,
+			Failed:             m.stats.Failed,
+			Retries:            m.stats.Retries,
+			Anomalies:          m.telem.AnomalyCount(),
+			Sched: obs.SchedDelta{
+				Passes: st.Passes, Tasks: st.TasksExamined,
+				Candidates: st.CandidatesExamined, Wakes: st.BlockedWakes,
+			},
 		}
 		if m.sched != nil {
 			t.Blocked = m.sched.nblocked
 		}
-		for _, w := range m.workers {
-			if w.quarantined {
-				t.WorkersQuarantined++
-			}
-			for _, a := range w.attempts {
-				if a.speculative {
-					t.Speculating++
-				} else {
-					t.Running++
-				}
-			}
+		if rs := m.stats.Resilience; rs != nil {
+			t.QuarantineTrips = rs.Quarantines
 		}
 		return t
 	})

@@ -204,11 +204,8 @@ func (m *Master) failStaging(a *attempt, f *File) {
 	if a.done {
 		return
 	}
-	a.done = true
-	t, w := a.t, a.w
-	w.dropAttempt(a)
-	t.dropActive(a)
-	m.obs.AttemptEnded(a.speculative)
+	m.endAttempt(a)
+	t := a.t
 	m.releaseAttempt(a)
 	rs := m.stats.resilience()
 	rs.StagingFailures++
@@ -241,11 +238,8 @@ func (m *Master) loseAttempt(a *attempt) {
 	if a.done {
 		return
 	}
-	a.done = true
+	m.endAttempt(a)
 	t := a.t
-	a.w.dropAttempt(a)
-	t.dropActive(a)
-	m.obs.AttemptEnded(a.speculative)
 	if !a.speculative {
 		t.Attempts--
 	}
@@ -270,10 +264,7 @@ func (m *Master) cancelAttempt(a *attempt) {
 	if a.done {
 		return
 	}
-	a.done = true
-	a.w.dropAttempt(a)
-	a.t.dropActive(a)
-	m.obs.AttemptEnded(a.speculative)
+	m.endAttempt(a)
 	if a.exec != nil {
 		a.exec.Abort()
 	}
@@ -289,6 +280,19 @@ func (m *Master) cancelAttempt(a *attempt) {
 	m.telem.AbortAttempt(a.rec, "cancelled")
 	m.traceAttemptCancelled(a)
 	m.schedule()
+}
+
+// endAttempt retires an attempt that reached a terminal state: it leaves
+// its worker's and task's lists and the running counts.
+func (m *Master) endAttempt(a *attempt) {
+	a.done = true
+	a.w.dropAttempt(a)
+	a.t.dropActive(a)
+	if a.speculative {
+		m.speculating--
+	} else {
+		m.running--
+	}
 }
 
 // releaseAttempt frees an attempt's allocation on its (still-live) worker.
@@ -309,7 +313,7 @@ func (m *Master) workerAttemptFailed(w *Worker) {
 		return
 	}
 	w.quarantined = true
-	m.obs.WorkerQuarantined()
+	m.quarantined++
 	if m.sched != nil {
 		m.sched.exclude(w)
 	}
@@ -334,7 +338,7 @@ func (m *Master) workerAttemptFailed(w *Worker) {
 			return
 		}
 		w.quarantined = false
-		m.obs.WorkerUnquarantined()
+		m.quarantined--
 		w.consecFails = 0
 		if m.sched != nil {
 			m.sched.admit(w)
@@ -442,7 +446,7 @@ func (m *Master) drainCheck() {
 			m.Eng.Cancel(w.probationEv)
 			w.probationEv = sim.Event{}
 			if w.quarantined {
-				m.obs.WorkerUnquarantined()
+				m.quarantined--
 			}
 			w.quarantined = false
 			w.consecFails = 0

@@ -549,7 +549,6 @@ func (s *schedState) strategyObserved(cat string) {
 		n := cb.unpinned.min()
 		cb.unpinned.remove(n.key)
 		s.nblocked--
-		s.m.obs.TaskUnblocked()
 		heap.Push(&s.readyQ, n.be.t)
 		s.spare = append(s.spare, n)
 	}
@@ -600,7 +599,6 @@ func (s *schedState) block(t *Task, dec alloc.Decision) {
 		cb.unpinned.insert(n)
 	}
 	s.nblocked++
-	s.m.obs.TaskBlocked()
 }
 
 // unblock removes one blocked entry prior to re-examination.
@@ -611,7 +609,6 @@ func (s *schedState) unblock(cb *catBlocked, n *tnode) {
 		cb.unpinned.remove(n.key)
 	}
 	s.nblocked--
-	s.m.obs.TaskUnblocked()
 }
 
 // decFitsDirty reports whether the decision fits any dirty worker right
@@ -755,8 +752,6 @@ func (m *Master) schedulePassIndexed() {
 	st := &m.schedStats
 	st.Passes++
 	candBefore := st.CandidatesExamined
-	tasksBefore := st.TasksExamined
-	wakesBefore := st.BlockedWakes
 	queued := int64(len(s.readyQ) + s.nblocked)
 	st.ScanTasksExamined += queued
 	st.ScanCandidatesExamined += queued * int64(len(m.workers))
@@ -792,8 +787,6 @@ func (m *Master) schedulePassIndexed() {
 	s.spare = s.spare[:0]
 	elapsed := time.Since(start)
 	st.ElapsedNanos += elapsed.Nanoseconds()
-	m.obs.SchedRound(int(st.TasksExamined-tasksBefore), int(st.CandidatesExamined-candBefore),
-		int(st.BlockedWakes-wakesBefore))
 	m.met.onSchedPass(st.CandidatesExamined-candBefore, elapsed)
 }
 

@@ -354,9 +354,14 @@ type Master struct {
 	// telem, if set, collects per-attempt usage series and node utilization
 	// timelines (see SetTelemetry). All calls through it are nil-safe.
 	telem *tseries.Collector
-	// obs, if set, receives every observable state change for cadence
-	// snapshots (see SetObs). All calls through it are nil-safe.
+	// obs, if set, seals cadence snapshots of the master's counts and
+	// receives its latency observations (see SetObs). All calls through it
+	// are nil-safe.
 	obs *obs.Bus
+	// running and speculating count attempts from placement until they end,
+	// including attempts stranded on a removed worker until their staging
+	// resolves; quarantined counts live workers under quarantine.
+	running, speculating, quarantined int
 
 	scheduling bool
 	// schedFn is the deferred scheduling-pass closure, built once.
@@ -478,7 +483,6 @@ func (m *Master) AddWorker(node *cluster.Node) *Worker {
 	}
 	m.workers = append(m.workers, w)
 	m.poolCores += node.Cores
-	m.obs.WorkerJoined(node.Cores)
 	if m.sched != nil {
 		m.sched.workerJoined(w)
 	}
@@ -503,7 +507,9 @@ func (m *Master) RemoveWorker(w *Worker) {
 	w.alive = false
 	m.poolCores -= w.Node.Cores
 	m.poolUsedCores -= w.usedCores
-	m.obs.WorkerLeft(w.Node.Cores, w.usedCores, w.quarantined)
+	if w.quarantined {
+		m.quarantined--
+	}
 	m.Eng.Cancel(w.suspectEv)
 	if m.sched != nil {
 		m.sched.workerLeft(w)
@@ -540,7 +546,6 @@ func (m *Master) Submit(t *Task) {
 	t.SubmittedAt = m.Eng.Now()
 	t.State = TaskWaiting
 	m.stats.Submitted++
-	m.obs.TaskSubmitted()
 	m.met.onSubmit(t)
 	m.traceSubmit(t)
 	m.armSpeculation()
@@ -579,7 +584,6 @@ func (m *Master) failDependent(t *Task) {
 
 func (m *Master) makeReady(t *Task) {
 	t.State = TaskReady
-	m.obs.TaskReady()
 	m.traceReady(t)
 	if m.sched != nil {
 		m.sched.taskReady(t)
@@ -620,7 +624,6 @@ func (m *Master) schedulePass() {
 	st := &m.schedStats
 	st.Passes++
 	candBefore := st.CandidatesExamined
-	tasksBefore := st.TasksExamined
 	// Examine in the indexed matcher's (-Priority, readySeq) order: m.ready
 	// is already in ready order, so a stable sort on priority suffices.
 	sort.SliceStable(m.ready, func(i, j int) bool { return m.ready[i].Priority > m.ready[j].Priority })
@@ -633,7 +636,6 @@ func (m *Master) schedulePass() {
 	m.ready = remaining
 	elapsed := time.Since(start)
 	st.ElapsedNanos += elapsed.Nanoseconds()
-	m.obs.SchedRound(int(st.TasksExamined-tasksBefore), int(st.CandidatesExamined-candBefore), 0)
 	m.met.onSchedPass(st.CandidatesExamined-candBefore, elapsed)
 }
 
@@ -675,7 +677,6 @@ func (m *Master) allocCapacity(w *Worker, req monitor.Resources) {
 	m.account()
 	if w.alive {
 		m.poolUsedCores += req.Cores
-		m.obs.AllocCores(req.Cores)
 	}
 	w.usedCores += req.Cores
 	w.usedMemMB += req.MemoryMB
@@ -696,7 +697,6 @@ func (m *Master) releaseCapacity(w *Worker, req monitor.Resources) {
 		// Removed workers already surrendered their whole allocation when
 		// they left the pool aggregates; only live releases adjust them.
 		m.poolUsedCores -= req.Cores
-		m.obs.AllocCores(-req.Cores)
 	}
 	w.usedCores -= req.Cores
 	w.usedMemMB -= req.MemoryMB
@@ -757,11 +757,16 @@ func (m *Master) startAttempt(t *Task, w *Worker, dec alloc.Decision, speculativ
 		placedAt: m.Eng.Now(),
 		span:     trace.NoSpan, phase: trace.NoSpan,
 	}
-	if !speculative {
+	if speculative {
+		m.speculating++
+	} else {
+		m.running++
 		t.State = TaskRunning
 		t.Attempts++
+		if t.Attempts == 1 {
+			m.obs.TaskPlaced(t.Category, a.placedAt-t.SubmittedAt)
+		}
 	}
-	m.obs.TaskPlaced(t.Category, speculative, t.Attempts, a.placedAt-t.SubmittedAt)
 	m.met.onPlace()
 	req := effectiveRequest(w, dec)
 	a.req = req
@@ -810,10 +815,7 @@ func (m *Master) startAttempt(t *Task, w *Worker, dec alloc.Decision, speculativ
 			obs = a.rec.Observe
 		}
 		a.exec = m.lfm.RunObserved(spec, limits, tst, execSpan, obs, func(rep monitor.Report) {
-			a.done = true
-			w.dropAttempt(a)
-			t.dropActive(a)
-			m.obs.AttemptEnded(a.speculative)
+			m.endAttempt(a)
 			t.Report = rep
 			m.Cfg.Strategy.Observe(t.Category, rep)
 			if m.sched != nil {
@@ -989,7 +991,6 @@ func (m *Master) finishAttempt(t *Task, rep monitor.Report) {
 		return
 	}
 	m.stats.Retries++
-	m.obs.RetryCharged()
 	m.met.onRetry()
 	dec := m.Cfg.Strategy.Retry(t.Category, t.Attempts)
 	if m.sched != nil {
@@ -1002,9 +1003,9 @@ func (m *Master) finishAttempt(t *Task, rep monitor.Report) {
 func (m *Master) complete(t *Task, state TaskState) {
 	t.State = state
 	t.FinishedAt = m.Eng.Now()
-	m.obs.TaskFinished(t.Category, state == TaskFailed, t.FinishedAt-t.SubmittedAt)
 	m.traceComplete(t, state)
 	if state == TaskDone {
+		m.obs.TaskFinished(t.Category, t.FinishedAt-t.SubmittedAt)
 		m.stats.Completed++
 		m.met.onDone(t)
 	} else {
@@ -1058,7 +1059,11 @@ func (m *Master) CheckInvariants() error {
 			return err
 		}
 	}
+	quarantined := 0
 	for _, w := range m.workers {
+		if w.quarantined {
+			quarantined++
+		}
 		if len(w.attempts) != 0 {
 			return fmt.Errorf("wq: worker %d leaked %d attempts", w.Node.ID, len(w.attempts))
 		}
@@ -1070,10 +1075,13 @@ func (m *Master) CheckInvariants() error {
 				Cores: w.usedCores, MemoryMB: w.usedMemMB, DiskMB: w.usedDiskMB})
 		}
 	}
-	// With a snapshot bus attached, its pushed counters must agree with the
-	// master's ground truth — the streaming plane's own invariant.
-	if err := m.obs.CheckConsistency(); err != nil {
-		return err
+	// The counts the snapshot bus reads must agree with a recount: every
+	// attempt has ended, and the quarantined workers are the flagged ones.
+	if m.running != 0 || m.speculating != 0 {
+		return fmt.Errorf("wq: %d running and %d speculating attempts still counted", m.running, m.speculating)
+	}
+	if quarantined != m.quarantined {
+		return fmt.Errorf("wq: %d workers quarantined but %d counted", quarantined, m.quarantined)
 	}
 	return nil
 }

@@ -346,9 +346,6 @@ type TraceSpan = trace.Span
 // makespan, with a per-phase time breakdown.
 type TraceCriticalPath = trace.CriticalPath
 
-// TraceBucket aggregates where one task category's or worker's time went.
-type TraceBucket = trace.Bucket
-
 // Failure-domain span kinds recorded by the chaos engine and the hardening
 // machinery; everything else in a trace uses task/worker lifecycle kinds.
 const (
@@ -412,16 +409,6 @@ type MetricsRegistry = metrics.Registry
 // MetricsLabel is one key=value dimension on an instrument.
 type MetricsLabel = metrics.Label
 
-// MetricsSampler records counter and gauge timelines at a fixed
-// simulated-clock resolution; an instrumented run's Outcome carries one.
-type MetricsSampler = metrics.Sampler
-
-// MetricsSeries is the sampled history of one instrument.
-type MetricsSeries = metrics.TimeSeries
-
-// MetricsHistogram is a fixed-bucket distribution instrument.
-type MetricsHistogram = metrics.Histogram
-
 // NewMetricsRegistry returns an empty metrics registry.
 func NewMetricsRegistry() *MetricsRegistry { return metrics.NewRegistry() }
 
@@ -441,29 +428,13 @@ type TelemetryConfig = tseries.Config
 // usage series, and detected anomalies.
 type RunTelemetry = tseries.RunTelemetry
 
-// TelemetryProfile summarizes one task category's observed resource usage
-// (peak percentiles, time-to-peak, mean-over-peak shape) and audits the
-// allocation strategy's current label against it.
-type TelemetryProfile = tseries.ProfileSummary
-
 // TelemetryNode is one worker node's allocated-versus-used timeline with
 // exact core-second and MB-second integrals.
 type TelemetryNode = tseries.NodeSummary
 
-// TelemetryAttempt is one task attempt's downsampled usage series plus its
-// exact peak and request.
-type TelemetryAttempt = tseries.AttemptSummary
-
-// TelemetryAnomaly is one detected runtime anomaly (memory leak slope,
-// usage flatline).
-type TelemetryAnomaly = tseries.Anomaly
-
 // TelemetryUtilization aggregates cluster-wide allocated-versus-used
 // capacity into waste and packing summaries.
 type TelemetryUtilization = tseries.UtilizationSummary
-
-// TelemetryDist is a summarized sample distribution (p50/p90/p99/max).
-type TelemetryDist = tseries.Dist
 
 // TelemetryPoint is one delta-encoded point of a usage or level series: DT
 // since the previous point, componentwise-max usage U over the N merged raw
@@ -491,15 +462,6 @@ func WriteTelemetry(w io.Writer, runs []*RunTelemetry) error { return tseries.Wr
 // perturbing the run (outcomes, placements, and traces stay byte-identical).
 type ObsConfig = obs.Config
 
-// ObsStreamMeta identifies a run on its obs stream's header line.
-type ObsStreamMeta = obs.StreamMeta
-
-// RunSnapshot is the run's state sealed at one cadence boundary: queue
-// depth, running/blocked/speculating tasks, pool utilization, scheduler
-// round deltas, chaos and quarantine state, and cumulative scheduling
-// (submit→placement) and end-to-end (submit→completion) latency quantiles.
-type RunSnapshot = obs.Snapshot
-
 // RunObs is a run's retained observability: the decimated snapshot ring
 // spanning the whole timeline plus the final snapshot; see Outcome.Obs.
 type RunObs = obs.RunObs
@@ -511,9 +473,6 @@ type ObsLatencyQuantiles = obs.LatencyQuantiles
 // RunHealth is the rule-driven end-of-run health report; see
 // Outcome.Health and cmd/lfmreport.
 type RunHealth = obs.Health
-
-// HealthFinding is one health-rule hit with its evidence window.
-type HealthFinding = obs.Finding
 
 // HealthConfig tunes the health rules' thresholds and optional latency
 // SLOs; set it on ObsConfig.Health.
