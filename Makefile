@@ -31,11 +31,15 @@ test-race:
 # failure must be the shared typed error, and accepted input must
 # re-encode to a fixed point. Its seeds are whole artifacts of tens to
 # hundreds of KB, so minimizing each new input is capped at 50 runs to
-# leave the 10 s for fuzzing. Seed inputs also run as plain tests under
-# `make test`.
+# leave the 10 s for fuzzing. FuzzLazyPolls: random process trees, poll
+# intervals, limits, kill delays and aborts run under the monitor's grid
+# walker and under the eager one-event-per-poll reference; the reports
+# (series on), observed streams and final engine times must be equal.
+# Seed inputs also run as plain tests under `make test`.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzAutoLabel$$' -fuzztime 10s ./internal/alloc
 	$(GO) test -run '^$$' -fuzz '^FuzzReaders$$' -fuzztime 10s -fuzzminimizetime 50x ./internal/artifact
+	$(GO) test -run '^$$' -fuzz '^FuzzLazyPolls$$' -fuzztime 10s ./internal/monitor
 
 # Deterministic chaos soak: drive the fault-injection engine, the hardening
 # features, and the invariant checker under the race detector, then survive

@@ -106,16 +106,20 @@ func BenchmarkAblationCacheAffinity(b *testing.B) {
 }
 
 // BenchmarkAblationPollInterval varies LFM polling with event tracking off,
-// measuring the fraction of short memory spikes missed per interval.
+// measuring the fraction of short memory spikes missed per interval. A bare
+// run folds its polls arithmetically instead of dispatching one engine
+// event each, so a finer interval costs fold arithmetic, not events or
+// allocations.
 func BenchmarkAblationPollInterval(b *testing.B) {
 	spiky := monitor.ProcSpec{Phases: []monitor.Phase{
 		{Duration: 0.4, Usage: monitor.Resources{Cores: 1, MemoryMB: 100}},
 		{Duration: 0.1, Usage: monitor.Resources{Cores: 1, MemoryMB: 900}},
 		{Duration: 0.5, Usage: monitor.Resources{Cores: 1, MemoryMB: 100}},
 	}}
-	for _, poll := range []sim.Time{0.05, 0.25, 1.0} {
+	for _, poll := range []sim.Time{0.01, 0.05, 0.25, 1.0} {
 		poll := poll
 		b.Run(fmt.Sprintf("poll-%v", poll.Duration()), func(b *testing.B) {
+			b.ReportAllocs()
 			missed := 0
 			for i := 0; i < b.N; i++ {
 				eng := sim.NewEngine(int64(i))

@@ -17,6 +17,7 @@ import (
 	"lfm/internal/envpack"
 	"lfm/internal/funcx"
 	"lfm/internal/metrics"
+	"lfm/internal/monitor"
 	"lfm/internal/obs"
 	"lfm/internal/pypkg"
 	"lfm/internal/serve"
@@ -73,8 +74,9 @@ type RunConfig struct {
 	// cluster, filesystem, and — for Auto — the allocation strategy) on the
 	// registry, and a passive sampler records counter/gauge timelines at
 	// MetricsResolution on the engine's clock boundaries, plus one sample
-	// at the makespan. It schedules no events, so the run's outcome and
-	// trace are byte-identical with Metrics on or off.
+	// at the makespan. The sampler schedules no events and the monitor's
+	// per-poll wakes (for lfm_polls_total) change no outcome, so the run's
+	// outcome and trace are byte-identical with Metrics on or off.
 	Metrics *metrics.Registry
 	// MetricsResolution is the sampling period (default 1s).
 	MetricsResolution sim.Time
@@ -109,6 +111,11 @@ type RunConfig struct {
 	// differential tests set it, to run the linear scan the indexed
 	// matcher is checked against.
 	matcher wq.Matcher
+	// pollWakes attaches a no-op per-poll monitor callback. A live per-poll
+	// consumer makes every monitored run wake the engine at each poll grid
+	// point, as eager polling did; only the poll differential and
+	// event-count tests set it.
+	pollWakes bool
 }
 
 // Outcome summarizes one run.
@@ -167,6 +174,10 @@ type Outcome struct {
 	// the recorded spans from the outcome alone. Excluded from JSON like
 	// Sched; nil on untraced runs.
 	Trace *wq.Trace `json:"-"`
+
+	// events is the engine's dispatch count for the run (sim.Engine's
+	// Processed); the event-count tests read it.
+	events uint64
 }
 
 // Run executes the workload on the configured site and strategy.
@@ -227,6 +238,9 @@ func Run(w *workloads.Workload, cfg RunConfig) (*Outcome, error) {
 	mcfg.Strategy = strategy
 	mcfg.Matcher = cfg.matcher
 	mcfg.Monitor.Metrics = cfg.Metrics
+	if cfg.pollWakes {
+		mcfg.Monitor.Callback = func(sim.Time, monitor.Resources) {}
+	}
 	mcfg.Resilience = cfg.Resilience
 	master := wq.NewMaster(eng, mcfg)
 	if cfg.Trace != nil {
@@ -432,6 +446,7 @@ func Run(w *workloads.Workload, cfg RunConfig) (*Outcome, error) {
 		ProvisionFailures:    provisionFailures,
 		Sched:                master.SchedStats(),
 		Trace:                cfg.Trace,
+		events:               eng.Processed,
 	}
 	if lastProvisionErr != nil {
 		out.ProvisionError = lastProvisionErr.Error()

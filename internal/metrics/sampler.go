@@ -39,7 +39,7 @@ func (ts *TimeSeries) Label(key string) string {
 //
 // Sampling is passive: the sampler rides the engine's clock boundaries
 // (sim.Engine.Every) and schedules no event, so an instrumented run
-// dispatches, places and ends exactly as a bare one. Each sample at grid
+// places and ends exactly as a bare one. Each sample at grid
 // point B reads the state after every event at or before B, and the run's
 // final time gets one last sample when the simulation drains.
 type Sampler struct {

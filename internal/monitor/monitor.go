@@ -190,6 +190,20 @@ func (p ProcSpec) TruePeak() Resources {
 	return peak
 }
 
+// peakBound returns an upper bound on the tree's usage at any instant: each
+// process's largest phase, summed over the tree. Unlike TruePeak it
+// allocates nothing, so the walker can test every run against it.
+func (p ProcSpec) peakBound() Resources {
+	var u Resources
+	for _, ph := range p.Phases {
+		u = u.Max(ph.Usage)
+	}
+	for _, c := range p.Children {
+		u = u.Add(c.Spec.peakBound())
+	}
+	return u
+}
+
 // eventTimes lists every offset at which the tree's usage can change.
 func (p ProcSpec) eventTimes(base sim.Time) []sim.Time {
 	var ts []sim.Time

@@ -2,6 +2,7 @@ package monitor
 
 import (
 	"fmt"
+	"math"
 
 	"lfm/internal/metrics"
 	"lfm/internal/sim"
@@ -100,7 +101,10 @@ type Config struct {
 	// containment.
 	Overhead sim.Time
 	// Callback, if set, runs at the end of each polling interval with the
-	// current measurement — the decorator callback of §VI-B1.
+	// current measurement — the decorator callback of §VI-B1. It is a live
+	// per-poll consumer: a run with a Callback wakes the engine at every
+	// grid point so the callback sees each poll as it happens, where a bare
+	// run folds its polls arithmetically (see run.catchUp).
 	Callback func(at sim.Time, current Resources)
 	// RecordSeries, when true, retains every measurement in the report's
 	// Series for post-hoc inspection (usage timelines).
@@ -132,6 +136,10 @@ type LFM struct {
 	Cfg Config
 
 	met *lfmMetrics
+	// armPolls, when set, replaces the grid walker as the way a run's polls
+	// are scheduled. Only tests set it, to run the eager reference poller
+	// the walker is checked against.
+	armPolls func(*run)
 }
 
 // New returns an LFM on the engine.
@@ -220,20 +228,29 @@ type run struct {
 
 	finished bool
 	zombie   bool
-	pollEv   sim.Event
+	// preArm marks a bare run's wake at grid point k-1 (see armWalker).
+	preArm bool
+	// haveU is set once a measurement backs lastU (see obs below).
+	haveU    bool
 	endEv    sim.Event
 	zombieEv sim.Event
 	procEvs  []sim.Event
-	// pollFn is the polling tick closure, built once per run so each re-arm
-	// does not allocate.
-	pollFn func()
+
+	// The poll grid walker. Grid point k sits at start + PollInterval added
+	// k times; next is the first grid point not yet measured (0 during the
+	// initial measurement) and nextAt its time. wakeEv is the one pending
+	// wake (see armWalker); wakeFn is its closure, built once per run so
+	// each re-arm does not allocate.
+	next   int
+	nextAt sim.Time
+	wakeEv sim.Event
+	wakeFn func()
 
 	// obs, if set, receives every measurement (telemetry streaming). The
 	// mean-usage integral and last-measurement state back Report.MeanUsage.
 	obs      Observer
 	lastU    Resources
 	lastAt   sim.Time
-	haveU    bool
 	integral Resources // componentwise usage integral (unit-seconds)
 
 	// Span recording (nil/NoSpan when the run is untraced): parent is the
@@ -273,6 +290,7 @@ func (e *Execution) Abort() {
 		return
 	}
 	r.done = nil
+	r.catchUp(r.m.Eng.Now(), 0)
 	r.finish(false)
 }
 
@@ -292,16 +310,22 @@ func (m *LFM) Run(spec ProcSpec, limits Resources, done func(Report)) *Execution
 // RunTraced is Run with span recording: the monitor's setup overhead becomes
 // an lfm-overhead child of parent, and every poll, fork/exit measurement, and
 // kill is recorded as an instant under it. Recording is passive — a traced
-// run schedules exactly the same simulation events as an untraced one.
+// run reports, kills and finishes exactly as an untraced one; it only wakes
+// the engine at every poll grid point to record each poll live (see
+// RunObserved).
 func (m *LFM) RunTraced(spec ProcSpec, limits Resources, tr *trace.Store, parent trace.SpanID, done func(Report)) *Execution {
 	return m.RunObserved(spec, limits, tr, parent, nil, done)
 }
 
 // RunObserved is RunTraced with a measurement observer: obs receives every
 // measurement the monitor takes (polls, fork/exit events, the final one), in
-// time order, after the peak is updated and before any kill decision. Like
-// tracing, observation is passive — an observed run schedules exactly the
-// same simulation events as a bare one.
+// time order, after the peak is updated and before any kill decision. The
+// observer, a trace store, a Config.Callback and a metrics registry are
+// live per-poll consumers: a run with any of them wakes the engine at every
+// poll grid point and delivers each poll at its own instant. A bare run
+// computes its polls arithmetically and wakes only where a limit can trip.
+// Either way the report, the kill time and every other engine event are the
+// same.
 func (m *LFM) RunObserved(spec ProcSpec, limits Resources, tr *trace.Store, parent trace.SpanID, obs Observer, done func(Report)) *Execution {
 	r := &run{m: m, spec: spec, limits: limits, done: done, obs: obs,
 		tr: tr, parent: parent, ovSpan: trace.NoSpan, trTask: -1, trWorker: -1}
@@ -322,11 +346,16 @@ func (m *LFM) RunObserved(spec ProcSpec, limits Resources, tr *trace.Store, pare
 		r.rep.Start = r.start
 		r.rep.Procs = spec.countProcs()
 		// Initial measurement at task start.
-		r.measure(byPoll)
+		r.measureAt(byPoll, r.start)
 		if r.finished {
 			return
 		}
-		r.schedulePoll()
+		r.next, r.nextAt = 1, r.start+m.Cfg.PollInterval
+		if m.armPolls != nil {
+			m.armPolls(r)
+		} else {
+			r.armWalker()
+		}
 		if m.Cfg.TrackProcessEvents {
 			r.scheduleProcEvents(spec, r.start)
 		}
@@ -345,26 +374,26 @@ const (
 	atCompletion
 )
 
-// measure samples current usage, updates the peak, and enforces limits.
-func (r *run) measure(src measureSource) {
+// measureAt samples usage at time now (the engine's clock, or a grid point
+// the walker folds after the fact), updates the peak, and enforces limits.
+func (r *run) measureAt(src measureSource, now sim.Time) {
 	if r.finished {
 		return
 	}
-	now := r.m.Eng.Now()
 	u := r.spec.UsageAt(now - r.start)
 	fromEvent := false
 	switch src {
 	case byPoll:
 		r.rep.Polls++
 		r.m.met.onPoll()
-		r.traceInstant(trace.KindPoll, "")
+		r.traceInstant(trace.KindPoll, "", now)
 		if cb := r.m.Cfg.Callback; cb != nil {
 			cb(now, u)
 		}
 	case byProcEvent:
 		r.rep.ProcEvents++
 		r.m.met.onProcEvent()
-		r.traceInstant(trace.KindProcEvent, "")
+		r.traceInstant(trace.KindProcEvent, "", now)
 		fromEvent = true
 	case atCompletion:
 		// The final measurement is the root process's exit: it is a process
@@ -423,16 +452,83 @@ func dim(u Resources, kind Kind) float64 {
 	}
 }
 
-func (r *run) schedulePoll() {
-	if r.pollFn == nil {
-		r.pollFn = func() {
-			r.measure(byPoll)
-			if !r.finished {
-				r.schedulePoll()
+// Tie rules. The walker reproduces a self-rescheduling poll event: poll 1
+// was pushed when monitoring began, before the fork/exit events and the
+// completion, and poll k >= 2 was pushed when poll k-1 fired. So at an equal
+// timestamp poll 1 fires before the run's own fork/exit events and
+// completion and poll k >= 2 after them, and poll k fires before a deferred
+// kill iff it was already pushed when the kill was decided. allTies folds
+// every grid point at the current instant.
+const allTies = math.MaxInt
+
+// catchUp folds the grid points before now, and those at now with index at
+// most last, through the measurement body at their own grid times, in
+// order. Every measurement other than a poll calls it first, so samples,
+// the peak, the time-weighted integral and the kill decision see the polls
+// in exactly the order eager poll events would have delivered them.
+func (r *run) catchUp(now sim.Time, last int) {
+	for !r.finished && (r.nextAt < now || r.nextAt == now && r.next <= last) {
+		r.measureAt(byPoll, r.nextAt)
+		r.next++
+		r.nextAt += r.m.Cfg.PollInterval
+	}
+}
+
+// live reports whether some consumer must see each poll as it happens: the
+// decorator callback, a measurement observer, span recording, or metrics.
+func (r *run) live() bool {
+	return r.m.Cfg.Callback != nil || r.obs != nil || r.tr != nil || r.m.met != nil
+}
+
+// armWalker schedules the run's polling wakes. A live run wakes at every
+// grid point, exactly the eager poll event pattern. A bare run needs the
+// engine only where a poll decides a kill: it walks the grid to the first
+// point whose sample exceeds the limits before the task ends and wakes
+// there. For k >= 2 the wake is armed at grid point k-1 and pushes the
+// kill check from there, so the check carries the sequence position eager
+// poll k would have, against other runs' events at the same instant.
+func (r *run) armWalker() {
+	if r.live() {
+		r.wake()
+		return
+	}
+	if Exceeds(r.spec.peakBound(), r.limits) == KindNone {
+		return
+	}
+	// Grid points before the completion are measured, and so is point 1
+	// when it ties with the completion (see the tie rules above).
+	end := r.start + r.spec.Duration()
+	armAt := r.nextAt // grid point k-1, or point 1 itself when k == 1
+	for k, at := 1, r.nextAt; at < end || k == 1 && at == end; k, at = k+1, at+r.m.Cfg.PollInterval {
+		if Exceeds(r.spec.UsageAt(at-r.start), r.limits) != KindNone {
+			r.preArm = k > 1
+			r.wakeEv = r.m.Eng.At(armAt, r.wakeCallback())
+			return
+		}
+		armAt = at
+	}
+}
+
+// wake arms a wake at the next grid point.
+func (r *run) wake() { r.wakeEv = r.m.Eng.At(r.nextAt, r.wakeCallback()) }
+
+// wakeCallback returns the run's wake closure, building it on first use.
+func (r *run) wakeCallback() func() {
+	if r.wakeFn == nil {
+		r.wakeFn = func() {
+			if r.preArm {
+				// At grid point k-1: push the kill check at grid point k.
+				r.preArm = false
+				r.wakeEv = r.m.Eng.After(r.m.Cfg.PollInterval, r.wakeFn)
+				return
+			}
+			r.catchUp(r.m.Eng.Now(), allTies)
+			if !r.finished && r.live() {
+				r.wake()
 			}
 		}
 	}
-	r.pollEv = r.m.Eng.After(r.m.Cfg.PollInterval, r.pollFn)
+	return r.wakeFn
 }
 
 // scheduleProcEvents registers a measurement at every fork and exit in the
@@ -441,22 +537,30 @@ func (r *run) schedulePoll() {
 func (r *run) scheduleProcEvents(spec ProcSpec, base sim.Time) {
 	for _, c := range spec.Children {
 		at := base + c.StartOffset
-		r.procEvs = append(r.procEvs, r.m.Eng.At(at, func() { r.measure(byProcEvent) }))
+		r.procEvs = append(r.procEvs, r.m.Eng.At(at, r.procEvent))
 		exit := at + c.Spec.SelfDuration()
-		r.procEvs = append(r.procEvs, r.m.Eng.At(exit, func() { r.measure(byProcEvent) }))
+		r.procEvs = append(r.procEvs, r.m.Eng.At(exit, r.procEvent))
 		r.scheduleProcEvents(c.Spec, at)
 	}
 }
 
-// traceInstant records a monitor measurement under the caller's execute span.
-func (r *run) traceInstant(kind trace.Kind, detail string) {
+// procEvent is one fork or exit measurement.
+func (r *run) procEvent() {
+	now := r.m.Eng.Now()
+	r.catchUp(now, 1)
+	r.measureAt(byProcEvent, now)
+}
+
+// traceInstant records a monitor event at time at under the caller's
+// execute span.
+func (r *run) traceInstant(kind trace.Kind, detail string, at sim.Time) {
 	if r.tr == nil {
 		return
 	}
 	r.tr.Instant(trace.Span{
 		Kind: kind, Parent: r.parent, Task: r.trTask, Worker: r.trWorker,
 		Detail: detail,
-	}, r.m.Eng.Now())
+	}, at)
 }
 
 func (r *run) kill(kind Kind) {
@@ -470,8 +574,14 @@ func (r *run) kill(kind Kind) {
 			// completes naturally first, in which case finish() cancels it.
 			r.zombie = true
 			r.rep.Zombie = true
-			r.traceInstant(trace.KindKill, string(kind)+" deferred (zombie)")
-			r.zombieEv = r.m.Eng.After(d, func() { r.doKill(kind) })
+			r.traceInstant(trace.KindKill, string(kind)+" deferred (zombie)", r.m.Eng.Now())
+			// Eager polls up to grid point next were already pushed, so
+			// at an equal instant they precede the deferred kill.
+			pushed := r.next
+			r.zombieEv = r.m.Eng.After(d, func() {
+				r.catchUp(r.m.Eng.Now(), pushed)
+				r.doKill(kind)
+			})
 			return
 		}
 	}
@@ -490,13 +600,15 @@ func (r *run) doKill(kind Kind) {
 			detail = fmt.Sprintf("%s: observed %.1f at t=%.1fs", fe.Kind, fe.Value, float64(fe.At))
 		}
 	}
-	r.traceInstant(trace.KindKill, detail)
+	r.traceInstant(trace.KindKill, detail, r.m.Eng.Now())
 	r.finish(false)
 }
 
 func (r *run) complete() {
 	// Final measurement at completion so short tasks are never unmeasured.
-	r.measure(atCompletion)
+	now := r.m.Eng.Now()
+	r.catchUp(now, 1)
+	r.measureAt(atCompletion, now)
 	if !r.finished {
 		r.m.met.onComplete()
 		r.finish(true)
@@ -528,7 +640,7 @@ func (r *run) finish(completed bool) {
 		}
 	}
 	eng := r.m.Eng
-	eng.Cancel(r.pollEv)
+	eng.Cancel(r.wakeEv)
 	eng.Cancel(r.endEv)
 	eng.Cancel(r.zombieEv)
 	for _, ev := range r.procEvs {
