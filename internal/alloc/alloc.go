@@ -151,16 +151,22 @@ type Auto struct {
 
 	hist map[string]*history
 	reg  *metrics.Registry
+	// counters caches reg's handles by metric name and category, each
+	// registered at its first count.
+	counters map[counterKey]*metrics.Counter
 }
+
+type counterKey struct{ name, category string }
 
 // SetMetrics attaches a metrics registry: label issues, bootstrap decisions,
 // retry escalations, and observations are counted per category from then on.
 // Nil detaches.
 func (a *Auto) SetMetrics(reg *metrics.Registry) {
-	a.reg = reg
+	a.reg, a.counters = reg, nil
 	if reg == nil {
 		return
 	}
+	a.counters = make(map[counterKey]*metrics.Counter)
 	reg.Help("alloc_labels_issued_total", "sized labels issued from the learned model, by category")
 	reg.Help("alloc_bootstraps_total", "whole-node bootstrap allocations issued, by category")
 	reg.Help("alloc_retry_escalations_total", "full-size retries after resource exhaustion, by category")
@@ -168,9 +174,16 @@ func (a *Auto) SetMetrics(reg *metrics.Registry) {
 }
 
 func (a *Auto) count(name, category string) {
-	if a.reg != nil {
-		a.reg.Counter(name, metrics.L("category", category)).Inc()
+	if a.reg == nil {
+		return
 	}
+	k := counterKey{name, category}
+	c := a.counters[k]
+	if c == nil {
+		c = a.reg.Counter(name, metrics.L("category", category))
+		a.counters[k] = c
+	}
+	c.Inc()
 }
 
 type history struct {

@@ -17,6 +17,7 @@ package metrics
 import (
 	"fmt"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -251,6 +252,11 @@ type Registry struct {
 	order []*instrument
 	kinds map[string]kind   // name -> kind, to reject mixed-kind names
 	help  map[string]string // name -> HELP text
+
+	// Scratch for lookup: the sorted labels and the series ID of the
+	// latest call, so a hit on an existing series allocates nothing.
+	labelBuf []Label
+	idBuf    []byte
 }
 
 // NewRegistry returns an empty registry.
@@ -267,42 +273,58 @@ var (
 	labelRe = regexp.MustCompile(`^[a-zA-Z_][a-zA-Z0-9_]*$`)
 )
 
+// sortLabels orders labels by key in place.
+func sortLabels(labels []Label) {
+	slices.SortFunc(labels, func(a, b Label) int { return strings.Compare(a.Key, b.Key) })
+}
+
 // canonLabels returns labels sorted by key; it copies so callers' slices stay
 // untouched.
 func canonLabels(labels []Label) []Label {
 	if len(labels) == 0 {
 		return nil
 	}
-	out := make([]Label, len(labels))
-	copy(out, labels)
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
+	out := slices.Clone(labels)
+	sortLabels(out)
 	return out
+}
+
+// appendSeriesID appends the series ID of name and its sorted labels to b.
+func appendSeriesID(b []byte, name string, labels []Label) []byte {
+	b = append(b, name...)
+	for _, l := range labels {
+		b = append(b, 0xff)
+		b = append(b, l.Key...)
+		b = append(b, 0xfe)
+		b = append(b, l.Value...)
+	}
+	return b
 }
 
 func seriesID(name string, labels []Label) string {
 	if len(labels) == 0 {
 		return name
 	}
-	var b strings.Builder
-	b.WriteString(name)
-	for _, l := range labels {
-		b.WriteByte(0xff)
-		b.WriteString(l.Key)
-		b.WriteByte(0xfe)
-		b.WriteString(l.Value)
-	}
-	return b.String()
+	return string(appendSeriesID(nil, name, labels))
 }
 
 // lookup finds or creates the instrument, enforcing name/kind consistency.
 // Mixing kinds under one metric name is always an instrumentation bug, so it
-// panics rather than silently corrupting the export.
+// panics rather than silently corrupting the export. Names and label keys
+// are validated when a series is created (or asked for under another kind,
+// which panics below); finding an existing one costs a sort of the labels
+// into scratch and one map probe, with no allocation.
 func (r *Registry) lookup(name string, k kind, labels []Label) *instrument {
+	r.labelBuf = append(r.labelBuf[:0], labels...)
+	sortLabels(r.labelBuf)
+	r.idBuf = appendSeriesID(r.idBuf[:0], name, r.labelBuf)
+	if ins, ok := r.byID[string(r.idBuf)]; ok && ins.kind == k {
+		return ins
+	}
 	if !nameRe.MatchString(name) {
 		panic(fmt.Sprintf("metrics: invalid metric name %q", name))
 	}
-	labels = canonLabels(labels)
-	for _, l := range labels {
+	for _, l := range r.labelBuf {
 		if !labelRe.MatchString(l.Key) {
 			panic(fmt.Sprintf("metrics: invalid label key %q on %s", l.Key, name))
 		}
@@ -310,13 +332,9 @@ func (r *Registry) lookup(name string, k kind, labels []Label) *instrument {
 	if prev, ok := r.kinds[name]; ok && prev != k {
 		panic(fmt.Sprintf("metrics: %s registered as both %s and %s", name, prev, k))
 	}
-	id := seriesID(name, labels)
-	if ins, ok := r.byID[id]; ok {
-		return ins
-	}
-	ins := &instrument{id: id, name: name, labels: labels, kind: k}
+	ins := &instrument{id: string(r.idBuf), name: name, labels: canonLabels(labels), kind: k}
 	r.kinds[name] = k
-	r.byID[id] = ins
+	r.byID[ins.id] = ins
 	r.order = append(r.order, ins)
 	return ins
 }

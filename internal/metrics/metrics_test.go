@@ -58,14 +58,39 @@ func TestGauge(t *testing.T) {
 }
 
 func TestKindMismatchPanics(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("thing_total")
-	defer func() {
-		if recover() == nil {
-			t.Fatal("mixed-kind name did not panic")
+	for _, c := range []struct {
+		name   string
+		labels []Label
+	}{
+		{"thing_total", nil},
+		{"labelled_total", []Label{L("category", "hep")}},
+	} {
+		r := NewRegistry()
+		r.Counter(c.name, c.labels...)
+		// The same series under another kind, and a new series of the
+		// name under another kind, both panic.
+		for _, labels := range [][]Label{c.labels, {L("category", "other")}} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Fatalf("%s%v: mixed-kind name did not panic", c.name, labels)
+					}
+				}()
+				r.Gauge(c.name, labels...)
+			}()
 		}
-	}()
-	r.Gauge("thing_total")
+	}
+}
+
+func TestLookupHitAllocatesNothing(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("hits_total", L("category", "hep"), L("kind", "memory"))
+	allocs := testing.AllocsPerRun(100, func() {
+		r.Counter("hits_total", L("kind", "memory"), L("category", "hep")).Inc()
+	})
+	if allocs != 0 {
+		t.Fatalf("lookup of an existing series allocated %v times", allocs)
+	}
 }
 
 func TestInvalidNamePanics(t *testing.T) {

@@ -49,6 +49,11 @@ type Sampler struct {
 
 	series map[string]*TimeSeries
 	order  []*TimeSeries
+	// byPos holds the series of reg.order[i] at index i (nil for
+	// histograms and for series removed before their first sample), so a
+	// sweep follows one pointer per instrument. The registry only appends
+	// to its order, which keeps the positions stable.
+	byPos  []*TimeSeries
 	ticker *sim.Ticker // nil while stopped
 	last   sim.Time    // time of the latest sample
 
@@ -102,29 +107,40 @@ func (s *Sampler) Sample() { s.sampleAt(s.eng.Now()) }
 
 // sampleAt sweeps the registry, stamping every point with `at`.
 func (s *Sampler) sampleAt(at sim.Time) {
-	for _, ins := range s.reg.order {
-		if ins.removed {
+	for i := len(s.byPos); i < len(s.reg.order); i++ {
+		s.byPos = append(s.byPos, s.resolve(s.reg.order[i]))
+	}
+	for i, ins := range s.reg.order {
+		ts := s.byPos[i]
+		if ts == nil || ins.removed {
 			continue
 		}
 		var v float64
-		switch ins.kind {
-		case kindCounter:
+		if ins.kind == kindCounter {
 			v = ins.counter.Value()
-		case kindGauge:
+		} else {
 			v = ins.gauge.Value()
-		default:
-			continue
-		}
-		ts := s.series[ins.id]
-		if ts == nil {
-			ts = &TimeSeries{Name: ins.name, Labels: ins.labels, Kind: ins.kind.String()}
-			s.series[ins.id] = ts
-			s.order = append(s.order, ts)
 		}
 		ts.Points = append(ts.Points, Point{At: at, V: v})
 	}
 	s.last = at
 	s.Samples++
+}
+
+// resolve returns the series a newly registered counter or gauge samples
+// into, creating it on first sight of the series ID. A series unregistered
+// and registered again under the same ID resumes its old history.
+func (s *Sampler) resolve(ins *instrument) *TimeSeries {
+	if ins.removed || (ins.kind != kindCounter && ins.kind != kindGauge) {
+		return nil
+	}
+	ts := s.series[ins.id]
+	if ts == nil {
+		ts = &TimeSeries{Name: ins.name, Labels: ins.labels, Kind: ins.kind.String()}
+		s.series[ins.id] = ts
+		s.order = append(s.order, ts)
+	}
+	return ts
 }
 
 // Series returns every sampled series in first-seen order.

@@ -3,6 +3,7 @@ package metrics
 import (
 	"bytes"
 	"encoding/json"
+	"slices"
 	"testing"
 
 	"lfm/internal/sim"
@@ -105,6 +106,32 @@ func TestSamplerSkipsUnregistered(t *testing.T) {
 		if p.At > 2.5 {
 			t.Fatalf("sampled unregistered series at %v", p.At)
 		}
+	}
+}
+
+// TestSamplerResumesReregisteredSeries checks that a series unregistered
+// and registered again under the same ID appends to its old history, and
+// that series first seen after it keep their first-seen order.
+func TestSamplerResumesReregisteredSeries(t *testing.T) {
+	eng := sim.NewEngine(1)
+	reg := NewRegistry()
+	reg.GaugeFunc("w", func() float64 { return 1 }, L("worker", "0"))
+	s := NewSampler(eng, reg, sim.Second)
+	eng.At(0, s.Start)
+	eng.At(1.5, func() { reg.Unregister("w", L("worker", "0")) })
+	eng.At(3.5, func() {
+		reg.GaugeFunc("w", func() float64 { return 2 }, L("worker", "1"))
+		reg.GaugeFunc("w", func() float64 { return 3 }, L("worker", "0"))
+	})
+	eng.At(5, func() {})
+	eng.Run()
+	series := s.Series()
+	if len(series) != 2 || series[0].Label("worker") != "0" || series[1].Label("worker") != "1" {
+		t.Fatalf("series order = %v", series)
+	}
+	got := s.Find("w", L("worker", "0")).Points
+	if want := []Point{{0, 1}, {1, 1}, {4, 3}, {5, 3}}; !slices.Equal(got, want) {
+		t.Fatalf("points = %v, want %v", got, want)
 	}
 }
 

@@ -60,7 +60,7 @@ func (s *Store) index() *index {
 	if s == nil {
 		return ix
 	}
-	for _, sp := range s.spans {
+	for _, sp := range s.Spans() {
 		if sp.Parent != NoSpan {
 			ix.children[sp.Parent] = append(ix.children[sp.Parent], sp)
 		}
@@ -119,7 +119,7 @@ func (s *Store) CriticalPath() *CriticalPath {
 	// keeping the walk deterministic.
 	last := NoSpan
 	lastEnd := sim.Time(-1)
-	for _, sp := range s.spans {
+	for _, sp := range s.Spans() {
 		if sp.Kind != KindTask {
 			continue
 		}
@@ -276,7 +276,7 @@ func (s *Store) Bottlenecks(byWorker bool) []Bucket {
 		}
 		return sp.Category, true
 	}
-	for _, sp := range s.spans {
+	for _, sp := range s.Spans() {
 		switch sp.Kind {
 		case KindDepWait:
 			if g, ok := groupOf(sp); ok {
@@ -334,7 +334,7 @@ func (s *Store) Slowest(n int, kinds ...Kind) []Span {
 	}
 	end := s.EndTime()
 	var out []Span
-	for _, sp := range s.spans {
+	for _, sp := range s.Spans() {
 		if len(want) > 0 && !want[sp.Kind] {
 			continue
 		}

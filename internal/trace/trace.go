@@ -142,16 +142,53 @@ type Link struct {
 	Kind string `json:"kind"`
 }
 
+// chunkSpans is the number of spans in one storage chunk. Recording fills
+// one chunk at a time, so growing the store never copies or clears the
+// spans already held; a chunk is about 120 KB.
+const chunkSpans = 1024
+
 // Store is an append-only span store for one run. The zero value is unusable;
 // construct with NewStore. A nil *Store accepts (and discards) all recording
 // calls, so emitters need no tracing-enabled guards.
 type Store struct {
-	spans []Span
-	links []Link
+	// flat holds spans 1..len(flat) in one slice, as compacted by Spans;
+	// chunks hold the spans recorded after those, chunkSpans to a chunk
+	// (the last may be partly filled).
+	flat   []Span
+	chunks [][]Span
+	n      int
+	links  []Link
 }
 
 // NewStore returns an empty span store.
 func NewStore() *Store { return &Store{} }
+
+// add appends a span, assigning the next ID.
+func (s *Store) add(sp Span) SpanID {
+	s.n++
+	sp.ID = SpanID(s.n)
+	last := len(s.chunks) - 1
+	if last < 0 || len(s.chunks[last]) == chunkSpans {
+		s.chunks = append(s.chunks, make([]Span, 0, chunkSpans))
+		last++
+	}
+	s.chunks[last] = append(s.chunks[last], sp)
+	return sp.ID
+}
+
+// at returns the recorded span with the given ID, or nil for NoSpan,
+// unknown IDs and a nil store.
+func (s *Store) at(id SpanID) *Span {
+	if s == nil || id <= 0 || int(id) > s.n {
+		return nil
+	}
+	i := int(id) - 1
+	if i < len(s.flat) {
+		return &s.flat[i]
+	}
+	i -= len(s.flat)
+	return &s.chunks[i/chunkSpans][i%chunkSpans]
+}
 
 // Begin records an open span and returns its ID. The caller fills Kind,
 // Parent, Task/Category/Worker, Start, and Detail; ID and End are assigned
@@ -160,21 +197,16 @@ func (s *Store) Begin(sp Span) SpanID {
 	if s == nil {
 		return NoSpan
 	}
-	sp.ID = SpanID(len(s.spans) + 1)
 	sp.End = -1
-	s.spans = append(s.spans, sp)
-	return sp.ID
+	return s.add(sp)
 }
 
 // End closes an open span with an outcome and optional detail. Closing
 // NoSpan, an unknown ID, or an already-closed span is a no-op, as is any call
 // on a nil store.
 func (s *Store) End(id SpanID, at sim.Time, outcome, detail string) {
-	if s == nil || id <= 0 || int(id) > len(s.spans) {
-		return
-	}
-	sp := &s.spans[id-1]
-	if sp.End >= 0 {
+	sp := s.at(id)
+	if sp == nil || sp.End >= 0 {
 		return
 	}
 	sp.End = at
@@ -189,20 +221,17 @@ func (s *Store) Instant(sp Span, at sim.Time) SpanID {
 	if s == nil {
 		return NoSpan
 	}
-	sp.ID = SpanID(len(s.spans) + 1)
 	sp.Start = at
 	sp.End = at
-	s.spans = append(s.spans, sp)
-	return sp.ID
+	return s.add(sp)
 }
 
 // SetWorker stamps the executing worker on a recorded span (the worker is
 // unknown when an attempt span opens and learned at placement).
 func (s *Store) SetWorker(id SpanID, worker int) {
-	if s == nil || id <= 0 || int(id) > len(s.spans) {
-		return
+	if sp := s.at(id); sp != nil {
+		sp.Worker = worker
 	}
-	s.spans[id-1].Worker = worker
 }
 
 // AddLink records a causal edge between two recorded spans; edges touching
@@ -219,24 +248,34 @@ func (s *Store) Len() int {
 	if s == nil {
 		return 0
 	}
-	return len(s.spans)
+	return s.n
 }
 
 // Span returns a recorded span by ID, or a zero Span for NoSpan/unknown IDs.
 func (s *Store) Span(id SpanID) Span {
-	if s == nil || id <= 0 || int(id) > len(s.spans) {
-		return Span{Task: -1, Worker: -1}
+	if sp := s.at(id); sp != nil {
+		return *sp
 	}
-	return s.spans[id-1]
+	return Span{Task: -1, Worker: -1}
 }
 
-// Spans returns the recorded spans in creation order. The slice is shared
-// with the store and must not be mutated.
+// Spans returns the recorded spans in creation order. The first call after
+// recording compacts the chunks into one exact-length slice, which the
+// store then keeps; recording may continue, and the next call compacts
+// again. The slice is shared with the store and must not be mutated.
 func (s *Store) Spans() []Span {
 	if s == nil {
 		return nil
 	}
-	return s.spans
+	if len(s.chunks) > 0 {
+		flat := make([]Span, 0, s.n)
+		flat = append(flat, s.flat...)
+		for _, c := range s.chunks {
+			flat = append(flat, c...)
+		}
+		s.flat, s.chunks = flat, nil
+	}
+	return s.flat
 }
 
 // Links returns the recorded causal edges. The slice is shared with the
@@ -252,10 +291,7 @@ func (s *Store) Links() []Link {
 // notion of "end of run" used to clip still-open spans.
 func (s *Store) EndTime() sim.Time {
 	var end sim.Time
-	if s == nil {
-		return end
-	}
-	for _, sp := range s.spans {
+	for _, sp := range s.Spans() {
 		if sp.Start > end {
 			end = sp.Start
 		}
@@ -272,7 +308,7 @@ func (s *Store) Children(id SpanID) []Span {
 		return nil
 	}
 	var out []Span
-	for _, sp := range s.spans {
+	for _, sp := range s.Spans() {
 		if sp.Parent == id {
 			out = append(out, sp)
 		}
@@ -297,7 +333,7 @@ const (
 func (s *Store) WriteJSON(w io.Writer) error {
 	doc := storeJSON{Format: formatName, Version: formatVersion}
 	if s != nil {
-		doc.Spans = s.spans
+		doc.Spans = s.Spans()
 		doc.Links = s.links
 	}
 	enc := json.NewEncoder(w)
@@ -316,14 +352,14 @@ func ReadJSON(r io.Reader) (*Store, error) {
 	if doc.Version != formatVersion {
 		return nil, fmt.Errorf("trace: unsupported version %d", doc.Version)
 	}
-	st := &Store{spans: doc.Spans, links: doc.Links}
-	for i, sp := range st.spans {
+	st := &Store{flat: doc.Spans, n: len(doc.Spans), links: doc.Links}
+	for i, sp := range st.flat {
 		if int(sp.ID) != i+1 {
 			return nil, fmt.Errorf("trace: span %d has ID %d, want %d", i, sp.ID, i+1)
 		}
 	}
 	for _, l := range st.links {
-		if l.From <= 0 || int(l.From) > len(st.spans) || l.To <= 0 || int(l.To) > len(st.spans) {
+		if l.From <= 0 || int(l.From) > st.n || l.To <= 0 || int(l.To) > st.n {
 			return nil, fmt.Errorf("trace: link %d->%d references unknown spans", l.From, l.To)
 		}
 	}

@@ -195,3 +195,109 @@ func TestSpanDurationClipsOpenSpans(t *testing.T) {
 		t.Fatalf("closed duration = %v", d)
 	}
 }
+
+// fillStore records n open task spans, span i+1 starting at time i.
+func fillStore(s *Store, n int) {
+	for i := 0; i < n; i++ {
+		s.Begin(Span{Kind: KindTask, Task: i, Worker: -1, Start: sim.Time(i)})
+	}
+}
+
+func TestChunkBoundaryUpdates(t *testing.T) {
+	s := NewStore()
+	fillStore(s, 2*chunkSpans+3)
+	// The last span of the first chunk, the first of the second, and the
+	// first of the third.
+	for _, id := range []SpanID{chunkSpans, chunkSpans + 1, 2*chunkSpans + 1} {
+		s.SetWorker(id, int(id))
+		s.End(id, sim.Time(id)+0.5, OutcomeOK, "closed")
+		sp := s.Span(id)
+		if sp.ID != id || sp.Task != int(id)-1 || sp.Worker != int(id) ||
+			sp.End != sim.Time(id)+0.5 || sp.Outcome != OutcomeOK || sp.Detail != "closed" {
+			t.Fatalf("span %d = %+v", id, sp)
+		}
+	}
+	if sp := s.Span(2*chunkSpans + 4); sp.ID != NoSpan || sp.Task != -1 {
+		t.Fatalf("span past the end = %+v", sp)
+	}
+	spans := s.Spans()
+	if len(spans) != 2*chunkSpans+3 || cap(spans) != len(spans) {
+		t.Fatalf("Spans() len %d cap %d, want exactly %d", len(spans), cap(spans), 2*chunkSpans+3)
+	}
+	for i, sp := range spans {
+		if sp.ID != SpanID(i+1) || sp.Task != i {
+			t.Fatalf("spans[%d] = %+v", i, sp)
+		}
+	}
+	if spans[chunkSpans].Worker != chunkSpans+1 {
+		t.Fatalf("compacted span lost its worker: %+v", spans[chunkSpans])
+	}
+}
+
+func TestSpansMidRecording(t *testing.T) {
+	s := NewStore()
+	fillStore(s, chunkSpans+10)
+	first := s.Spans()
+	if len(first) != chunkSpans+10 {
+		t.Fatalf("first Spans() = %d spans", len(first))
+	}
+	// Updates to compacted spans show in the slice already handed out,
+	// and recording continues with the next ID.
+	s.End(5, 7, OutcomeDone, "")
+	if first[4].End != 7 {
+		t.Fatalf("End after Spans() not visible: %+v", first[4])
+	}
+	id := s.Instant(Span{Kind: KindPoll, Task: 1, Worker: 2}, 3)
+	if id != chunkSpans+11 {
+		t.Fatalf("span after Spans() got ID %d, want %d", id, chunkSpans+11)
+	}
+	fillStore(s, chunkSpans)
+	s.SetWorker(id, 9)
+	if sp := s.Span(id); sp.Worker != 9 || sp.Start != 3 || sp.End != 3 {
+		t.Fatalf("instant after compaction = %+v", sp)
+	}
+	all := s.Spans()
+	if len(all) != 2*chunkSpans+11 || s.Len() != len(all) {
+		t.Fatalf("second Spans() = %d spans, Len %d", len(all), s.Len())
+	}
+	for i, sp := range all {
+		if sp.ID != SpanID(i+1) {
+			t.Fatalf("spans[%d] has ID %d", i, sp.ID)
+		}
+	}
+	if all[4].End != 7 || all[id-1].Worker != 9 {
+		t.Fatalf("recompaction lost updates: %+v %+v", all[4], all[id-1])
+	}
+}
+
+func TestJSONRoundTripAcrossChunks(t *testing.T) {
+	s := NewStore()
+	fillStore(s, 3*chunkSpans/2)
+	s.End(chunkSpans, 2000, OutcomeDone, "")
+	s.AddLink(1, chunkSpans+1, "dep")
+	var a bytes.Buffer
+	if err := s.WriteJSON(&a); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadJSON(bytes.NewReader(a.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Len() != s.Len() || got.Span(chunkSpans).End != 2000 || len(got.Links()) != 1 {
+		t.Fatalf("round trip: %d spans, span %d = %+v, links %v",
+			got.Len(), chunkSpans, got.Span(chunkSpans), got.Links())
+	}
+	var b bytes.Buffer
+	if err := got.WriteJSON(&b); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+		t.Fatal("write(read(x)) != x")
+	}
+	// A loaded store keeps recording after its spans.
+	id := got.Begin(Span{Kind: KindTask})
+	got.End(id, 1, OutcomeOK, "")
+	if int(id) != s.Len()+1 || got.Span(id).Outcome != OutcomeOK {
+		t.Fatalf("span after load: ID %d, %+v", id, got.Span(id))
+	}
+}

@@ -1,7 +1,9 @@
 package tseries
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"lfm/internal/monitor"
 	"lfm/internal/sim"
@@ -37,7 +39,12 @@ type Collector struct {
 	current   map[int]*nodeTimeline
 	timelines []*nodeTimeline
 
+	// open holds the recorders not yet closed, in no particular order
+	// (each knows its slot); spare holds closed attempts' series, reset
+	// for the next StartAttempt to reuse.
 	open      []*AttemptRecorder
+	spare     []*Series
+	nextSeq   int
 	attempts  []AttemptSummary
 	anomalies []Anomaly
 }
@@ -144,8 +151,10 @@ type AttemptRecorder struct {
 	node        int
 	req         monitor.Resources
 	started     sim.Time
+	seq         int // StartAttempt order
+	slot        int // index in Collector.open while open
 
-	series *Series
+	series *Series // nil once closed
 	lastU  monitor.Resources
 	haveU  bool
 
@@ -163,8 +172,14 @@ func (c *Collector) StartAttempt(task, attempt int, speculative bool, category s
 	rec := &AttemptRecorder{
 		c: c, task: task, attempt: attempt, speculative: speculative,
 		category: category, node: node, req: req,
-		started: c.eng.Now(),
-		series:  NewSeries(c.cfg.SeriesCap),
+		started: c.eng.Now(), seq: c.nextSeq, slot: len(c.open),
+	}
+	c.nextSeq++
+	if n := len(c.spare); n > 0 {
+		rec.series = c.spare[n-1]
+		c.spare = c.spare[:n-1]
+	} else {
+		rec.series = NewSeries(c.cfg.SeriesCap)
 	}
 	c.open = append(c.open, rec)
 	return rec
@@ -311,6 +326,15 @@ func (c *Collector) closeAttempt(rec *AttemptRecorder, outcome string, end sim.T
 		Stride:          rec.series.Stride(),
 		Series:          pts,
 	})
+	// Points copied the series out, so its buffer goes to the next
+	// attempt, and the closed recorder leaves the open set.
+	rec.series.reset()
+	c.spare = append(c.spare, rec.series)
+	rec.series = nil
+	last := c.open[len(c.open)-1]
+	c.open[rec.slot], last.slot = last, rec.slot
+	c.open[len(c.open)-1] = nil
+	c.open = c.open[:len(c.open)-1]
 }
 
 // Finalize closes the books and renders the run's telemetry. Recorders still
@@ -321,11 +345,12 @@ func (c *Collector) Finalize(meta RunMeta) *RunTelemetry {
 		return nil
 	}
 	now := c.eng.Now()
-	for _, rec := range c.open {
-		if !rec.closed {
-			c.closeAttempt(rec, "open", now)
-		}
+	open := slices.Clone(c.open)
+	slices.SortFunc(open, func(a, b *AttemptRecorder) int { return cmp.Compare(a.seq, b.seq) })
+	for _, rec := range open {
+		c.closeAttempt(rec, "open", now)
 	}
+	c.spare = nil
 	for _, n := range c.timelines {
 		n.finalize(now)
 	}

@@ -124,6 +124,11 @@ func NewSeries(cap int) *Series {
 	return &Series{cap: cap, stride: 1}
 }
 
+// reset empties the series for reuse, keeping its point buffer.
+func (s *Series) reset() {
+	*s = Series{cap: s.cap, stride: 1, pts: s.pts[:0]}
+}
+
 // Add appends one measurement. Timestamps must be non-decreasing.
 func (s *Series) Add(at sim.Time, u monitor.Resources, src uint8) {
 	if !s.started {

@@ -6,8 +6,10 @@ import (
 	"fmt"
 	"io"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
+	"weak"
 
 	"lfm/internal/artifact"
 	"lfm/internal/monitor"
@@ -460,5 +462,73 @@ func TestExportSchemaVersion(t *testing.T) {
 	_, err = ReadJSONL(strings.NewReader(legacy))
 	if !errors.As(err, &ae) || ae.Reason != artifact.BadFormat || ae.Line != 1 {
 		t.Fatalf("version-1 export error = %v, want %s at line 1", err, artifact.BadFormat)
+	}
+}
+
+// TestClosedRecordersReleased checks the recorder lifetime: the collector
+// keeps only the recorders still open, a closed one is collectable once
+// its caller drops it, its series buffer serves the next attempt, and
+// Finalize closes the rest in start order. Every summary must equal what
+// a fresh series per attempt gives.
+func TestClosedRecordersReleased(t *testing.T) {
+	eng := sim.NewEngine(1)
+	c := NewCollector(eng, &Config{SeriesCap: 8})
+	c.NodeJoin(1, res(8, 8000, 1000))
+	// Attempt i takes lens[i] measurements: 40 decimates past the cap, so
+	// the buffer it leaves behind has a doubled stride to reset.
+	lens := []int{5, 40, 3, 9}
+	usage := func(i, k int) monitor.Resources { return res(1, float64(100+(i*37+k*11)%90), 10) }
+	recs := make([]*AttemptRecorder, len(lens))
+	start := func(i int) {
+		recs[i] = c.StartAttempt(i, 1, false, "x", 1, res(1, 256, 10))
+		for k := 0; k < lens[i]; k++ {
+			recs[i].Observe(sim.Time(k+1), usage(i, k), monitor.SourcePoll)
+		}
+	}
+	finish := func(i int) {
+		c.FinishAttempt(recs[i], monitor.Report{End: sim.Time(lens[i] + 1), Completed: true})
+	}
+	start(0)
+	start(1)
+	start(2)
+	finish(1)
+	start(3) // reuses attempt 1's series
+	finish(0)
+	if len(c.open) != 2 {
+		t.Fatalf("collector holds %d recorders, want the 2 still open", len(c.open))
+	}
+	gone := []weak.Pointer[AttemptRecorder]{weak.Make(recs[0]), weak.Make(recs[1])}
+	recs[0], recs[1] = nil, nil
+	runtime.GC()
+	for i, w := range gone {
+		if w.Value() != nil {
+			t.Fatalf("closed recorder %d still reachable", i)
+		}
+	}
+
+	rt := c.Finalize(RunMeta{})
+	if c.spare != nil || len(c.open) != 0 {
+		t.Fatalf("after Finalize: %d spare series, %d open recorders", len(c.spare), len(c.open))
+	}
+	wantOrder := []int{1, 0, 2, 3}
+	if len(rt.Attempts) != len(wantOrder) {
+		t.Fatalf("attempts = %d, want %d", len(rt.Attempts), len(wantOrder))
+	}
+	for j, a := range rt.Attempts {
+		i := wantOrder[j]
+		fresh := NewSeries(8)
+		for k := 0; k < lens[i]; k++ {
+			fresh.Add(sim.Time(k+1), usage(i, k), SrcPoll)
+		}
+		pts := fresh.Points()
+		pts[0].DT += fresh.Start()
+		if a.Task != i || a.RawMeasurements != lens[i] || a.Stride != fresh.Stride() ||
+			a.Peak != fresh.Peak() || !reflect.DeepEqual(a.Series, pts) {
+			t.Fatalf("attempt %d summary %+v, want stride %d peak %v series %v",
+				i, a, fresh.Stride(), fresh.Peak(), pts)
+		}
+	}
+	if rt.Attempts[2].Outcome != "open" || rt.Attempts[0].Outcome != "completed" {
+		t.Fatalf("outcomes %q, %q", rt.Attempts[0].Outcome, rt.Attempts[2].Outcome)
 	}
 }

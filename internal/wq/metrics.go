@@ -38,6 +38,22 @@ type masterMetrics struct {
 
 	waitSeconds *metrics.Histogram
 	execSeconds *metrics.Histogram
+
+	// Instruments registered lazily, each at its first event so the
+	// registry's order matches the order events happen in, then updated
+	// through the cached handle.
+	categories map[string]*categoryMetrics // by category label value
+	rounds     *metrics.Counter
+	candidates *metrics.Histogram
+	roundSecs  *metrics.Histogram
+}
+
+// categoryMetrics are one category's instruments, each nil until its
+// first event.
+type categoryMetrics struct {
+	label                                    metrics.Label
+	submitted, completed, failed, depFailed  *metrics.Counter
+	peakMem, peakCores, peakDisk, timeToPeak *metrics.Histogram
 }
 
 func newMasterMetrics(m *Master, reg *metrics.Registry) *masterMetrics {
@@ -104,15 +120,30 @@ func newMasterMetrics(m *Master, reg *metrics.Registry) *masterMetrics {
 		bytesOut:    reg.Counter("wq_bytes_out_total"),
 		waitSeconds: reg.Histogram("wq_task_wait_seconds", metrics.DefTimeBuckets()),
 		execSeconds: reg.Histogram("wq_task_exec_seconds", metrics.DefTimeBuckets()),
+		categories:  make(map[string]*categoryMetrics),
 	}
 }
 
-func categoryLabel(t *Task) metrics.Label {
+// category returns the task's category instruments.
+func (mm *masterMetrics) category(t *Task) *categoryMetrics {
 	c := t.Category
 	if c == "" {
 		c = "default"
 	}
-	return metrics.L("category", c)
+	cm := mm.categories[c]
+	if cm == nil {
+		cm = &categoryMetrics{label: metrics.L("category", c)}
+		mm.categories[c] = cm
+	}
+	return cm
+}
+
+// counter returns *c, first registering it as name with labels when nil.
+func (mm *masterMetrics) counter(c **metrics.Counter, name string, labels ...metrics.Label) *metrics.Counter {
+	if *c == nil {
+		*c = mm.reg.Counter(name, labels...)
+	}
+	return *c
 }
 
 func workerLabel(w *Worker) metrics.Label {
@@ -121,25 +152,29 @@ func workerLabel(w *Worker) metrics.Label {
 
 func (mm *masterMetrics) onSubmit(t *Task) {
 	if mm != nil {
-		mm.reg.Counter("wq_tasks_submitted_total", categoryLabel(t)).Inc()
+		cm := mm.category(t)
+		mm.counter(&cm.submitted, "wq_tasks_submitted_total", cm.label).Inc()
 	}
 }
 
 func (mm *masterMetrics) onDone(t *Task) {
 	if mm != nil {
-		mm.reg.Counter("wq_tasks_completed_total", categoryLabel(t)).Inc()
+		cm := mm.category(t)
+		mm.counter(&cm.completed, "wq_tasks_completed_total", cm.label).Inc()
 	}
 }
 
 func (mm *masterMetrics) onFail(t *Task) {
 	if mm != nil {
-		mm.reg.Counter("wq_tasks_failed_total", categoryLabel(t)).Inc()
+		cm := mm.category(t)
+		mm.counter(&cm.failed, "wq_tasks_failed_total", cm.label).Inc()
 	}
 }
 
 func (mm *masterMetrics) onDepFail(t *Task) {
 	if mm != nil {
-		mm.reg.Counter("wq_tasks_dep_failed_total", categoryLabel(t)).Inc()
+		cm := mm.category(t)
+		mm.counter(&cm.depFailed, "wq_tasks_dep_failed_total", cm.label).Inc()
 	}
 }
 
@@ -253,31 +288,43 @@ func (mm *masterMetrics) onSchedPass(candidates int64, dur time.Duration) {
 	if mm == nil {
 		return
 	}
-	mm.reg.Help("wq_sched_rounds_total", "scheduling rounds run by the matcher")
-	mm.reg.Counter("wq_sched_rounds_total").Inc()
-	mm.reg.Help("wq_sched_candidates", "workers tested for fit per scheduling round")
-	mm.reg.Histogram("wq_sched_candidates", metrics.ExpBuckets(1, 4, 12)).Observe(float64(candidates))
-	mm.reg.Help("wq_sched_round_seconds", "wall-clock duration of one scheduling round")
-	mm.reg.Histogram("wq_sched_round_seconds", metrics.ExpBuckets(1e-7, 4, 14)).Observe(dur.Seconds())
+	if mm.rounds == nil {
+		mm.reg.Help("wq_sched_rounds_total", "scheduling rounds run by the matcher")
+		mm.rounds = mm.reg.Counter("wq_sched_rounds_total")
+		mm.reg.Help("wq_sched_candidates", "workers tested for fit per scheduling round")
+		mm.candidates = mm.reg.Histogram("wq_sched_candidates", metrics.ExpBuckets(1, 4, 12))
+		mm.reg.Help("wq_sched_round_seconds", "wall-clock duration of one scheduling round")
+		mm.roundSecs = mm.reg.Histogram("wq_sched_round_seconds", metrics.ExpBuckets(1e-7, 4, 14))
+	}
+	mm.rounds.Inc()
+	mm.candidates.Observe(float64(candidates))
+	mm.roundSecs.Observe(dur.Seconds())
 }
 
 // onReport exports what the allocation strategy actually observed: the
 // per-category distributions of completed-attempt peaks and time-to-peak.
-// Registered lazily on the first completed report, so runs without
-// completions keep a byte-identical registry dump.
+// Registered lazily on a category's first completed report, so runs
+// without completions keep a byte-identical registry dump.
 func (mm *masterMetrics) onReport(t *Task, rep monitor.Report) {
 	if mm == nil || !rep.Completed {
 		return
 	}
-	cl := categoryLabel(t)
-	mm.reg.Help("lfm_category_peak_mem_mb", "peak memory of completed attempts, by category")
-	mm.reg.Histogram("lfm_category_peak_mem_mb", metrics.ExpBuckets(16, 2, 16), cl).Observe(rep.Peak.MemoryMB)
-	mm.reg.Help("lfm_category_peak_cores", "peak cores of completed attempts, by category")
-	mm.reg.Histogram("lfm_category_peak_cores", metrics.ExpBuckets(0.5, 2, 10), cl).Observe(rep.Peak.Cores)
-	mm.reg.Help("lfm_category_peak_disk_mb", "peak disk of completed attempts, by category")
-	mm.reg.Histogram("lfm_category_peak_disk_mb", metrics.ExpBuckets(16, 2, 16), cl).Observe(rep.Peak.DiskMB)
-	mm.reg.Help("lfm_category_time_to_peak_seconds", "start to last peak increase of completed attempts, by category")
-	mm.reg.Histogram("lfm_category_time_to_peak_seconds", metrics.DefTimeBuckets(), cl).Observe(float64(rep.TimeToPeak))
+	cm := mm.category(t)
+	if cm.peakMem == nil {
+		cl := cm.label
+		mm.reg.Help("lfm_category_peak_mem_mb", "peak memory of completed attempts, by category")
+		cm.peakMem = mm.reg.Histogram("lfm_category_peak_mem_mb", metrics.ExpBuckets(16, 2, 16), cl)
+		mm.reg.Help("lfm_category_peak_cores", "peak cores of completed attempts, by category")
+		cm.peakCores = mm.reg.Histogram("lfm_category_peak_cores", metrics.ExpBuckets(0.5, 2, 10), cl)
+		mm.reg.Help("lfm_category_peak_disk_mb", "peak disk of completed attempts, by category")
+		cm.peakDisk = mm.reg.Histogram("lfm_category_peak_disk_mb", metrics.ExpBuckets(16, 2, 16), cl)
+		mm.reg.Help("lfm_category_time_to_peak_seconds", "start to last peak increase of completed attempts, by category")
+		cm.timeToPeak = mm.reg.Histogram("lfm_category_time_to_peak_seconds", metrics.DefTimeBuckets(), cl)
+	}
+	cm.peakMem.Observe(rep.Peak.MemoryMB)
+	cm.peakCores.Observe(rep.Peak.Cores)
+	cm.peakDisk.Observe(rep.Peak.DiskMB)
+	cm.timeToPeak.Observe(float64(rep.TimeToPeak))
 }
 
 func (mm *masterMetrics) onWorkerJoin(w *Worker) {
