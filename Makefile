@@ -35,11 +35,15 @@ test-race:
 # intervals, limits, kill delays and aborts run under the monitor's grid
 # walker and under the eager one-event-per-poll reference; the reports
 # (series on), observed streams and final engine times must be equal.
+# FuzzEventQueue: byte-driven push, pop, peek, remove and pop-then-push-back
+# sequences must pop what a linear min-scan reference pops and leave a
+# valid indexed heap after every operation.
 # Seed inputs also run as plain tests under `make test`.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzAutoLabel$$' -fuzztime 10s ./internal/alloc
 	$(GO) test -run '^$$' -fuzz '^FuzzReaders$$' -fuzztime 10s -fuzzminimizetime 50x ./internal/artifact
 	$(GO) test -run '^$$' -fuzz '^FuzzLazyPolls$$' -fuzztime 10s ./internal/monitor
+	$(GO) test -run '^$$' -fuzz '^FuzzEventQueue$$' -fuzztime 10s ./internal/sim
 
 # Deterministic chaos soak: drive the fault-injection engine, the hardening
 # features, and the invariant checker under the race detector, then survive

@@ -323,7 +323,7 @@ func BenchmarkWQScheduler(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineQueue measures the calendar event queue on the raw
+// BenchmarkEngineQueue measures the engine's event heap on the raw
 // dispatch loop: a large churning population of pending events (random
 // delays, a slice of same-timestamp bursts, occasional cancels) with no
 // scheduler on top, isolating queue cost per event. The standing population

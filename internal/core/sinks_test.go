@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
-	"runtime"
-	rtmetrics "runtime/metrics"
 	"strings"
 	"testing"
 
@@ -115,8 +113,7 @@ func TestSinkExportsGolden(t *testing.T) {
 
 // TestSinkAllocBudget keeps the sinks' per-event cost from creeping back:
 // the all-sinks run of TestSinkExportsGolden must allocate at most
-// sinkAllocBudget heap objects per task (from runtime/metrics, which
-// counts every goroutine's allocations; the run is single-threaded).
+// sinkAllocBudget heap objects per task (see objectsPerTask).
 func TestSinkAllocBudget(t *testing.T) {
 	// Measured at 60.5 objects per task (go1.24, linux/amd64) and 64.3
 	// under -race, whose instrumentation adds a few; the bound is 10%
@@ -124,21 +121,7 @@ func TestSinkAllocBudget(t *testing.T) {
 	// (which runs the suite only with -race) catches a creep.
 	const sinkAllocBudget = 66.5
 	w, cfg, _ := allSinksRun(t)
-	// A GC flushes the per-P allocation caches, whose counts the runtime
-	// otherwise publishes a span at a time.
-	sample := []rtmetrics.Sample{{Name: "/gc/heap/allocs:objects"}}
-	runtime.GC()
-	rtmetrics.Read(sample)
-	before := sample[0].Value.Uint64()
-	out, err := Run(w, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	runtime.GC()
-	rtmetrics.Read(sample)
-	perTask := float64(sample[0].Value.Uint64()-before) / float64(out.Stats.Completed+out.Stats.Failed)
-	t.Logf("%.2f objects per task", perTask)
-	if perTask > sinkAllocBudget {
+	if perTask := objectsPerTask(t, w, cfg); perTask > sinkAllocBudget {
 		t.Fatalf("all-sinks run allocates %.2f objects per task, budget %.1f", perTask, sinkAllocBudget)
 	}
 }

@@ -7,7 +7,7 @@
 // simulated times, and Engine.Run dispatches them in time order. Ties are
 // broken by scheduling order, which keeps runs deterministic: (at, seq) is a
 // strict total order over events, so any correct priority queue yields the
-// same dispatch sequence (see equeue.go for the calendar queue that holds
+// same dispatch sequence (see equeue.go for the indexed heap that holds
 // pending events).
 package sim
 
@@ -67,14 +67,9 @@ type eslot struct {
 	at  Time
 	seq uint64
 	fn  func()
-	// day is the calendar-queue day floor(at/width), precomputed at push so
-	// hunting never re-divides.
-	day int64
 	gen uint32
-	// pos is the slot's index within its bucket or within the near heap.
+	// pos is the slot's index in the event heap while it is pending.
 	pos int32
-	// b is the owning bucket index, nearHeap when in the near heap.
-	b int32
 }
 
 // Event is a value handle to a scheduled callback. It can be cancelled as
@@ -105,7 +100,7 @@ const arenaChunk = 256
 // construct one with NewEngine.
 type Engine struct {
 	now     Time
-	q       *calendarQueue
+	q       eventQueue
 	seq     uint64
 	stopped bool
 	rng     *RNG
@@ -130,7 +125,7 @@ type Engine struct {
 // NewEngine returns an engine starting at time 0 with a deterministic
 // random-number generator seeded from seed.
 func NewEngine(seed int64) *Engine {
-	return &Engine{rng: NewRNG(seed), q: newCalendarQueue(), nextTick: Time(math.Inf(1))}
+	return &Engine{rng: NewRNG(seed), nextTick: Time(math.Inf(1))}
 }
 
 // Now returns the current simulated time.
@@ -240,14 +235,11 @@ func (e *Engine) RunUntil(limit Time) Time {
 		panic("sim: RunUntil with NaN limit")
 	}
 	for !e.stopped {
-		s := e.q.pop()
+		s := e.q.peek()
 		if s == nil || s.at > limit || (s.at > e.now && len(e.deferred) > 0) {
 			// No dispatchable event before the next time step: drain the
 			// current round's deferred procedures, then either revisit the
 			// queue (a procedure may have scheduled new events) or stop.
-			if s != nil {
-				e.q.push(s)
-			}
 			if len(e.deferred) > 0 {
 				e.drainDeferred()
 				continue
@@ -257,6 +249,7 @@ func (e *Engine) RunUntil(limit Time) Time {
 			}
 			break
 		}
+		e.q.pop()
 		if s.at > e.nextTick {
 			e.cross(s.at)
 		}

@@ -46,7 +46,6 @@ type FairShare struct {
 type Flow struct {
 	vEnd float64
 	seq  uint64
-	pos  int32
 	done func()
 	fs   *FairShare
 }
@@ -176,7 +175,8 @@ func (f *FairShare) EstimateLatency(units float64) Time {
 	return Time(units / r)
 }
 
-// flow-heap primitives (binary min-heap on (vEnd, seq), tracking pos).
+// flow-heap primitives (binary min-heap on (vEnd, seq)). Flows cannot be
+// cancelled, so nothing removes from the middle and flows keep no index.
 
 func fless(a, b *Flow) bool {
 	if a.vEnd != b.vEnd {
@@ -186,7 +186,6 @@ func fless(a, b *Flow) bool {
 }
 
 func (f *FairShare) heapPush(fl *Flow) {
-	fl.pos = int32(len(f.flows))
 	f.flows = append(f.flows, fl)
 	i := len(f.flows) - 1
 	for i > 0 {
@@ -195,8 +194,6 @@ func (f *FairShare) heapPush(fl *Flow) {
 			break
 		}
 		f.flows[i], f.flows[parent] = f.flows[parent], f.flows[i]
-		f.flows[i].pos = int32(i)
-		f.flows[parent].pos = int32(parent)
 		i = parent
 	}
 }
@@ -205,7 +202,6 @@ func (f *FairShare) heapPop() *Flow {
 	fl := f.flows[0]
 	last := len(f.flows) - 1
 	f.flows[0] = f.flows[last]
-	f.flows[0].pos = 0
 	f.flows[last] = nil
 	f.flows = f.flows[:last]
 	n := last
@@ -222,8 +218,6 @@ func (f *FairShare) heapPop() *Flow {
 			break
 		}
 		f.flows[i], f.flows[c] = f.flows[c], f.flows[i]
-		f.flows[i].pos = int32(i)
-		f.flows[c].pos = int32(c)
 		i = c
 	}
 	return fl

@@ -7,8 +7,9 @@ import (
 	"testing"
 )
 
-// onCalendar runs f as a subtest named for the engine's event queue, the
-// calendar queue, so each property below reports under that queue's name.
+// onCalendar runs f as a subtest named "calendar". The engine's queue is
+// now an indexed heap; the name stays so that these properties keep
+// reporting under the test names they always had.
 func onCalendar(t *testing.T, f func(t *testing.T)) {
 	t.Helper()
 	t.Run("calendar", f)
@@ -227,123 +228,198 @@ type refQueue []*eslot
 
 func (r *refQueue) push(s *eslot) { *r = append(*r, s) }
 
-func (r *refQueue) pop() *eslot {
-	if len(*r) == 0 {
-		return nil
-	}
-	m := 0
-	for i, s := range *r {
-		if eless(s, (*r)[m]) {
-			m = i
+// peek returns the minimum slot, or nil when empty.
+func (r *refQueue) peek() *eslot {
+	var m *eslot
+	for _, s := range *r {
+		if m == nil || eless(s, m) {
+			m = s
 		}
 	}
-	s := (*r)[m]
-	r.removeAt(m)
+	return m
+}
+
+func (r *refQueue) pop() *eslot {
+	s := r.peek()
+	r.remove(s)
 	return s
 }
 
 func (r *refQueue) remove(s *eslot) {
-	for i, x := range *r {
+	q := *r
+	for i, x := range q {
 		if x == s {
-			r.removeAt(i)
+			q[i] = q[len(q)-1]
+			*r = q[:len(q)-1]
 			return
 		}
 	}
 }
 
-func (r *refQueue) removeAt(i int) {
-	q := *r
-	q[i] = q[len(q)-1]
-	*r = q[:len(q)-1]
+// queueDiff drives the engine's event queue and the reference queue through
+// the same operations and fails on the first divergence. Like the engine,
+// it never pushes an event before the time of the last pop.
+type queueDiff struct {
+	t    testing.TB
+	q    eventQueue
+	ref  refQueue
+	live []*eslot
+	now  Time
+	seq  uint64
+	peak int
 }
 
-// Differential: the calendar queue must pop exactly the slot the reference
-// queue pops under randomized push, pop, remove, and pop-then-push-back (the
-// engine's peek at a RunUntil limit). Pushes mix same-timestamp bursts,
-// sparse far-future events and ordinary near-term events; each seed grows
-// the population past several doubling resizes, then drains it through the
-// shrink threshold.
+func (d *queueDiff) push(at Time) {
+	s := &eslot{at: at, seq: d.seq}
+	d.seq++
+	d.q.push(s)
+	d.ref.push(s)
+	d.live = append(d.live, s)
+}
+
+// pop pops both queues and compares. With dispatch the slot is forgotten
+// and the clock advances to it; without, the slot goes straight back into
+// both queues under its original seq.
+func (d *queueDiff) pop(dispatch bool) {
+	got, want := d.q.pop(), d.ref.pop()
+	if got != want {
+		d.t.Fatalf("heap popped %+v, reference %+v", got, want)
+	}
+	if got == nil {
+		return
+	}
+	if !dispatch {
+		d.q.push(got)
+		d.ref.push(got)
+		return
+	}
+	d.now = got.at
+	d.forget(got)
+}
+
+func (d *queueDiff) peek() {
+	if got, want := d.q.peek(), d.ref.peek(); got != want {
+		d.t.Fatalf("heap peeked %+v, reference minimum %+v", got, want)
+	}
+}
+
+// remove cancels the live slot picked by k, if any are live.
+func (d *queueDiff) remove(k int) {
+	if len(d.live) == 0 {
+		return
+	}
+	s := d.live[k%len(d.live)]
+	d.q.remove(s)
+	d.ref.remove(s)
+	d.forget(s)
+}
+
+func (d *queueDiff) forget(s *eslot) {
+	for i, x := range d.live {
+		if x == s {
+			d.live[i] = d.live[len(d.live)-1]
+			d.live = d.live[:len(d.live)-1]
+			return
+		}
+	}
+}
+
+// check verifies the whole heap after an operation: the population matches
+// the reference, every parent is no later than its children under eless,
+// and every slot's pos is its index.
+func (d *queueDiff) check() {
+	if d.q.len() != len(d.ref) {
+		d.t.Fatalf("heap len %d, reference %d", d.q.len(), len(d.ref))
+	}
+	for i, s := range d.q.h {
+		if int(s.pos) != i {
+			d.t.Fatalf("slot at index %d records pos %d", i, s.pos)
+		}
+		if p := (i - 1) / 2; i > 0 && eless(s, d.q.h[p]) {
+			d.t.Fatalf("child %d (%v,%d) orders before its parent %d (%v,%d)", i, s.at, s.seq, p, d.q.h[p].at, d.q.h[p].seq)
+		}
+	}
+	d.peak = max(d.peak, d.q.len())
+}
+
+// Differential: the event heap must pop exactly the slot the reference
+// queue pops under randomized push, pop, remove, and pop-then-push-back,
+// with the whole heap checked after every operation. Pushes mix
+// same-timestamp bursts, sparse far-future events and ordinary near-term
+// events; each seed grows the population into the thousands, then drains
+// it.
 func TestCalendarQueueMatchesReference(t *testing.T) {
-	for seed := int64(0); seed < 20; seed++ {
+	for seed := int64(0); seed < 10; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		q := newCalendarQueue()
-		var ref refQueue
-		var live []*eslot
-		var now Time
-		var seq uint64
-		peakBuckets := 0
-		push := func() {
-			var at Time
-			switch rng.Intn(4) {
-			case 0:
-				at = now // same-timestamp burst
-			case 1:
-				at = now + Time(rng.Float64()*1e6) // sparse far future
-			default:
-				at = now + Time(rng.Float64()*10)
-			}
-			s := &eslot{at: at, seq: seq}
-			seq++
-			q.push(s)
-			ref.push(s)
-			live = append(live, s)
-		}
-		forget := func(s *eslot) {
-			for i, x := range live {
-				if x == s {
-					live[i] = live[len(live)-1]
-					live = live[:len(live)-1]
-					return
-				}
-			}
-		}
-		pop := func(op int) *eslot {
-			got, want := q.pop(), ref.pop()
-			if got != want {
-				t.Fatalf("seed %d op %d: calendar popped %+v, reference %+v", seed, op, got, want)
-			}
-			return got
-		}
+		d := &queueDiff{t: t}
 		for op := 0; op < 6000; op++ {
-			pushBias := 6 // grow to thousands pending...
+			pushBias := 7 // grow to thousands pending...
 			if op >= 3000 {
-				pushBias = 2 // ...then drain back below the shrink threshold
+				pushBias = 2 // ...then drain
 			}
 			switch r := rng.Intn(10); {
 			case r < pushBias:
-				push()
-			case r < pushBias+1 && len(live) > 0:
-				s := live[rng.Intn(len(live))]
-				q.remove(s)
-				ref.remove(s)
-				forget(s)
+				switch rng.Intn(4) {
+				case 0:
+					d.push(d.now) // same-timestamp burst
+				case 1:
+					d.push(d.now + Time(rng.Float64()*1e6)) // sparse far future
+				default:
+					d.push(d.now + Time(rng.Float64()*10))
+				}
+			case r < pushBias+1:
+				d.remove(rng.Intn(1 << 30))
 			case r < pushBias+2:
-				if s := pop(op); s != nil {
-					q.push(s)
-					ref.push(s)
-				}
+				d.pop(false)
 			default:
-				if s := pop(op); s != nil {
-					now = s.at
-					forget(s)
-				}
+				d.pop(true)
 			}
-			if q.len() != len(ref) {
-				t.Fatalf("seed %d op %d: calendar len %d, reference %d", seed, op, q.len(), len(ref))
-			}
-			peakBuckets = max(peakBuckets, len(q.buckets))
+			d.check()
 		}
-		for len(ref) > 0 {
-			pop(-1)
+		for len(d.ref) > 0 {
+			d.pop(true)
+			d.check()
 		}
-		if q.len() != 0 {
-			t.Fatalf("seed %d: calendar holds %d slots after drain", seed, q.len())
-		}
-		if peakBuckets < 256 || len(q.buckets) != minBuckets {
-			t.Fatalf("seed %d: buckets peaked at %d and ended at %d; the input must grow past 256 and shrink back to %d",
-				seed, peakBuckets, len(q.buckets), minBuckets)
+		if d.peak < 1000 {
+			t.Fatalf("seed %d: pending events peaked at %d; the input must grow into the thousands", seed, d.peak)
 		}
 	}
+}
+
+// FuzzEventQueue runs the differential above on byte-driven operations. Each
+// operation takes two bytes, an opcode and an argument: push at now, in the
+// near future or in the far future; pop; peek; remove a live slot; pop then
+// push back.
+func FuzzEventQueue(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 0, 1, 5, 2, 9, 3, 0, 5, 1, 6, 0, 4, 0})
+	f.Add([]byte{1, 200, 1, 3, 1, 3, 0, 0, 2, 1, 5, 2, 5, 0, 6, 0, 3, 0, 3, 0, 3, 0})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		d := &queueDiff{t: t}
+		for i := 0; i+1 < len(ops); i += 2 {
+			arg := ops[i+1]
+			switch ops[i] % 7 {
+			case 0:
+				d.push(d.now)
+			case 1:
+				d.push(d.now + Time(arg)/16)
+			case 2:
+				d.push(d.now + 1e4 + Time(arg)*1e4)
+			case 3:
+				d.pop(true)
+			case 4:
+				d.peek()
+			case 5:
+				d.remove(int(arg))
+			case 6:
+				d.pop(false)
+			}
+			d.check()
+		}
+		for len(d.ref) > 0 {
+			d.pop(true)
+			d.check()
+		}
+	})
 }
 
 // Arena slots are recycled; a stale handle must stay inert even after its
@@ -375,9 +451,10 @@ func TestZeroEventHandle(t *testing.T) {
 	e.Cancel(ev) // must not panic
 }
 
-// Stress the calendar queue's resize and bucket-migration machinery: grow
-// to thousands of pending events across a wide time span, drain half,
-// schedule more at fine granularity, and verify global (at,seq) order.
+// Stress the event queue through the engine: grow to thousands of pending
+// events across a wide time span, drain half, schedule more at fine
+// granularity, and verify dispatch times never regress. (The name is kept
+// from the calendar queue the heap replaced.)
 func TestCalendarQueueResizeStress(t *testing.T) {
 	e := NewEngine(1)
 	rng := rand.New(rand.NewSource(7))

@@ -1,8 +1,9 @@
 package sim
 
 // Tokens is a counting resource with FIFO waiters, the simulated analogue of
-// a semaphore. Node core/memory/disk pools and bounded admission queues are
-// built from it.
+// a semaphore. No model is built on it: worker capacity (internal/wq) and
+// serving admission (internal/serve) keep their own counters, so only this
+// package's tests use it.
 type Tokens struct {
 	capacity float64
 	used     float64
