@@ -7,12 +7,12 @@
 package alloc
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"lfm/internal/metrics"
 	"lfm/internal/monitor"
-	"lfm/internal/sim"
 )
 
 // Decision is a strategy's answer for one task attempt.
@@ -37,6 +37,14 @@ type Strategy interface {
 	Retry(category string, attempt int) Decision
 	// Observe feeds back a finished attempt's monitor report.
 	Observe(category string, rep monitor.Report)
+}
+
+// Issuer is implemented by strategies that count the decisions they issue.
+// Next may be probed any number of times per placement, so the master
+// instead calls Issued once for each attempt it starts under a decision
+// from Next (retries and speculative copies excluded).
+type Issuer interface {
+	Issued(category string, dec Decision)
 }
 
 // Oracle allocates the exact true peak (optionally padded). It exists only
@@ -120,11 +128,13 @@ func (u *Unmanaged) Observe(string, monitor.Report) {}
 // subsequent tasks with the allocation that minimizes expected resource
 // waste, retrying at full size on exhaustion. See §VI-B2 and [21].
 //
-// The label is memoised per category. It is recomputed only after the
-// category's history changes (a completed observation or a preload) or
-// after Pad, BootstrapBoost or SafetyStds changed since it was computed.
-// Next stays a pure function of per-category state; between new peaks it
-// costs one map lookup.
+// Each category keeps its windowed peaks sorted per dimension, updated as
+// peaks arrive and leave the window, so computing a label is one linear,
+// allocation-free sweep. The label is also memoised per category: it is
+// recomputed only after the category's history changes (a completed
+// observation or a preload) or after Pad, BootstrapBoost or SafetyStds
+// changed since it was computed. Next is a pure function of per-category
+// state with no side effects; between new peaks it costs one map lookup.
 type Auto struct {
 	// MinSamples is how many completed observations a category needs before
 	// labels shrink below a whole node — the paper's "run a task under a
@@ -160,7 +170,8 @@ type counterKey struct{ name, category string }
 
 // SetMetrics attaches a metrics registry: label issues, bootstrap decisions,
 // retry escalations, and observations are counted per category from then on.
-// Nil detaches.
+// Issues and bootstraps are counted by Issued, once per attempt the master
+// starts, not by Next. Nil detaches.
 func (a *Auto) SetMetrics(reg *metrics.Registry) {
 	a.reg, a.counters = reg, nil
 	if reg == nil {
@@ -187,14 +198,58 @@ func (a *Auto) count(name, category string) {
 }
 
 type history struct {
+	// peaks is the window of observed peaks in arrival order; sorted holds
+	// the same values per dimension (cores, memory, disk) in peakOrder.
 	peaks   []monitor.Resources
+	sorted  [3][]float64
 	retries int
-	// label memoises computeLabel(peaks) under the knobs in labelFor;
-	// labelOK is cleared whenever peaks change. Retries do not enter the
-	// label, so Retry leaves it alone.
+	// label memoises computeLabel under the knobs in labelFor; labelOK is
+	// cleared whenever peaks change. Retries do not enter the label, so
+	// Retry leaves it alone.
 	label    monitor.Resources
 	labelFor labelKnobs
 	labelOK  bool
+}
+
+// dims lists a peak's values in the order of history.sorted.
+func dims(p monitor.Resources) [3]float64 { return [3]float64{p.Cores, p.MemoryMB, p.DiskMB} }
+
+// peakOrder is a total order on peak values: NaNs first (by bit pattern),
+// then ascending, with -0 before +0. Values it calls equal have the same
+// bits, so the sorted window does not depend on arrival order.
+func peakOrder(a, b float64) int {
+	switch an, bn := math.IsNaN(a), math.IsNaN(b); {
+	case an && bn:
+		return cmp.Compare(math.Float64bits(a), math.Float64bits(b))
+	case an:
+		return -1
+	case bn:
+		return 1
+	case a < b:
+		return -1
+	case a > b:
+		return 1
+	}
+	// Equal values differ in bits only as -0 and +0; -0 has the sign bit.
+	return cmp.Compare(math.Float64bits(b), math.Float64bits(a))
+}
+
+// add appends a peak to the window, evicting the oldest beyond max (no
+// bound if max <= 0).
+func (h *history) add(p monitor.Resources, max int) {
+	h.peaks = append(h.peaks, p)
+	for d, v := range dims(p) {
+		i, _ := slices.BinarySearchFunc(h.sorted[d], v, peakOrder)
+		h.sorted[d] = slices.Insert(h.sorted[d], i, v)
+	}
+	for max > 0 && len(h.peaks) > max {
+		for d, v := range dims(h.peaks[0]) {
+			i, _ := slices.BinarySearchFunc(h.sorted[d], v, peakOrder)
+			h.sorted[d] = slices.Delete(h.sorted[d], i, i+1)
+		}
+		h.peaks = h.peaks[1:]
+	}
+	h.labelOK = false
 }
 
 // labelKnobs are the bit patterns of the Auto fields the label reads, so a
@@ -220,16 +275,25 @@ func NewAuto() *Auto {
 // Name implements Strategy.
 func (a *Auto) Name() string { return "Auto" }
 
-// Next implements Strategy.
+// Next implements Strategy. It has no side effects: a matcher may probe it
+// any number of times per placement.
 func (a *Auto) Next(category string) Decision {
 	h := a.hist[category]
 	if a.bootstrapping(h) {
 		// Bootstrap: large allocation, monitored.
-		a.count("alloc_bootstraps_total", category)
 		return Decision{WholeNode: true}
 	}
-	a.count("alloc_labels_issued_total", category)
 	return Decision{Request: a.label(h)}
+}
+
+// Issued implements Issuer: it counts a decision Next returned as a label
+// issue or, for a whole node, a bootstrap.
+func (a *Auto) Issued(category string, dec Decision) {
+	if dec.WholeNode {
+		a.count("alloc_bootstraps_total", category)
+	} else {
+		a.count("alloc_labels_issued_total", category)
+	}
 }
 
 // Retry implements Strategy: after an exhaustion failure rerun at full size,
@@ -250,16 +314,17 @@ func (a *Auto) Observe(category string, rep monitor.Report) {
 		return
 	}
 	a.count("alloc_observations_total", category)
+	a.history(category).add(rep.Peak, a.MaxSamples)
+}
+
+// history returns a category's history, creating it empty.
+func (a *Auto) history(category string) *history {
 	h := a.hist[category]
 	if h == nil {
 		h = &history{}
 		a.hist[category] = h
 	}
-	h.peaks = append(h.peaks, rep.Peak)
-	if a.MaxSamples > 0 && len(h.peaks) > a.MaxSamples {
-		h.peaks = h.peaks[len(h.peaks)-a.MaxSamples:]
-	}
-	h.labelOK = false
+	return h
 }
 
 // CurrentLabel reports the allocation the strategy would issue for the
@@ -278,16 +343,10 @@ func (a *Auto) CurrentLabel(category string) (monitor.Resources, bool) {
 // the whole-node bootstrap: "This initial measurement can be skipped ...
 // if statistics from previous tasks are available" (§VI-B2).
 func (a *Auto) Preload(category string, peaks []monitor.Resources) {
-	h := a.hist[category]
-	if h == nil {
-		h = &history{}
-		a.hist[category] = h
+	h := a.history(category)
+	for _, p := range peaks {
+		h.add(p, a.MaxSamples)
 	}
-	h.peaks = append(h.peaks, peaks...)
-	if a.MaxSamples > 0 && len(h.peaks) > a.MaxSamples {
-		h.peaks = h.peaks[len(h.peaks)-a.MaxSamples:]
-	}
-	h.labelOK = false
 }
 
 // History exports a category's observed peaks, for persisting between runs
@@ -322,7 +381,7 @@ func (a *Auto) Samples(category string) int {
 // peaks or the knobs it reads changed since it was last computed.
 func (a *Auto) label(h *history) monitor.Resources {
 	if k := a.knobs(); !h.labelOK || h.labelFor != k {
-		h.label, h.labelFor, h.labelOK = a.computeLabel(h.peaks), k, true
+		h.label, h.labelFor, h.labelOK = a.computeLabel(h), k, true
 	}
 	return h.label
 }
@@ -332,35 +391,36 @@ func (a *Auto) label(h *history) monitor.Resources {
 // cost of candidate c is c (paid by every task) plus the overflow
 // probability times the retry's cost, with tail headroom added per
 // SafetyStds.
-func (a *Auto) computeLabel(peaks []monitor.Resources) monitor.Resources {
-	scale := 1 + a.Pad + a.BootstrapBoost/float64(len(peaks))
+func (a *Auto) computeLabel(h *history) monitor.Resources {
+	scale := 1 + a.Pad + a.BootstrapBoost/float64(len(h.peaks))
 	return monitor.Resources{
-		Cores:    math.Ceil(a.chooseDim(peaks, func(r monitor.Resources) float64 { return r.Cores }) - 1e-9),
-		MemoryMB: a.chooseDim(peaks, func(r monitor.Resources) float64 { return r.MemoryMB }) * scale,
-		DiskMB:   a.chooseDim(peaks, func(r monitor.Resources) float64 { return r.DiskMB }) * scale,
+		Cores:    math.Ceil(a.chooseDim(h.sorted[0]) - 1e-9),
+		MemoryMB: a.chooseDim(h.sorted[1]) * scale,
+		DiskMB:   a.chooseDim(h.sorted[2]) * scale,
 	}
 }
 
-func (a *Auto) chooseDim(peaks []monitor.Resources, dim func(monitor.Resources) float64) float64 {
-	vals := make([]float64, 0, len(peaks))
-	for _, p := range peaks {
-		vals = append(vals, dim(p))
-	}
-	sort.Float64s(vals)
+// chooseDim labels one dimension from its values in peakOrder.
+func (a *Auto) chooseDim(vals []float64) float64 {
 	n := len(vals)
 	max := vals[n-1]
 	best := max
 	bestCost := max * float64(n) // allocating the max never overflows
+	// above is the first index whose value is at least c+1e-12. NaNs sort
+	// first and never compare at least anything, and c+1e-12 only grows
+	// along the sweep, so above only moves right.
+	above := 0
 	for i, c := range vals {
-		if i > 0 && c == vals[i-1] {
-			continue // duplicate candidate
+		if c != c || i > 0 && c == vals[i-1] {
+			continue // a NaN candidate costs NaN; or a duplicate candidate
 		}
-		// Peaks strictly above c overflow; equal peaks fit.
-		overflow := n - sort.SearchFloat64s(vals, c+1e-12)
-		// An overflowing task wastes its entire failed attempt (it held c
-		// for the full run before the kill) and then pays a full-size
-		// retry at max.
-		cost := c*float64(n) + float64(overflow)*(c+max)
+		for above < n && !(vals[above] >= c+1e-12) {
+			above++
+		}
+		// Peaks strictly above c overflow; equal peaks fit. An overflowing
+		// task wastes its entire failed attempt (it held c for the full run
+		// before the kill) and then pays a full-size retry at max.
+		cost := c*float64(n) + float64(n-above)*(c+max)
 		if cost < bestCost {
 			best = c
 			bestCost = cost
@@ -368,15 +428,30 @@ func (a *Auto) chooseDim(peaks []monitor.Resources, dim func(monitor.Resources) 
 	}
 	// Tail headroom: the observed maximum of a noisy distribution
 	// underestimates its true upper bound, especially with few samples.
-	// Inflate by the spread of the observations at or below the choice.
+	// Inflate by the spread of the observations at or below the choice:
+	// the run vals[lo:hi] after the NaNs, accumulated in order as a Welford
+	// running variance. A run of equal finite values has no spread, and
+	// Welford's sums stay exactly zero over it, so it is skipped.
 	if a.SafetyStds > 0 {
-		var s sim.Stats
-		for _, v := range vals {
-			if v <= best+1e-12 {
-				s.Add(v)
-			}
+		lo := 0
+		for lo < n && vals[lo] != vals[lo] {
+			lo++
 		}
-		best += a.SafetyStds * s.Std()
+		hi := lo
+		for hi < n && vals[hi] <= best+1e-12 {
+			hi++
+		}
+		var std float64
+		if k := hi - lo; k >= 2 && (vals[lo] != vals[hi-1] || math.IsInf(vals[lo], 0)) {
+			var mean, m2 float64
+			for i, v := range vals[lo:hi] {
+				d := v - mean
+				mean += d / float64(i+1)
+				m2 += d * (v - mean)
+			}
+			std = math.Sqrt(m2 / float64(k-1))
+		}
+		best += a.SafetyStds * std
 	}
 	return best
 }

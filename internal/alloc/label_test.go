@@ -4,9 +4,12 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"lfm/internal/monitor"
+	"lfm/internal/sim"
 )
 
 // Auto's memoised label must always equal a fresh computation from the
@@ -73,13 +76,68 @@ func (op labelOp) apply(a *Auto) {
 	}
 }
 
-// freshLabel computes the category's label without the cache.
+// freshLabel computes the category's label without the cache or the
+// sorted window, through the oracle below.
 func freshLabel(a *Auto, cat string) (monitor.Resources, bool) {
 	h := a.hist[cat]
 	if a.bootstrapping(h) {
 		return monitor.Resources{}, false
 	}
-	return a.computeLabel(h.peaks), true
+	return oracleLabel(a, h.peaks), true
+}
+
+// oracleLabel is the reference label computation: it sorts every dimension
+// afresh, binary-searches each candidate's overflow and accumulates the
+// spread in a sim.Stats. Auto.computeLabel must match it bit for bit. Its
+// sort uses peakOrder, so that values equal under == (-0 and +0, NaNs)
+// land where the incrementally sorted window puts them.
+func oracleLabel(a *Auto, peaks []monitor.Resources) monitor.Resources {
+	scale := 1 + a.Pad + a.BootstrapBoost/float64(len(peaks))
+	return monitor.Resources{
+		Cores:    math.Ceil(oracleDim(a, peaks, func(r monitor.Resources) float64 { return r.Cores }) - 1e-9),
+		MemoryMB: oracleDim(a, peaks, func(r monitor.Resources) float64 { return r.MemoryMB }) * scale,
+		DiskMB:   oracleDim(a, peaks, func(r monitor.Resources) float64 { return r.DiskMB }) * scale,
+	}
+}
+
+func oracleDim(a *Auto, peaks []monitor.Resources, dim func(monitor.Resources) float64) float64 {
+	vals := make([]float64, 0, len(peaks))
+	for _, p := range peaks {
+		vals = append(vals, dim(p))
+	}
+	slices.SortFunc(vals, peakOrder)
+	n := len(vals)
+	max := vals[n-1]
+	best := max
+	bestCost := max * float64(n) // allocating the max never overflows
+	for i, c := range vals {
+		if i > 0 && c == vals[i-1] {
+			continue // duplicate candidate
+		}
+		// Peaks strictly above c overflow; equal peaks fit.
+		overflow := n - sort.SearchFloat64s(vals, c+1e-12)
+		// An overflowing task wastes its entire failed attempt (it held c
+		// for the full run before the kill) and then pays a full-size
+		// retry at max.
+		cost := c*float64(n) + float64(overflow)*(c+max)
+		if cost < bestCost {
+			best = c
+			bestCost = cost
+		}
+	}
+	// Tail headroom: the observed maximum of a noisy distribution
+	// underestimates its true upper bound, especially with few samples.
+	// Inflate by the spread of the observations at or below the choice.
+	if a.SafetyStds > 0 {
+		var s sim.Stats
+		for _, v := range vals {
+			if v <= best+1e-12 {
+				s.Add(v)
+			}
+		}
+		best += a.SafetyStds * s.Std()
+	}
+	return best
 }
 
 // sameBits compares labels bit for bit, so NaN equals NaN and the signs of
@@ -105,10 +163,24 @@ func runLabelOps(t *testing.T, a *Auto, ops []labelOp) {
 }
 
 // checkLabels compares CurrentLabel and Next with a fresh computation for
-// every category.
+// every category, and each sorted window with a fresh sort of the peaks.
 func checkLabels(t *testing.T, a *Auto, step int) {
 	t.Helper()
 	for _, cat := range labelCats {
+		if h := a.hist[cat]; h != nil {
+			for d := range h.sorted {
+				want := make([]float64, len(h.peaks))
+				for i, p := range h.peaks {
+					want[i] = dims(p)[d]
+				}
+				slices.SortFunc(want, peakOrder)
+				if !slices.EqualFunc(h.sorted[d], want, func(x, y float64) bool {
+					return math.Float64bits(x) == math.Float64bits(y)
+				}) {
+					t.Fatalf("step %d: %q sorted window %d = %v, want %v", step, cat, d, h.sorted[d], want)
+				}
+			}
+		}
 		want, ok := freshLabel(a, cat)
 		got, gotOK := a.CurrentLabel(cat)
 		if gotOK != ok || !sameBits(got, want) {
@@ -219,6 +291,13 @@ func FuzzAutoLabel(f *testing.F) {
 	f.Add(encodeLabelOps(obs("c", math.NaN()), obs("c", math.Inf(1)), obs("c", -3),
 		labelOp{kind: opObserveKilled, cat: "c", v: [3]float64{1, 1, 1}}, labelOp{kind: opRetry, cat: "c"},
 		labelOp{kind: opSetStds, cat: "c", v: [3]float64{math.NaN()}}, labelOp{kind: opSetBoost, cat: "c", v: [3]float64{math.Inf(-1)}}))
+	// A two-peak window sliding over signed zeros and NaNs.
+	negZero, nan2 := math.Copysign(0, -1), math.Float64frombits(0x7ff8000000000002)
+	f.Add(encodeLabelOps(labelOp{kind: opSetMaxSamples, cat: "b", v: [3]float64{math.Float64frombits(2)}},
+		labelOp{kind: opObserveDone, cat: "b", v: [3]float64{negZero, 0, math.NaN()}},
+		labelOp{kind: opObserveDone, cat: "b", v: [3]float64{0, negZero, nan2}}, labelOp{kind: opNext, cat: "b"},
+		labelOp{kind: opObserveDone, cat: "b", v: [3]float64{negZero, negZero, 1}}, labelOp{kind: opCurrentLabel, cat: "b"},
+		labelOp{kind: opPreload, cat: "b", v: [3]float64{0, nan2, negZero}}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		runLabelOps(t, NewAuto(), decodeLabelOps(data))
 	})

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"strings"
 	"testing"
 
 	"lfm/internal/chaos"
@@ -92,5 +93,42 @@ func TestMatcherDifferentialEndToEnd(t *testing.T) {
 					sScan.TasksExamined, sScan.CandidatesExamined)
 			}
 		})
+	}
+}
+
+// allocCounters runs the all-sinks model without its other sinks under the
+// given matcher and returns the alloc_* lines of its Prometheus export.
+func allocCounters(t *testing.T, mt wq.Matcher) string {
+	t.Helper()
+	w, cfg, _ := allSinksRun(t)
+	cfg.Trace, cfg.Telemetry, cfg.Obs = nil, nil, nil
+	cfg.matcher = mt
+	if _, err := Run(w, cfg); err != nil {
+		t.Fatal(err)
+	}
+	var b bytes.Buffer
+	if err := cfg.Metrics.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	var lines []string
+	for _, line := range strings.Split(b.String(), "\n") {
+		if strings.HasPrefix(line, "alloc_") {
+			lines = append(lines, line)
+		}
+	}
+	return strings.Join(lines, "\n")
+}
+
+// TestAllocCountersMatcherNeutral checks that Auto counts the decisions the
+// master acts on, not how often a matcher probes Next: the scan calls Next
+// for every queued task in every round and the indexed matcher far less,
+// yet both must export identical alloc_* counters for the same run.
+func TestAllocCountersMatcherNeutral(t *testing.T) {
+	idx, scan := allocCounters(t, wq.MatcherIndexed), allocCounters(t, wq.MatcherScan)
+	if !strings.Contains(idx, "alloc_labels_issued_total{") || !strings.Contains(idx, "alloc_bootstraps_total{") {
+		t.Fatalf("run issued no labels or bootstraps:\n%s", idx)
+	}
+	if idx != scan {
+		t.Fatalf("alloc counters depend on the matcher:\nindexed:\n%s\nscan:\n%s", idx, scan)
 	}
 }

@@ -2,11 +2,11 @@ package wq
 
 import (
 	"container/heap"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/bits"
 	"slices"
-	"sort"
 	"strings"
 	"time"
 
@@ -212,9 +212,14 @@ type blockedEntry struct {
 // strategy update re-checks one decision instead of every task; pinned
 // entries carry per-task retry decisions and are checked individually.
 type catBlocked struct {
-	dec      alloc.Decision
-	unpinned treap
-	pinned   treap
+	dec alloc.Decision
+	// relabeled is set while dec is a decision no unpinned entry has been
+	// examined under yet: the strategy moved the category's label since its
+	// entries blocked. The next round offers such a category's entries
+	// without the dirty-worker gate until one of them blocks again.
+	relabeled bool
+	unpinned  treap
+	pinned    treap
 }
 
 // schedState is the indexed matcher (MatcherIndexed): the ready heap, the
@@ -235,9 +240,10 @@ type schedState struct {
 	slots   uint32           // bit i set while an affinity index holds slot i
 	clock   int64
 
-	blocked  map[string]*catBlocked
-	catOrder []string // first-blocked order, for deterministic iteration
-	nblocked int
+	blocked   map[string]*catBlocked
+	catOrder  []string // first-blocked order, for deterministic iteration
+	nblocked  int
+	relabeled int // categories with catBlocked.relabeled set
 
 	// dirty lists workers flagged dirty since the last round (for the
 	// end-of-round retire sweep); dirtyIx holds the same workers in a
@@ -248,12 +254,18 @@ type schedState struct {
 	dirty   []*Worker
 	dirtyIx treap
 
-	// spare holds blocked-task nodes that strategyObserved drained back to
-	// the ready heap, for block to reuse: a label change can requeue a
-	// whole category, and re-blocking it with fresh nodes was most of an
-	// Auto run's garbage. schedulePassIndexed empties it at the end of
-	// every round, so no node outlives a pass.
+	// spare holds the nodes of blocked entries taken out for
+	// re-examination, for block to reuse when the task blocks again.
+	// schedulePassIndexed empties it at the end of every round, so no node
+	// outlives a pass.
 	spare []*tnode
+
+	// sets interns cache sets (see cacheSetOf) under a key of their sorted
+	// names and summed sizes; setKey and setInputs are the lookup's reused
+	// scratch.
+	sets      map[string]*cacheSet
+	setKey    []byte
+	setInputs []*File
 }
 
 func newSchedState(m *Master) *schedState {
@@ -261,6 +273,7 @@ func newSchedState(m *Master) *schedState {
 		m:       m,
 		aff:     make(map[string]*affinityIndex),
 		blocked: make(map[string]*catBlocked),
+		sets:    make(map[string]*cacheSet),
 	}
 	if m.Cfg.Placement != PlaceCacheAffinity {
 		s.cap = new(treap)
@@ -296,51 +309,73 @@ func (s *schedState) affKey(ai *affinityIndex, w *Worker) tkey {
 	return tkey{a: -float64(cached), b: -w.free().Cores, c: w.smeta.joinSeq}
 }
 
-// cacheSet extracts a task's cacheable input set: a canonical string key
-// (sorted names) plus the byte weight per name. Non-cacheable inputs never
-// enter worker caches, so they cannot contribute to cachedBytes and are
-// excluded. Inputs are frozen at Submit, so the derivation is memoized on
-// the task: affinity placement re-derives the set on every examination.
-func cacheSet(t *Task) (string, map[string]int64) {
-	if t.cacheMemo {
-		return t.cacheKey, t.cacheFiles
-	}
-	key, files := cacheSetSlow(t)
-	t.cacheKey, t.cacheFiles, t.cacheMemo = key, files, true
-	return key, files
+// cacheSet is a task's cacheable input set: the byte weight per name, and
+// the sorted names joined by NUL, which keys the set's affinity index.
+// Non-cacheable inputs never enter worker caches, so they cannot contribute
+// to cachedBytes and are excluded. Tasks with equal sets share one.
+type cacheSet struct {
+	key   string
+	files map[string]int64
 }
 
-func cacheSetSlow(t *Task) (string, map[string]int64) {
-	var names []string
-	var files map[string]int64
-	for _, f := range t.Inputs {
-		if !f.Cacheable {
-			continue
-		}
-		if files == nil {
-			files = make(map[string]int64)
-		}
-		if _, dup := files[f.Name]; !dup {
-			names = append(names, f.Name)
-		}
-		files[f.Name] += f.SizeBytes
+// cacheSetOf returns the task's interned cache set. Inputs are frozen at
+// Submit, so the set is memoized on the task: affinity placement reads it
+// on every examination. Sets intern by names and summed sizes, since sets
+// with the same names but different sizes weigh workers differently.
+func (s *schedState) cacheSetOf(t *Task) *cacheSet {
+	if t.cacheSet != nil {
+		return t.cacheSet
 	}
-	sort.Strings(names)
-	return strings.Join(names, "\x00"), files
+	inputs := s.setInputs[:0]
+	for _, f := range t.Inputs {
+		if f.Cacheable {
+			inputs = append(inputs, f)
+		}
+	}
+	slices.SortFunc(inputs, func(a, b *File) int { return strings.Compare(a.Name, b.Name) })
+	// The key lists each distinct name, length-prefixed, with its summed
+	// size. Sorting made duplicate names adjacent.
+	key := s.setKey[:0]
+	for i := 0; i < len(inputs); {
+		name, size := inputs[i].Name, inputs[i].SizeBytes
+		for i++; i < len(inputs) && inputs[i].Name == name; i++ {
+			size += inputs[i].SizeBytes
+		}
+		key = binary.AppendUvarint(key, uint64(len(name)))
+		key = append(key, name...)
+		key = binary.LittleEndian.AppendUint64(key, uint64(size))
+	}
+	cs := s.sets[string(key)]
+	if cs == nil {
+		cs = &cacheSet{files: make(map[string]int64, len(inputs))}
+		names := make([]string, 0, len(inputs))
+		for _, f := range inputs {
+			if _, dup := cs.files[f.Name]; !dup {
+				names = append(names, f.Name)
+			}
+			cs.files[f.Name] += f.SizeBytes
+		}
+		cs.key = strings.Join(names, "\x00")
+		s.sets[string(key)] = cs
+	}
+	clear(inputs)
+	s.setInputs, s.setKey = inputs[:0], key[:0]
+	t.cacheSet = cs
+	return cs
 }
 
 // affinityFor returns the affinity index for the task's cache set, building
 // it on demand and repairing its stale entries, ready to search.
 func (s *schedState) affinityFor(t *Task) *affinityIndex {
-	key, files := cacheSet(t)
-	ai := s.aff[key]
+	cs := s.cacheSetOf(t)
+	ai := s.aff[cs.key]
 	if ai == nil {
 		if len(s.affList) >= maxAffinityIndexes {
 			s.evictAffinity()
 		}
-		ai = &affinityIndex{key: key, files: files, slot: bits.TrailingZeros32(^s.slots)}
+		ai = &affinityIndex{key: cs.key, files: cs.files, slot: bits.TrailingZeros32(^s.slots)}
 		s.slots |= 1 << ai.slot
-		s.aff[key] = ai
+		s.aff[cs.key] = ai
 		s.affList = append(s.affList, ai)
 		for _, w := range s.m.workers {
 			if mw := w.smeta; mw != nil && mw.indexed {
@@ -531,11 +566,13 @@ func (s *schedState) cacheAdded(w *Worker, f *File) {
 
 // strategyObserved re-checks a category's shared allocation decision after
 // the strategy observed a report (or charged a retry). If the decision
-// changed, every unpinned blocked entry of the category returns to the
-// ready heap — at its original position — for re-examination under the new
-// label at the next round. No round is scheduled here: the scan matcher
-// also only re-examines blocked tasks at the next naturally-occurring
-// round.
+// changed, the category's unpinned entries are relabeled in place: the next
+// round re-examines them in scheduling order under the new decision, as the
+// scan re-examines every queued task, but stops at the first that blocks.
+// Capacity only shrinks inside a round and Next is constant between
+// observations, so every later entry would block under the same decision
+// too. No round is scheduled here: the scan matcher also only re-examines
+// blocked tasks at the next naturally-occurring round.
 func (s *schedState) strategyObserved(cat string) {
 	cb := s.blocked[cat]
 	if cb == nil || cb.unpinned.len() == 0 {
@@ -545,12 +582,19 @@ func (s *schedState) strategyObserved(cat string) {
 	if dec == cb.dec {
 		return
 	}
-	for cb.unpinned.len() > 0 {
-		n := cb.unpinned.min()
-		cb.unpinned.remove(n.key)
-		s.nblocked--
-		heap.Push(&s.readyQ, n.be.t)
-		s.spare = append(s.spare, n)
+	cb.dec = dec
+	s.setRelabeled(cb, true)
+}
+
+// setRelabeled sets or clears a category's relabeled mark.
+func (s *schedState) setRelabeled(cb *catBlocked, on bool) {
+	if cb.relabeled != on {
+		cb.relabeled = on
+		if on {
+			s.relabeled++
+		} else {
+			s.relabeled--
+		}
 	}
 }
 
@@ -596,19 +640,25 @@ func (s *schedState) block(t *Task, dec alloc.Decision) {
 		cb.pinned.insert(n)
 	} else {
 		cb.dec = dec
+		s.setRelabeled(cb, false)
 		cb.unpinned.insert(n)
 	}
 	s.nblocked++
 }
 
-// unblock removes one blocked entry prior to re-examination.
+// unblock removes one blocked entry prior to re-examination, leaving its
+// node for block to reuse.
 func (s *schedState) unblock(cb *catBlocked, n *tnode) {
 	if n.be.pinned {
 		cb.pinned.remove(n.key)
 	} else {
 		cb.unpinned.remove(n.key)
+		if cb.unpinned.len() == 0 {
+			s.setRelabeled(cb, false)
+		}
 	}
 	s.nblocked--
+	s.spare = append(s.spare, n)
 }
 
 // decFitsDirty reports whether the decision fits any dirty worker right
@@ -639,13 +689,16 @@ func (s *schedState) decFitsDirty(dec alloc.Decision) bool {
 }
 
 // bestBlockedCandidate returns the scheduling-order-first blocked entry
-// whose decision fits a dirty worker, or nil. A task it returns is
-// guaranteed to place: the fitting dirty worker is indexed, so the
-// subsequent full search at least finds it.
-func (s *schedState) bestBlockedCandidate() (*catBlocked, *tnode) {
+// that is either the first unpinned entry of a relabeled category or one
+// whose decision fits a dirty worker, or nil; wake reports the latter. A
+// woken task is guaranteed to place: the fitting dirty worker is indexed,
+// so the subsequent full search at least finds it. A relabeled entry is
+// only a candidate: its new decision may fit no worker at all, and then it
+// blocks again and clears the mark.
+func (s *schedState) bestBlockedCandidate() (cb *catBlocked, best *tnode, wake bool) {
 	root := s.dirtyIx.root
-	if root == nil || s.nblocked == 0 {
-		return nil, nil
+	if root == nil && s.relabeled == 0 || s.nblocked == 0 {
+		return nil, nil, false
 	}
 	// Frontier of the dirty set, read off the dirty index's root aggregates:
 	// per-dimension maximum free capacity, and whether any dirty worker sits
@@ -655,7 +708,7 @@ func (s *schedState) bestBlockedCandidate() (*catBlocked, *tnode) {
 	// dimension cannot fit any dirty worker (each dimension's max relaxes
 	// "one worker fits all dimensions") and the scan prunes it wholesale.
 	// Without this, every round rescanned every parked retry.
-	dirtyIdle := root.minVi == 0
+	dirtyIdle := root != nil && root.minVi == 0
 	may := func(n *tnode) bool {
 		if dirtyIdle && n.minVi == 0 {
 			return true
@@ -664,24 +717,22 @@ func (s *schedState) bestBlockedCandidate() (*catBlocked, *tnode) {
 			-n.maxV2 <= root.maxV2+1e-9 &&
 			-n.maxV3 <= root.maxV3+1e-9
 	}
-	var bestCb *catBlocked
-	var best *tnode
 	for _, cat := range s.catOrder {
-		cb := s.blocked[cat]
-		if cb.unpinned.len() > 0 && s.decFitsDirty(cb.dec) {
-			if n := cb.unpinned.min(); best == nil || n.key.less(best.key) {
-				best, bestCb = n, cb
+		c := s.blocked[cat]
+		if c.unpinned.len() > 0 && (c.relabeled || s.decFitsDirty(c.dec)) {
+			if n := c.unpinned.min(); best == nil || n.key.less(best.key) {
+				best, cb, wake = n, c, !c.relabeled
 			}
 		}
-		if cb.pinned.len() > 0 {
+		if c.pinned.len() > 0 && root != nil {
 			visits := 0
-			n := cb.pinned.findFit(may, func(n *tnode) bool { return s.decFitsDirty(n.be.dec) }, &visits)
+			n := c.pinned.findFit(may, func(n *tnode) bool { return s.decFitsDirty(n.be.dec) }, &visits)
 			if n != nil && (best == nil || n.key.less(best.key)) {
-				best, bestCb = n, cb
+				best, cb, wake = n, c, true
 			}
 		}
 	}
-	return bestCb, best
+	return cb, best, wake
 }
 
 // selectWorker finds the placement-policy-first worker fitting the
@@ -723,12 +774,7 @@ func (s *schedState) selectWorker(t *Task, dec alloc.Decision, exclude *Worker) 
 // blocks the task under the decision that failed to fit.
 func (s *schedState) examine(t *Task) {
 	m := s.m
-	var dec alloc.Decision
-	if t.retryNext != nil {
-		dec = *t.retryNext
-	} else {
-		dec = m.Cfg.Strategy.Next(t.Category)
-	}
+	dec := m.decide(t)
 	st := &m.schedStats
 	st.TasksExamined++
 	w, visits := s.selectWorker(t, dec, nil)
@@ -737,7 +783,7 @@ func (s *schedState) examine(t *Task) {
 		s.block(t, dec)
 		return
 	}
-	t.retryNext = nil
+	m.issue(t, dec)
 	m.startAttempt(t, w, dec, false)
 }
 
@@ -756,7 +802,7 @@ func (m *Master) schedulePassIndexed() {
 	st.ScanTasksExamined += queued
 	st.ScanCandidatesExamined += queued * int64(len(m.workers))
 	for {
-		cb, bn := s.bestBlockedCandidate()
+		cb, bn, wake := s.bestBlockedCandidate()
 		if len(s.readyQ) > 0 {
 			top := s.readyQ[0]
 			if bn == nil || top.orderKey().less(bn.key) {
@@ -768,7 +814,11 @@ func (m *Master) schedulePassIndexed() {
 			break
 		}
 		s.unblock(cb, bn)
-		st.BlockedWakes++
+		if wake {
+			// A relabeled entry is not a wake: the scan re-examines every
+			// queued task under a new label anyway.
+			st.BlockedWakes++
+		}
 		s.examine(bn.be.t)
 	}
 	// The dirty index holds exactly the workers still flagged, all of them
@@ -884,9 +934,15 @@ func (s *schedState) check() error {
 	if err := checkIndex("dirty", &s.dirtyIx, ndirty, dirtyNode, joinKey); err != nil {
 		return err
 	}
-	nblocked := 0
+	nblocked, relabeled := 0, 0
 	for _, cat := range s.catOrder {
 		cb := s.blocked[cat]
+		if cb.relabeled {
+			relabeled++
+			if cb.unpinned.len() == 0 {
+				return fmt.Errorf("wq: category %q relabeled with no unpinned entries", cat)
+			}
+		}
 		var err error
 		countStates := func(pinned bool) func(*tnode) {
 			return func(n *tnode) {
@@ -933,6 +989,9 @@ func (s *schedState) check() error {
 	}
 	if nblocked != s.nblocked {
 		return fmt.Errorf("wq: blocked count %d but treaps hold %d", s.nblocked, nblocked)
+	}
+	if relabeled != s.relabeled {
+		return fmt.Errorf("wq: relabeled count %d but %d categories are marked", s.relabeled, relabeled)
 	}
 	for _, t := range s.readyQ {
 		if t.State != TaskReady {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"lfm/internal/alloc"
@@ -139,6 +140,40 @@ func diffWorkload() []*Task {
 	return tasks
 }
 
+// deepWorkload builds a backlog much deeper than the four-worker pool over
+// four categories, for Auto to relabel on nearly every completion. Every
+// ninth deep-cat1 task peaks far above its siblings, so Auto's label for
+// the category underestimates it and the task is killed and retried under
+// a pinned whole-node decision, mixing pinned entries into the blocked
+// sets.
+func deepWorkload() []*Task {
+	var tasks []*Task
+	for i := 0; i < 240; i++ {
+		cat := i % 4
+		res := monitor.Resources{Cores: 1, MemoryMB: 200 + float64((i*53)%500), DiskMB: 20}
+		switch cat {
+		case 1:
+			res.MemoryMB = 400 + float64(i%5)*10
+			if i%9 == 1 {
+				res.MemoryMB = 1600
+			}
+		case 2:
+			res.Cores, res.MemoryMB = 2, 1500+float64((i*29)%400)
+		}
+		tasks = append(tasks, &Task{
+			ID:       i,
+			Category: fmt.Sprintf("deep-cat%d", cat),
+			Spec:     monitor.Proc(sim.Time(5+(i*7)%20), res),
+			Inputs: []*File{
+				{Name: fmt.Sprintf("env-%d.tar.gz", cat), SizeBytes: 1e8, Cacheable: true},
+				{Name: fmt.Sprintf("deep-in-%d.dat", i), SizeBytes: 5e5},
+			},
+			OutputBytes: 1e5,
+		})
+	}
+	return tasks
+}
+
 // prioritized returns tasks with every fourth one raised to priority 1-3,
 // so the matchers must agree on priority order as well as ready order.
 func prioritized(tasks []*Task) []*Task {
@@ -219,8 +254,10 @@ func TestMatcherDifferential(t *testing.T) {
 		},
 	}
 	inputs := map[string]func() []*Task{
-		"":          diffWorkload,
-		"/priority": func() []*Task { return prioritized(diffWorkload()) },
+		"":               diffWorkload,
+		"/priority":      func() []*Task { return prioritized(diffWorkload()) },
+		"/deep":          deepWorkload,
+		"/deep-priority": func() []*Task { return prioritized(deepWorkload()) },
 	}
 	for _, p := range policies {
 		for name, mk := range strategies {
@@ -246,6 +283,15 @@ func TestMatcherDifferential(t *testing.T) {
 					if schedIdx.CandidatesExamined > schedScan.CandidatesExamined {
 						t.Fatalf("indexed matcher examined more candidates (%d) than the scan (%d)",
 							schedIdx.CandidatesExamined, schedScan.CandidatesExamined)
+					}
+					if name == "auto" && strings.HasPrefix(suffix, "/deep") {
+						var st Stats
+						if err := json.Unmarshal(stIdx, &st); err != nil {
+							t.Fatal(err)
+						}
+						if st.Retries == 0 {
+							t.Fatal("deep backlog ran without an exhaustion retry, so no pinned entries")
+						}
 					}
 				})
 			}
@@ -460,5 +506,78 @@ func TestIndexUpkeepAllocationFree(t *testing.T) {
 	}
 	if err := s.check(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// shrinkOnObserve labels a category's tasks with six cores until its first
+// completed observation, and with two after.
+type shrinkOnObserve struct{ seen map[string]bool }
+
+func (s *shrinkOnObserve) Name() string { return "shrink" }
+
+func (s *shrinkOnObserve) Next(cat string) alloc.Decision {
+	cores := 6.0
+	if s.seen[cat] {
+		cores = 2
+	}
+	return alloc.Decision{Request: monitor.Resources{Cores: cores, MemoryMB: 100, DiskMB: 10}}
+}
+
+func (s *shrinkOnObserve) Retry(string, int) alloc.Decision { return alloc.Decision{WholeNode: true} }
+
+func (s *shrinkOnObserve) Observe(cat string, rep monitor.Report) {
+	if rep.Completed {
+		s.seen[cat] = true
+	}
+}
+
+// TestRelabelPlacesWithoutFreedCapacity covers a label change that reaches
+// a round before any worker frees capacity. Two six-core tasks fill two
+// eight-core workers and two more block. At t=10 the first two complete,
+// shrinking the label to two cores, but their large outputs hold the cores
+// until long after a submission at t=12 triggers a round with no dirty
+// worker. The blocked pair fits the two free cores of each worker under
+// the new label, so both matchers must place them in that round.
+func TestRelabelPlacesWithoutFreedCapacity(t *testing.T) {
+	run := func(mt Matcher) ([]byte, *Task) {
+		cfg := quickCfg(&shrinkOnObserve{seen: map[string]bool{}})
+		cfg.Matcher = mt
+		eng, m := testRig(t, 2, cfg)
+		tr := &Trace{}
+		m.SetTrace(tr)
+		var big []*Task
+		for i := 0; i < 4; i++ {
+			tk := simpleTask(i, 10, 50)
+			tk.Category = "big"
+			tk.OutputBytes = 5e10
+			big = append(big, tk)
+		}
+		eng.At(0, func() {
+			for _, tk := range big {
+				m.Submit(tk)
+			}
+		})
+		eng.At(12, func() {
+			y := simpleTask(4, 10, 50)
+			y.Category = "y"
+			m.Submit(y)
+		})
+		eng.Run()
+		if err := m.CheckInvariants(); err != nil {
+			t.Fatalf("%v matcher: %v", mt, err)
+		}
+		var b bytes.Buffer
+		if err := tr.WriteJSON(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.Bytes(), big[2]
+	}
+	idx, third := run(MatcherIndexed)
+	scan, _ := run(MatcherScan)
+	if !bytes.Equal(idx, scan) {
+		t.Fatal("matchers produced different traces")
+	}
+	if third.StartedAt < 12 || third.StartedAt > 13 {
+		t.Fatalf("relabeled task started at %v, want in the t=12 round", third.StartedAt)
 	}
 }

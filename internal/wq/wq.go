@@ -88,13 +88,11 @@ type Task struct {
 	// readySeq is the task's position in scheduling order, stamped each
 	// time it enters the ready queue (indexed matcher).
 	readySeq int64
-	// cacheKey/cacheFiles memoize the task's cacheable input set (see
-	// cacheSet): inputs are frozen at Submit, and re-deriving the canonical
-	// key on every scheduler examination dominated large-queue rounds.
-	cacheKey   string
-	cacheFiles map[string]int64
-	cacheMemo  bool
-	spans      taskSpans
+	// cacheSet memoizes the task's interned cacheable input set (see
+	// schedState.cacheSetOf): inputs are frozen at Submit, and re-deriving
+	// it on every scheduler examination dominated large-queue rounds.
+	cacheSet *cacheSet
+	spans    taskSpans
 	// active lists this task's in-flight placements — usually one, two while
 	// a speculative copy races the original.
 	active []*attempt
@@ -643,12 +641,7 @@ func (m *Master) schedulePass() {
 // it. It reports whether the task was placed. This is the scan matcher's
 // inner loop; the indexed matcher replaces it with schedState.examine.
 func (m *Master) place(t *Task) bool {
-	var dec alloc.Decision
-	if t.retryNext != nil {
-		dec = *t.retryNext
-	} else {
-		dec = m.Cfg.Strategy.Next(t.Category)
-	}
+	dec := m.decide(t)
 
 	st := &m.schedStats
 	st.TasksExamined++
@@ -666,9 +659,29 @@ func (m *Master) place(t *Task) bool {
 	if best == nil {
 		return false
 	}
-	t.retryNext = nil
+	m.issue(t, dec)
 	m.startAttempt(t, best, dec, false)
 	return true
+}
+
+// decide returns the allocation a ready task is examined under: its pinned
+// retry decision, or else the strategy's current label for its category.
+func (m *Master) decide(t *Task) alloc.Decision {
+	if t.retryNext != nil {
+		return *t.retryNext
+	}
+	return m.Cfg.Strategy.Next(t.Category)
+}
+
+// issue clears a placed task's pinned decision, or reports a decision from
+// Next to the strategy's Issuer, if it has one: once per started attempt,
+// however often the matcher probed Next.
+func (m *Master) issue(t *Task, dec alloc.Decision) {
+	if t.retryNext != nil {
+		t.retryNext = nil
+	} else if is, ok := m.Cfg.Strategy.(alloc.Issuer); ok {
+		is.Issued(t.Category, dec)
+	}
 }
 
 // allocCapacity charges an attempt's request against a worker, keeping the
