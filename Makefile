@@ -37,13 +37,17 @@ test-race:
 # (series on), observed streams and final engine times must be equal.
 # FuzzEventQueue: byte-driven push, pop, peek, remove and pop-then-push-back
 # sequences must pop what a linear min-scan reference pops and leave a
-# valid indexed heap after every operation.
+# valid indexed heap after every operation. FuzzDecode: arbitrary bytes go
+# to serde.Decode; none may panic, a rejected frame must fail with a serde:
+# error, and an accepted frame must re-encode to one that decodes to the
+# same kind and value.
 # Seed inputs also run as plain tests under `make test`.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzAutoLabel$$' -fuzztime 10s ./internal/alloc
 	$(GO) test -run '^$$' -fuzz '^FuzzReaders$$' -fuzztime 10s -fuzzminimizetime 50x ./internal/artifact
 	$(GO) test -run '^$$' -fuzz '^FuzzLazyPolls$$' -fuzztime 10s ./internal/monitor
 	$(GO) test -run '^$$' -fuzz '^FuzzEventQueue$$' -fuzztime 10s ./internal/sim
+	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s ./internal/serde
 
 # Deterministic chaos soak: drive the fault-injection engine, the hardening
 # features, and the invariant checker under the race detector, then survive

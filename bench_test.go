@@ -237,47 +237,6 @@ func BenchmarkAblationAutoBootstrap(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationPlacement compares worker-choice policies on the HEP
-// workload: cache affinity avoids re-transferring environments; the naive
-// policies pay for it in bytes and time.
-func BenchmarkAblationPlacement(b *testing.B) {
-	policies := []wq.Placement{
-		wq.PlaceCacheAffinity, wq.PlaceFirstFit, wq.PlaceBestFit, wq.PlaceWorstFit,
-	}
-	for _, p := range policies {
-		p := p
-		b.Run(p.String(), func(b *testing.B) {
-			var makespan sim.Time
-			var bytesIn int64
-			for i := 0; i < b.N; i++ {
-				eng := sim.NewEngine(7)
-				site := cluster.Sites()["ndcrc"]
-				site.BatchLatency = 0
-				site.Jitter = 0
-				cl := cluster.New(eng, site)
-				cfg := wq.DefaultConfig()
-				cfg.Strategy = alloc.NewAuto()
-				cfg.Monitor.Overhead = 0
-				cfg.Placement = p
-				m := wq.NewMaster(eng, cfg)
-				if err := cl.Provision(8, func(n *cluster.Node) { m.AddWorker(n) }); err != nil {
-					b.Fatal(err)
-				}
-				w := workloads.HEP(sim.NewRNG(7), 100)
-				eng.At(0, func() {
-					for _, t := range w.Tasks {
-						m.Submit(t)
-					}
-				})
-				makespan = eng.Run()
-				bytesIn = m.Stats().BytesIn
-			}
-			b.ReportMetric(float64(makespan), "sim-makespan-s")
-			b.ReportMetric(float64(bytesIn)/1e9, "GB-transferred")
-		})
-	}
-}
-
 // BenchmarkSerde measures the serialization layer's frame round-trip.
 func BenchmarkSerde(b *testing.B) {
 	payload := []any{map[string]any{"xs": make([]float64, 1000), "label": "batch"}}

@@ -318,9 +318,6 @@ func cmdRecord(args []string) error {
 
 func cmdReplay(args []string) error {
 	fs := flag.NewFlagSet("replay", flag.ExitOnError)
-	// -verify is the historical spelling; divergence now always fails
-	// (printing DIVERGED and exiting 0 buried determinism breaks).
-	fs.Bool("verify", false, "deprecated no-op: replay always verifies the recorded outcome digest")
 	summary := fs.String("summary", "", "write the replayed run's summary JSON here")
 	pos := parseArgs(fs, args)
 	if len(pos) != 1 {

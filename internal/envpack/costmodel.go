@@ -23,9 +23,8 @@ type CostModel struct {
 	InstallPerFile sim.Time
 	InstallPerByte sim.Time
 
-	// CompressBandwidth and DecompressBandwidth are conda-pack tarball
-	// creation/extraction rates, in (installed) bytes/second.
-	CompressBandwidth   float64
+	// DecompressBandwidth is the conda-pack tarball extraction rate, in
+	// (installed) bytes/second.
 	DecompressBandwidth float64
 
 	// PackRatio is packed bytes / installed bytes.
@@ -72,7 +71,6 @@ func DefaultCostModel() CostModel {
 		DownloadBandwidth:   30e6, // 30 MB/s from package mirrors
 		InstallPerFile:      400e-6,
 		InstallPerByte:      sim.Time(1.0 / 200e6), // 200 MB/s local install
-		CompressBandwidth:   80e6,
 		DecompressBandwidth: 250e6,
 		PackRatio:           0.45,
 		RelocatePerFile:     60e-6,
@@ -126,11 +124,6 @@ func (c CostModel) CreateTime(res *pypkg.Resolution) sim.Time {
 // PackedBytes estimates the conda-pack tarball size for a closure.
 func (c CostModel) PackedBytes(res *pypkg.Resolution) int64 {
 	return int64(float64(res.TotalInstalledBytes()) * c.PackRatio)
-}
-
-// PackTime estimates conda-pack tarball creation on the submit node.
-func (c CostModel) PackTime(res *pypkg.Resolution) sim.Time {
-	return sim.Time(float64(res.TotalInstalledBytes()) / c.CompressBandwidth)
 }
 
 // UnpackTime estimates extracting a packed environment to local disk and

@@ -21,7 +21,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"time"
 
@@ -258,14 +257,4 @@ func Relocate(dir, newPrefix string) (string, error) {
 		return "", err
 	}
 	return strings.TrimSpace(string(old)), nil
-}
-
-// SortedPackageNames lists manifest package names, sorted, for display.
-func (m *Manifest) SortedPackageNames() []string {
-	names := make([]string, len(m.Packages))
-	for i, p := range m.Packages {
-		names[i] = p.Name
-	}
-	sort.Strings(names)
-	return names
 }

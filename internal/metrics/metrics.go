@@ -143,9 +143,6 @@ func (h *Histogram) Min() float64 { return h.min }
 // Max reports the largest observation, or 0 with none.
 func (h *Histogram) Max() float64 { return h.max }
 
-// Bounds returns the bucket upper edges (excluding the implicit +Inf).
-func (h *Histogram) Bounds() []float64 { return h.bounds }
-
 // Cumulative returns cumulative counts per bound plus the +Inf bucket last —
 // the `le` semantics of the Prometheus exposition format.
 func (h *Histogram) Cumulative() []uint64 {

@@ -12,7 +12,6 @@ type Resolution struct {
 	Packages []*Package
 
 	byName map[string]*Package
-	roots  []Spec
 }
 
 // Lookup returns the selected version of the named package.
@@ -20,9 +19,6 @@ func (r *Resolution) Lookup(name string) (*Package, bool) {
 	p, ok := r.byName[normalizeName(name)]
 	return p, ok
 }
-
-// Roots returns the requirement specs the resolution was computed from.
-func (r *Resolution) Roots() []Spec { return r.roots }
 
 // Len reports the number of packages in the closure (the paper's
 // "dependency count" column in Table II).
@@ -73,7 +69,6 @@ func (ix *Index) Resolve(roots []Spec) (*Resolution, error) {
 	}
 	res := &Resolution{
 		byName: st.assigned,
-		roots:  roots,
 	}
 	res.Packages = topoOrder(st.assigned)
 	return res, nil

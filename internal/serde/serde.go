@@ -11,7 +11,6 @@ import (
 	"encoding/binary"
 	"encoding/gob"
 	"fmt"
-	"io"
 )
 
 // Kind tags what a frame carries.
@@ -30,6 +29,9 @@ var magic = [2]byte{'L', 'F'}
 // version is the current frame format.
 const version = 1
 
+// maxPayload caps a frame's payload at 1 GiB.
+const maxPayload = 1 << 30
+
 // header is the fixed-size frame prefix.
 type header struct {
 	Magic   [2]byte
@@ -44,7 +46,7 @@ func Encode(kind Kind, v any) ([]byte, error) {
 	if err := gob.NewEncoder(&body).Encode(&v); err != nil {
 		return nil, fmt.Errorf("serde: encode: %w", err)
 	}
-	if body.Len() > 1<<30 {
+	if body.Len() > maxPayload {
 		return nil, fmt.Errorf("serde: payload %d bytes exceeds 1GiB frame limit", body.Len())
 	}
 	var out bytes.Buffer
@@ -69,11 +71,13 @@ func Decode(data []byte) (Kind, any, error) {
 	return kind, v, nil
 }
 
-// split validates the envelope and returns the kind and raw payload.
+// split validates the envelope and returns the kind and the payload, a
+// subslice of data. The claimed length is checked against the limit and
+// against the bytes present before anything is allocated, so a forged
+// header cannot demand a buffer the frame does not carry.
 func split(data []byte) (Kind, []byte, error) {
 	var h header
-	r := bytes.NewReader(data)
-	if err := binary.Read(r, binary.BigEndian, &h); err != nil {
+	if err := binary.Read(bytes.NewReader(data), binary.BigEndian, &h); err != nil {
 		return 0, nil, fmt.Errorf("serde: short frame: %w", err)
 	}
 	if h.Magic != magic {
@@ -85,9 +89,12 @@ func split(data []byte) (Kind, []byte, error) {
 	if h.Kind < KindArgs || h.Kind > KindError {
 		return 0, nil, fmt.Errorf("serde: unknown frame kind %d", h.Kind)
 	}
-	body := make([]byte, h.Length)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return 0, nil, fmt.Errorf("serde: truncated payload: %w", err)
+	if h.Length > maxPayload {
+		return 0, nil, fmt.Errorf("serde: payload %d bytes exceeds 1GiB frame limit", h.Length)
+	}
+	body := data[binary.Size(h):]
+	if uint64(len(body)) != uint64(h.Length) {
+		return 0, nil, fmt.Errorf("serde: header claims %d payload bytes, frame carries %d", h.Length, len(body))
 	}
 	return h.Kind, body, nil
 }

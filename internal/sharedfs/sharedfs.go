@@ -226,12 +226,6 @@ func (fs *FS) Write(n int64, done func()) {
 	fs.delayed(func() { fs.write.Transfer(float64(n), done) })
 }
 
-// MetaQueueDepth reports current metadata backlog (for instrumentation).
-func (fs *FS) MetaQueueDepth() int { return fs.meta.QueueLen() }
-
-// MetaBusyTime reports cumulative metadata service time consumed.
-func (fs *FS) MetaBusyTime() sim.Time { return fs.meta.BusyTime }
-
 // LocalDisk models one node's local storage (SSD or ramdisk): bandwidth is
 // fair-shared among that node's tasks only, and metadata operations are
 // cheap and uncontended across nodes.

@@ -56,12 +56,6 @@ func (g *RNG) TruncNormal(mean, std, lo, hi float64) float64 {
 	return v
 }
 
-// LogNormal returns a log-normal draw parameterized by the mean and standard
-// deviation of the underlying normal.
-func (g *RNG) LogNormal(mu, sigma float64) float64 {
-	return math.Exp(g.Normal(mu, sigma))
-}
-
 // Exponential returns an exponential draw with the given mean.
 func (g *RNG) Exponential(mean float64) float64 {
 	return g.r.ExpFloat64() * mean

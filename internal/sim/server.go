@@ -42,9 +42,6 @@ func NewServer(eng *Engine, channels int) *Server {
 // QueueLen reports the number of requests waiting (not in service).
 func (s *Server) QueueLen() int { return len(s.queue) }
 
-// InService reports the number of requests currently being served.
-func (s *Server) InService() int { return s.busy }
-
 // Request enqueues a request needing the given service time and calls done
 // when it completes. Zero service time is allowed and still pays queueing
 // delay behind earlier requests.

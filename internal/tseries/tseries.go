@@ -203,9 +203,6 @@ func (s *Series) Len() int {
 	return n
 }
 
-// Cap reports the configured point bound.
-func (s *Series) Cap() int { return s.cap }
-
 // Raw reports how many measurements were streamed in.
 func (s *Series) Raw() int { return s.raw }
 

@@ -1,83 +1,23 @@
 package wq
 
-import "fmt"
-
-// Placement selects among candidate workers for a task. The paper's Work
-// Queue "prefers to schedule tasks where needed data is cached"; the other
-// policies exist for the packing ablation.
-type Placement int
-
-// Placement policies.
-const (
-	// PlaceCacheAffinity prefers the worker caching the most input bytes,
-	// breaking ties toward emptier workers. This is Work Queue's behaviour
-	// and the default.
-	PlaceCacheAffinity Placement = iota
-	// PlaceFirstFit takes the first worker with room.
-	PlaceFirstFit
-	// PlaceBestFit takes the worker whose free cores are smallest but
-	// sufficient (tight packing, leaves big holes elsewhere).
-	PlaceBestFit
-	// PlaceWorstFit takes the worker with the most free cores (load
-	// spreading).
-	PlaceWorstFit
-)
-
-// String names the policy.
-func (p Placement) String() string {
-	switch p {
-	case PlaceCacheAffinity:
-		return "cache-affinity"
-	case PlaceFirstFit:
-		return "first-fit"
-	case PlaceBestFit:
-		return "best-fit"
-	case PlaceWorstFit:
-		return "worst-fit"
-	}
-	return fmt.Sprintf("placement(%d)", int(p))
-}
-
-// pick chooses a worker for the task under the configured policy, or nil.
-// Candidates arrive in join order (the scan iterates the pool in join
-// order), which is the documented tie-break for first-fit and
-// cache-affinity. Best-fit and worst-fit instead break free-cores ties by
-// smallest node ID: join order varies with provisioning jitter, and a
-// packing policy's choice should not depend on which pilot job cleared the
-// batch queue first. The indexed matcher's treap keys encode exactly these
-// orders, so both matchers resolve the same worker.
+// pick chooses a worker for the task, or nil. The paper's Work Queue
+// "prefers to schedule tasks where needed data is cached": the worker
+// caching the most input bytes wins, ties going to the worker with the
+// most free cores. Candidates arrive in join order (the scan iterates the
+// pool in join order), so remaining ties go to the earliest joiner. The
+// indexed matcher's affinity keys encode exactly this order, so both
+// matchers resolve the same worker.
 func (m *Master) pick(t *Task, candidates []*Worker) *Worker {
 	var best *Worker
-	switch m.Cfg.Placement {
-	case PlaceFirstFit:
-		if len(candidates) > 0 {
-			best = candidates[0]
-		}
-	case PlaceBestFit:
-		for _, w := range candidates {
-			if best == nil || w.free().Cores < best.free().Cores ||
-				(w.free().Cores == best.free().Cores && w.Node.ID < best.Node.ID) {
-				best = w
-			}
-		}
-	case PlaceWorstFit:
-		for _, w := range candidates {
-			if best == nil || w.free().Cores > best.free().Cores ||
-				(w.free().Cores == best.free().Cores && w.Node.ID < best.Node.ID) {
-				best = w
-			}
-		}
-	default: // PlaceCacheAffinity
-		var bestCached int64 = -1
-		var bestFree float64 = -1
-		for _, w := range candidates {
-			c := w.cachedBytes(t)
-			f := w.free().Cores
-			if c > bestCached || (c == bestCached && f > bestFree) {
-				best = w
-				bestCached = c
-				bestFree = f
-			}
+	var bestCached int64 = -1
+	var bestFree float64 = -1
+	for _, w := range candidates {
+		c := w.cachedBytes(t)
+		f := w.free().Cores
+		if c > bestCached || (c == bestCached && f > bestFree) {
+			best = w
+			bestCached = c
+			bestFree = f
 		}
 	}
 	return best

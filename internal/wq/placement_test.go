@@ -7,77 +7,10 @@ import (
 	"lfm/internal/monitor"
 )
 
-func placementCfg(p Placement) Config {
-	cfg := quickCfg(&alloc.Oracle{Peaks: map[string]monitor.Resources{
-		"t": {Cores: 2, MemoryMB: 100, DiskMB: 10}}})
-	cfg.Placement = p
-	return cfg
-}
-
-func TestPlacementStrings(t *testing.T) {
-	cases := map[Placement]string{
-		PlaceCacheAffinity: "cache-affinity",
-		PlaceFirstFit:      "first-fit",
-		PlaceBestFit:       "best-fit",
-		PlaceWorstFit:      "worst-fit",
-		Placement(99):      "placement(99)",
-	}
-	for p, want := range cases {
-		if got := p.String(); got != want {
-			t.Errorf("%d.String() = %q, want %q", p, got, want)
-		}
-	}
-}
-
-// submit two tasks with a gap so placement is observable, then check the
-// distribution across two workers.
-func runPlacement(t *testing.T, p Placement) (sameWorker bool) {
-	t.Helper()
-	eng, m := testRig(t, 2, placementCfg(p))
-	eng.RunUntil(0.5)
-	a := &Task{ID: 1, Category: "t",
-		Spec: monitor.Proc(20, monitor.Resources{Cores: 2, MemoryMB: 100, DiskMB: 10})}
-	b := &Task{ID: 2, Category: "t",
-		Spec: monitor.Proc(20, monitor.Resources{Cores: 2, MemoryMB: 100, DiskMB: 10})}
-	eng.At(1, func() { m.Submit(a) })
-	eng.At(2, func() { m.Submit(b) })
-	// At t=3 both run; find their workers by usage.
-	var busy int
-	eng.At(3, func() {
-		for _, w := range m.workers {
-			if w.running > 0 {
-				busy++
-			}
-		}
-	})
-	eng.Run()
-	if a.State != TaskDone || b.State != TaskDone {
-		t.Fatalf("states = %v/%v", a.State, b.State)
-	}
-	return busy == 1
-}
-
-func TestPlacementWorstFitSpreads(t *testing.T) {
-	if same := runPlacement(t, PlaceWorstFit); same {
-		t.Fatal("worst-fit packed both tasks on one worker")
-	}
-}
-
-func TestPlacementBestFitPacks(t *testing.T) {
-	if same := runPlacement(t, PlaceBestFit); !same {
-		t.Fatal("best-fit spread tasks across workers")
-	}
-}
-
-func TestPlacementFirstFitPacks(t *testing.T) {
-	if same := runPlacement(t, PlaceFirstFit); !same {
-		t.Fatal("first-fit spread tasks across workers")
-	}
-}
-
 func TestPlacementCacheAffinityFollowsData(t *testing.T) {
 	env := &File{Name: "env.tgz", SizeBytes: 100e6, Cacheable: true}
-	eng, m := testRig(t, 2, placementCfg(PlaceCacheAffinity))
+	eng, m := testRig(t, 2, quickCfg(&alloc.Oracle{Peaks: map[string]monitor.Resources{
+		"t": {Cores: 2, MemoryMB: 100, DiskMB: 10}}}))
 	first := &Task{ID: 1, Category: "t", Inputs: []*File{env},
 		Spec: monitor.Proc(10, monitor.Resources{Cores: 2, MemoryMB: 100, DiskMB: 10})}
 	second := &Task{ID: 2, Category: "t", Inputs: []*File{env},

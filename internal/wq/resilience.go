@@ -151,11 +151,6 @@ func (m *Master) SetStagingFault(fn func(*Worker, *File) bool) {
 	}
 }
 
-// SetStageDelay installs (or, with nil, removes) a hook that stalls each
-// staging transfer before it starts (fault injection: congested or degraded
-// master link).
-func (m *Master) SetStageDelay(fn func(*File) sim.Time) { m.stageDelay = fn }
-
 // SetKillDelay forwards a kill-latency hook to the LFM: enforcement kills
 // are deferred by the returned duration, leaving a zombie consuming its
 // allocation (fault injection: kill failures).

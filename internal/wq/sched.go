@@ -21,12 +21,12 @@ type Matcher int
 
 const (
 	// MatcherIndexed (the default) matches through incrementally-maintained
-	// indexes: a ready-task heap, a per-policy worker-capacity treap, a
-	// per-cache-set affinity treap, and a dirty-worker set that lets a round
-	// skip blocked tasks whose requirements cannot newly fit anywhere. Each
-	// round costs O(placements x log W) instead of O(queue x W). It requires
-	// the allocation strategy's Next to be a pure function of the state
-	// mutated by Observe (true for all strategies in alloc).
+	// indexes: a ready-task heap, a per-cache-set affinity treap, and a
+	// dirty-worker set that lets a round skip blocked tasks whose
+	// requirements cannot newly fit anywhere. Each round costs
+	// O(placements x log W) instead of O(queue x W). It requires the
+	// allocation strategy's Next to be a pure function of the state mutated
+	// by Observe (true for all strategies in alloc).
 	MatcherIndexed Matcher = iota
 	// MatcherScan is the original O(queue x workers) linear scan, kept as
 	// the oracle the indexed matcher is differentially tested against.
@@ -102,8 +102,8 @@ func (h *readyHeap) Pop() interface{} {
 // dirty-worker fit gate reads it on every blocked-category check, and a map
 // lookup there dominated scheduling CPU at scale.
 type workerMeta struct {
-	// joinSeq is the worker's join order, the tie-breaker first-fit and
-	// cache-affinity inherit from the scan's iteration order.
+	// joinSeq is the worker's join order, the tie-breaker cache affinity
+	// inherits from the scan's iteration order.
 	joinSeq int64
 	// indexed is true while the worker is present in the indexes (alive and
 	// not quarantined; a crashed-but-unsuspected worker stays in, exactly as
@@ -117,13 +117,13 @@ type workerMeta struct {
 	// capacity of before its last capacity change or cache add.
 	stale uint32
 
-	// Handles on the worker's index entries: capNode in the capacity index,
-	// dirtyNode in the dirty index, aff[i] in the affinity index in slot i.
-	// A node is allocated the first time the worker enters that index and
-	// is reused on every re-key and re-entry after; membership is recorded
-	// by indexed, dirty and the live slots, not by the handle.
-	capNode, dirtyNode *tnode
-	aff                []*tnode
+	// Handles on the worker's index entries: dirtyNode in the dirty index,
+	// aff[i] in the affinity index in slot i. A node is allocated the first
+	// time the worker enters that index and is reused on every re-key and
+	// re-entry after; membership is recorded by indexed, dirty and the live
+	// slots, not by the handle.
+	dirtyNode *tnode
+	aff       []*tnode
 }
 
 // affHandle returns the worker's handle for affinity slot i.
@@ -232,9 +232,6 @@ type schedState struct {
 	readySeq int64
 	joinSeq  int64
 
-	// cap is the single capacity index used by first/best/worst-fit;
-	// cache-affinity uses per-cache-set aff indexes instead.
-	cap     *treap
 	aff     map[string]*affinityIndex
 	affList []*affinityIndex // creation order, for deterministic iteration
 	slots   uint32           // bit i set while an affinity index holds slot i
@@ -269,30 +266,11 @@ type schedState struct {
 }
 
 func newSchedState(m *Master) *schedState {
-	s := &schedState{
+	return &schedState{
 		m:       m,
 		aff:     make(map[string]*affinityIndex),
 		blocked: make(map[string]*catBlocked),
 		sets:    make(map[string]*cacheSet),
-	}
-	if m.Cfg.Placement != PlaceCacheAffinity {
-		s.cap = new(treap)
-	}
-	return s
-}
-
-// capKey orders the capacity index so the configured policy's choice is the
-// leftmost fitting entry. Ties break by join order for first-fit (the scan
-// took the first fitting worker in join order) and by node ID for best- and
-// worst-fit (see pick in placement.go).
-func (s *schedState) capKey(w *Worker) tkey {
-	switch s.m.Cfg.Placement {
-	case PlaceBestFit:
-		return tkey{a: w.free().Cores, c: int64(w.Node.ID)}
-	case PlaceWorstFit:
-		return tkey{a: -w.free().Cores, c: int64(w.Node.ID)}
-	default: // PlaceFirstFit
-		return tkey{c: w.smeta.joinSeq}
 	}
 }
 
@@ -478,9 +456,6 @@ func (s *schedState) admit(w *Worker) {
 		return
 	}
 	mw.indexed = true
-	if s.cap != nil {
-		enter(s.cap, &mw.capNode, w, s.capKey(w))
-	}
 	for _, ai := range s.affList {
 		enter(&ai.tr, mw.affHandle(ai.slot), w, s.affKey(ai, w))
 	}
@@ -493,9 +468,6 @@ func (s *schedState) exclude(w *Worker) {
 	mw := w.smeta
 	if mw == nil || !mw.indexed {
 		return
-	}
-	if s.cap != nil {
-		s.cap.remove(mw.capNode.key)
 	}
 	for _, ai := range s.affList {
 		ai.unlistStale(w)
@@ -522,17 +494,13 @@ func (s *schedState) markDirty(w *Worker) {
 }
 
 // capacityChanged re-keys a worker after its free capacity moved: eagerly
-// in the capacity and dirty indexes, lazily (see repair) in the affinity
-// indexes. freed marks capacity releases, which additionally dirty the
-// worker — an allocation can only shrink what fits, so it never wakes
-// blocked tasks.
+// in the dirty index, lazily (see repair) in the affinity indexes. freed
+// marks capacity releases, which additionally dirty the worker — an
+// allocation can only shrink what fits, so it never wakes blocked tasks.
 func (s *schedState) capacityChanged(w *Worker, freed bool) {
 	mw := w.smeta
 	if mw == nil || !mw.indexed {
 		return
-	}
-	if s.cap != nil {
-		rekey(s.cap, mw.capNode, s.capKey(w))
 	}
 	if mw.stale != s.slots {
 		for _, ai := range s.affList {
@@ -735,15 +703,12 @@ func (s *schedState) bestBlockedCandidate() (cb *catBlocked, best *tnode, wake b
 	return cb, best, wake
 }
 
-// selectWorker finds the placement-policy-first worker fitting the
+// selectWorker finds the cache-affinity-first worker fitting the
 // decision, excluding at most one worker (speculation avoids the
 // straggler's own host). It returns the worker (nil if none fits) and the
 // number of candidates tested for fit.
 func (s *schedState) selectWorker(t *Task, dec alloc.Decision, exclude *Worker) (*Worker, int) {
-	ix := s.cap
-	if s.m.Cfg.Placement == PlaceCacheAffinity {
-		ix = &s.affinityFor(t).tr
-	}
+	ix := &s.affinityFor(t).tr
 	var may func(*tnode) bool
 	if dec.WholeNode {
 		// A whole-node placement needs an idle worker; running counts are
@@ -897,12 +862,6 @@ func (s *schedState) check() error {
 			return err
 		}
 		return checkAggregates(name, tr.root)
-	}
-	if s.cap != nil {
-		capNode := func(mw *workerMeta) *tnode { return mw.capNode }
-		if err := checkIndex("capacity", s.cap, indexed, capNode, s.capKey); err != nil {
-			return err
-		}
 	}
 	if err := s.checkStale(); err != nil {
 		return err

@@ -174,6 +174,23 @@ func deepWorkload() []*Task {
 	return tasks
 }
 
+// manySetsWorkload is deepWorkload with one more cacheable dataset per
+// task, drawn from maxAffinityIndexes+8 names independently of the
+// environment. Up to 160 distinct cache sets (4 environments x 40
+// datasets) compete for the 32 affinity slots, so LRU eviction, slot reuse
+// and index rebuilds all run against the scan.
+func manySetsWorkload() []*Task {
+	tasks := deepWorkload()
+	const names = maxAffinityIndexes + 8
+	for i, tk := range tasks {
+		k := (i / 4 * 7) % names
+		tk.Inputs = append(tk.Inputs, &File{
+			Name: fmt.Sprintf("set-%d.dat", k), SizeBytes: 1e7 * int64(1+k%5), Cacheable: true,
+		})
+	}
+	return tasks
+}
+
 // prioritized returns tasks with every fourth one raised to priority 1-3,
 // so the matchers must agree on priority order as well as ready order.
 func prioritized(tasks []*Task) []*Task {
@@ -186,9 +203,8 @@ func prioritized(tasks []*Task) []*Task {
 }
 
 // runMatcher executes a differential workload under one matcher and
-// placement policy and returns the trace bytes, the stats JSON, and the
-// scheduling counters.
-func runMatcher(t *testing.T, mt Matcher, p Placement, s alloc.Strategy, tasks []*Task) ([]byte, []byte, SchedStats) {
+// returns the trace bytes, the stats JSON, and the master.
+func runMatcher(t *testing.T, mt Matcher, s alloc.Strategy, tasks []*Task) ([]byte, []byte, *Master) {
 	t.Helper()
 	eng := sim.NewEngine(3)
 	site := cluster.Sites()["ndcrc"]
@@ -197,7 +213,6 @@ func runMatcher(t *testing.T, mt Matcher, p Placement, s alloc.Strategy, tasks [
 	cl := cluster.New(eng, site)
 	cfg := quickCfg(s)
 	cfg.Matcher = mt
-	cfg.Placement = p
 	m := NewMaster(eng, cfg)
 	tr := &Trace{}
 	m.SetTrace(tr)
@@ -223,7 +238,7 @@ func runMatcher(t *testing.T, mt Matcher, p Placement, s alloc.Strategy, tasks [
 	})
 	eng.Run()
 	if err := m.CheckInvariants(); err != nil {
-		t.Fatalf("%v matcher, %v placement: %v", mt, p, err)
+		t.Fatalf("%v matcher: %v", mt, err)
 	}
 	var tb bytes.Buffer
 	if err := tr.WriteJSON(&tb); err != nil {
@@ -233,15 +248,15 @@ func runMatcher(t *testing.T, mt Matcher, p Placement, s alloc.Strategy, tasks [
 	if err != nil {
 		t.Fatal(err)
 	}
-	return tb.Bytes(), sb, *m.SchedStats()
+	return tb.Bytes(), sb, m
 }
 
 // TestMatcherDifferential proves the indexed matcher makes byte-identical
-// decisions to the linear scan under every placement policy and several
-// strategies, with and without task priorities, and that its counterfactual
-// scan-cost counters equal the scan's measured costs for the same rounds.
+// cache-affinity decisions to the linear scan under several strategies,
+// with and without task priorities and with more live cache sets than
+// affinity slots, and that its counterfactual scan-cost counters equal the
+// scan's measured costs for the same rounds.
 func TestMatcherDifferential(t *testing.T) {
-	policies := []Placement{PlaceCacheAffinity, PlaceFirstFit, PlaceBestFit, PlaceWorstFit}
 	strategies := map[string]func() alloc.Strategy{
 		"auto":      func() alloc.Strategy { return alloc.NewAuto() },
 		"unmanaged": func() alloc.Strategy { return &alloc.Unmanaged{} },
@@ -258,43 +273,48 @@ func TestMatcherDifferential(t *testing.T) {
 		"/priority":      func() []*Task { return prioritized(diffWorkload()) },
 		"/deep":          deepWorkload,
 		"/deep-priority": func() []*Task { return prioritized(deepWorkload()) },
+		"/many-sets":     manySetsWorkload,
 	}
-	for _, p := range policies {
-		for name, mk := range strategies {
-			for suffix, tasks := range inputs {
-				t.Run(fmt.Sprintf("%v/%s%s", p, name, suffix), func(t *testing.T) {
-					trIdx, stIdx, schedIdx := runMatcher(t, MatcherIndexed, p, mk(), tasks())
-					trScan, stScan, schedScan := runMatcher(t, MatcherScan, p, mk(), tasks())
-					if !bytes.Equal(trIdx, trScan) {
-						t.Fatal("matchers produced different traces")
+	for name, mk := range strategies {
+		for suffix, tasks := range inputs {
+			t.Run(fmt.Sprintf("cache-affinity/%s%s", name, suffix), func(t *testing.T) {
+				trIdx, stIdx, mIdx := runMatcher(t, MatcherIndexed, mk(), tasks())
+				trScan, stScan, mScan := runMatcher(t, MatcherScan, mk(), tasks())
+				schedIdx, schedScan := mIdx.SchedStats(), mScan.SchedStats()
+				if !bytes.Equal(trIdx, trScan) {
+					t.Fatal("matchers produced different traces")
+				}
+				if !bytes.Equal(stIdx, stScan) {
+					t.Fatalf("matchers produced different stats:\n%s\n%s", stIdx, stScan)
+				}
+				if schedIdx.Passes != schedScan.Passes {
+					t.Fatalf("rounds diverge: indexed %d, scan %d", schedIdx.Passes, schedScan.Passes)
+				}
+				if schedIdx.ScanTasksExamined != schedScan.TasksExamined ||
+					schedIdx.ScanCandidatesExamined != schedScan.CandidatesExamined {
+					t.Fatalf("counterfactual scan cost %d/%d != measured %d/%d",
+						schedIdx.ScanTasksExamined, schedIdx.ScanCandidatesExamined,
+						schedScan.TasksExamined, schedScan.CandidatesExamined)
+				}
+				if schedIdx.CandidatesExamined > schedScan.CandidatesExamined {
+					t.Fatalf("indexed matcher examined more candidates (%d) than the scan (%d)",
+						schedIdx.CandidatesExamined, schedScan.CandidatesExamined)
+				}
+				if name == "auto" && strings.HasPrefix(suffix, "/deep") {
+					var st Stats
+					if err := json.Unmarshal(stIdx, &st); err != nil {
+						t.Fatal(err)
 					}
-					if !bytes.Equal(stIdx, stScan) {
-						t.Fatalf("matchers produced different stats:\n%s\n%s", stIdx, stScan)
+					if st.Retries == 0 {
+						t.Fatal("deep backlog ran without an exhaustion retry, so no pinned entries")
 					}
-					if schedIdx.Passes != schedScan.Passes {
-						t.Fatalf("rounds diverge: indexed %d, scan %d", schedIdx.Passes, schedScan.Passes)
+				}
+				if suffix == "/many-sets" {
+					if n := len(mIdx.sched.sets); n <= maxAffinityIndexes {
+						t.Fatalf("many-sets run interned %d cache sets, want more than %d", n, maxAffinityIndexes)
 					}
-					if schedIdx.ScanTasksExamined != schedScan.TasksExamined ||
-						schedIdx.ScanCandidatesExamined != schedScan.CandidatesExamined {
-						t.Fatalf("counterfactual scan cost %d/%d != measured %d/%d",
-							schedIdx.ScanTasksExamined, schedIdx.ScanCandidatesExamined,
-							schedScan.TasksExamined, schedScan.CandidatesExamined)
-					}
-					if schedIdx.CandidatesExamined > schedScan.CandidatesExamined {
-						t.Fatalf("indexed matcher examined more candidates (%d) than the scan (%d)",
-							schedIdx.CandidatesExamined, schedScan.CandidatesExamined)
-					}
-					if name == "auto" && strings.HasPrefix(suffix, "/deep") {
-						var st Stats
-						if err := json.Unmarshal(stIdx, &st); err != nil {
-							t.Fatal(err)
-						}
-						if st.Retries == 0 {
-							t.Fatal("deep backlog ran without an exhaustion retry, so no pinned entries")
-						}
-					}
-				})
-			}
+				}
+			})
 		}
 	}
 }

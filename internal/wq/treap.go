@@ -265,22 +265,3 @@ func teach(n *tnode, fn func(*tnode)) {
 	fn(n)
 	teach(n.right, fn)
 }
-
-// firstWhere returns the smallest-keyed node accepted by fn, visiting nodes
-// in key order without pruning.
-func (t *treap) firstWhere(fn func(*tnode) bool) *tnode {
-	return tfirst(t.root, fn)
-}
-
-func tfirst(n *tnode, fn func(*tnode) bool) *tnode {
-	if n == nil {
-		return nil
-	}
-	if r := tfirst(n.left, fn); r != nil {
-		return r
-	}
-	if fn(n) {
-		return n
-	}
-	return tfirst(n.right, fn)
-}

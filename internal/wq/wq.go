@@ -100,10 +100,6 @@ type Task struct {
 	specCount int
 }
 
-// ActiveAttempts reports the number of in-flight placements (0 after the
-// task reaches a terminal state). Exposed for invariant checking.
-func (t *Task) ActiveAttempts() int { return len(t.active) }
-
 func (t *Task) dropActive(a *attempt) {
 	for i, o := range t.active {
 		if o == a {
@@ -158,8 +154,6 @@ type Config struct {
 	Strategy alloc.Strategy
 	// MaxRetries bounds resource-exhaustion retries per task.
 	MaxRetries int
-	// Placement selects the worker-choice policy (default cache affinity).
-	Placement Placement
 	// Matcher selects the matching-loop implementation (default the indexed
 	// matcher; see Matcher). Both make identical placement decisions; the
 	// scan exists for the differential tests.
@@ -287,9 +281,6 @@ type Worker struct {
 	span trace.SpanID
 }
 
-// Alive reports whether the worker is still connected.
-func (w *Worker) Alive() bool { return w.alive }
-
 // Quarantined reports whether the circuit breaker is blocking placements.
 func (w *Worker) Quarantined() bool { return w.quarantined }
 
@@ -365,10 +356,9 @@ type Master struct {
 	// schedFn is the deferred scheduling-pass closure, built once.
 	schedFn func()
 
-	// Fault-injection hooks (see resilience.go). stageFault fails a landed
-	// staging transfer; stageDelay stalls one before it starts.
+	// stageFault is the fault-injection hook (see resilience.go) that fails
+	// a landed staging transfer.
 	stageFault func(*Worker, *File) bool
-	stageDelay func(*File) sim.Time
 	// resRNG jitters staging retry backoff; forked lazily so undisturbed
 	// runs draw the same stream as before this field existed.
 	resRNG *sim.RNG
@@ -938,45 +928,36 @@ func (m *Master) transferFile(a *attempt, f *File, try int, cont func()) {
 			Detail: f.Name, Start: m.Eng.Now(),
 		})
 	}
-	xfer := func() {
-		m.link.Transfer(float64(f.SizeBytes), func() {
-			w.Node.Disk.Write(f.SizeBytes, func() {
-				if m.stageFault != nil && w.alive && !w.dead && m.stageFault(w, f) {
-					st.End(fsp, m.Eng.Now(), trace.OutcomeFailed, "transfer failed")
-					m.retryStaging(a, f, try, cont)
-					return
-				}
-				after := func() {
-					st.End(fsp, m.Eng.Now(), trace.OutcomeOK, "")
-					if f.Cacheable {
-						w.cache[f.Name] = true
-						w.cacheBytes += f.SizeBytes
-						if m.sched != nil {
-							m.sched.cacheAdded(w, f)
-						}
-						waiters := w.staging[f.Name]
-						delete(w.staging, f.Name)
-						for _, wake := range waiters {
-							wake.ok()
-						}
+	m.link.Transfer(float64(f.SizeBytes), func() {
+		w.Node.Disk.Write(f.SizeBytes, func() {
+			if m.stageFault != nil && w.alive && !w.dead && m.stageFault(w, f) {
+				st.End(fsp, m.Eng.Now(), trace.OutcomeFailed, "transfer failed")
+				m.retryStaging(a, f, try, cont)
+				return
+			}
+			after := func() {
+				st.End(fsp, m.Eng.Now(), trace.OutcomeOK, "")
+				if f.Cacheable {
+					w.cache[f.Name] = true
+					w.cacheBytes += f.SizeBytes
+					if m.sched != nil {
+						m.sched.cacheAdded(w, f)
 					}
-					cont()
+					waiters := w.staging[f.Name]
+					delete(w.staging, f.Name)
+					for _, wake := range waiters {
+						wake.ok()
+					}
 				}
-				if f.UnpackTime > 0 {
-					m.Eng.After(f.UnpackTime, after)
-				} else {
-					after()
-				}
-			})
+				cont()
+			}
+			if f.UnpackTime > 0 {
+				m.Eng.After(f.UnpackTime, after)
+			} else {
+				after()
+			}
 		})
-	}
-	if m.stageDelay != nil {
-		if d := m.stageDelay(f); d > 0 {
-			m.Eng.After(d, xfer)
-			return
-		}
-	}
-	xfer()
+	})
 }
 
 func (m *Master) sendOutputs(t *Task, completed bool, done func()) {

@@ -72,9 +72,6 @@ const (
 // Resources is a cores/memory/disk resource vector.
 type Resources = monitor.Resources
 
-// MonitorReport is the outcome of one monitored (simulated) invocation.
-type MonitorReport = monitor.Report
-
 // ---- Dependency analysis (paper §V-B) ----
 
 // DependencyReport lists a code fragment's imports, their classification,
@@ -221,12 +218,6 @@ func NewOracleStrategy(peaks map[string]Resources) Strategy {
 // DFK is the dataflow kernel managing apps, futures, and executors.
 type DFK = parsl.DFK
 
-// Future is the eventual result of an app invocation.
-type Future = parsl.Future
-
-// App is a registered concurrent function.
-type App = parsl.App
-
 // AppFunc is an app body.
 type AppFunc = parsl.AppFunc
 
@@ -300,11 +291,6 @@ type Site = cluster.Site
 // Sites returns the built-in site catalog by name.
 func Sites() map[string]Site { return cluster.Sites() }
 
-// SchedStats reports the scheduler's work counters for a run (rounds,
-// tasks and candidate workers examined, wall-clock time), available on
-// Outcome.Sched.
-type SchedStats = wq.SchedStats
-
 // RunWorkload executes a workload on a simulated site under a strategy.
 func RunWorkload(w *Workload, cfg RunConfig) (*Outcome, error) { return core.Run(w, cfg) }
 
@@ -359,9 +345,6 @@ const (
 // ReadTrace loads a span store saved with TraceStore.WriteJSON.
 func ReadTrace(r io.Reader) (*TraceStore, error) { return trace.ReadJSON(r) }
 
-// CategorySummary aggregates monitored behaviour for one task category.
-type CategorySummary = wq.CategorySummary
-
 // ---- Failure model & chaos engineering ----
 
 // ResilienceConfig tunes failure detection and mitigation in the scheduler:
@@ -371,23 +354,11 @@ type CategorySummary = wq.CategorySummary
 // behaviour; set it on RunConfig.Resilience.
 type ResilienceConfig = wq.ResilienceConfig
 
-// ResilienceStats reports what the hardening machinery did during a run
-// (detection latencies, speculation wins and waste, staging retries,
-// quarantine trips); see Outcome.Stats.Resilience.
-type ResilienceStats = wq.ResilienceStats
-
 // ChaosSchedule is a declarative fault plan driven over a run when set on
 // RunConfig.Faults: worker crashes and slowdowns, filesystem brownouts and
 // outages, staging-transfer failures, provisioning rejections, deferred
 // (zombie) kills, and continuous worker churn.
 type ChaosSchedule = chaos.Schedule
-
-// ChaosFault is one scheduled injection in a ChaosSchedule.
-type ChaosFault = chaos.Fault
-
-// ChaosReport summarizes what the fault engine actually did — injection
-// counts by kind plus any invariant violations; see Outcome.Chaos.
-type ChaosReport = chaos.Report
 
 // ChaosProfile builds one of the canned fault schedules ("churn",
 // "stragglers", "flaky-staging", "blackout", "storm") scaled to a run
@@ -496,10 +467,6 @@ type RunSummary = core.RunSummary
 // corrupt) and the line.
 func ReadObsStream(r io.Reader) (*ObsStream, error) { return obs.ReadStream(r) }
 
-// SummaryVersion is the unified summary document's schema version
-// (RunSummary.SchemaVersion).
-const SummaryVersion = core.SummaryVersion
-
 // AnalyzeObs runs the health rules over a run's retained snapshots. A nil
 // cfg uses the default thresholds.
 func AnalyzeObs(ro *RunObs, cfg *HealthConfig) *RunHealth { return obs.Analyze(ro, cfg) }
@@ -530,29 +497,12 @@ type ServingTenant = serve.TenantConfig
 // arrival→completion latency quantiles; see Outcome.Serving.
 type ServingReport = serve.Report
 
-// ServingTenantReport is one tenant's slice of the ServingReport.
-type ServingTenantReport = serve.TenantReport
-
 // Overload is the typed error describing why the frontend turned an
 // arrival away (throttled, shed, queue-full, dep-dropped).
 type Overload = serve.Overload
 
-// Arrival generates deterministic inter-arrival gaps for a serving
-// tenant; implementations include PoissonArrivals, DiurnalArrivals,
-// BurstArrivals, and TraceArrivals.
-type Arrival = workloads.Arrival
-
 // PoissonArrivals is a memoryless constant-rate arrival process.
 type PoissonArrivals = workloads.Poisson
-
-// DiurnalArrivals modulates a base rate sinusoidally (day/night load).
-type DiurnalArrivals = workloads.Diurnal
-
-// BurstArrivals alternates calm and burst phases (correlated bursts).
-type BurstArrivals = workloads.Burst
-
-// TraceArrivals replays a recorded gap sequence exactly.
-type TraceArrivals = workloads.TraceReplay
 
 // ---- Scenario harness & trace replay ----
 
@@ -563,44 +513,18 @@ type TraceArrivals = workloads.TraceReplay
 // as a regression gate.
 type Scenario = scenario.Scenario
 
-// ScenarioSpec is one materialized, runnable scenario instance.
-type ScenarioSpec = scenario.Spec
-
 // ScenarioResult is one scenario run's deterministic record: summary,
 // headline metrics, and per-invariant verdicts.
 type ScenarioResult = scenario.Result
-
-// ScenarioMetric is one deterministic headline number of a scenario run.
-type ScenarioMetric = scenario.Metric
-
-// ScenarioInvariant is one scenario-specific assertion checked after a run.
-type ScenarioInvariant = scenario.Invariant
-
-// ScenarioInvariantResult is one invariant's verdict on one run.
-type ScenarioInvariantResult = scenario.InvariantResult
 
 // ScenarioConfig is the serializable slice of RunConfig a scenario (and a
 // trace header) carries: pool shape, strategy name, seeds, resilience,
 // fault schedule, telemetry — everything behavioural, nothing attached.
 type ScenarioConfig = core.ScenarioConfig
 
-// ScenarioServingShape is the serializable description of a scenario's
-// open-loop serving layer.
-type ScenarioServingShape = scenario.ServingShape
-
-// ScenarioTenantShape describes one serving tenant of a scenario.
-type ScenarioTenantShape = scenario.TenantShape
-
-// ScenarioTraceHeader is the first line of a scenario trace: format tag,
-// version, and the serializable run configuration.
-type ScenarioTraceHeader = scenario.TraceHeader
-
 // ScenarioReplay is a finished trace replay: the reconstructed run plus the
 // recorded and recomputed outcome digests.
 type ScenarioReplay = scenario.ReplayOutcome
-
-// Scenarios lists the registered scenario names, sorted.
-func Scenarios() []string { return scenario.Names() }
 
 // ScenarioByName returns the named canned scenario.
 func ScenarioByName(name string) (*Scenario, error) { return scenario.Get(name) }
@@ -722,9 +646,6 @@ func RunScenarioArchived(s *Scenario, opt ScenarioArchiveOptions) (*ScenarioResu
 // shared metric classified improved/regressed/neutral plus bottleneck and
 // health-finding attribution when anything regressed.
 type DiffReport = diffobs.DiffReport
-
-// DiffMetricDelta is one compared metric in a DiffReport.
-type DiffMetricDelta = diffobs.MetricDelta
 
 // DiffRunRef identifies one side of a DiffReport.
 type DiffRunRef = diffobs.RunRef
