@@ -40,7 +40,12 @@ test-race:
 # valid indexed heap after every operation. FuzzDecode: arbitrary bytes go
 # to serde.Decode; none may panic, a rejected frame must fail with a serde:
 # error, and an accepted frame must re-encode to one that decodes to the
-# same kind and value.
+# same kind and value. FuzzSpanStore: byte-driven Begin, Instant, End,
+# SetWorker, AddLink and mid-recording Spans sequences must read back, hand
+# out and export exactly what a plain []Span reference holds, and any input
+# trace.ReadJSON accepts must re-encode byte-identically and take further
+# recording; an input can hold thousands of spans, each run JSON-encoding
+# them several times, so its minimizing is capped at 50 runs too.
 # Seed inputs also run as plain tests under `make test`.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzAutoLabel$$' -fuzztime 10s ./internal/alloc
@@ -48,6 +53,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzLazyPolls$$' -fuzztime 10s ./internal/monitor
 	$(GO) test -run '^$$' -fuzz '^FuzzEventQueue$$' -fuzztime 10s ./internal/sim
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s ./internal/serde
+	$(GO) test -run '^$$' -fuzz '^FuzzSpanStore$$' -fuzztime 10s -fuzzminimizetime 50x ./internal/trace
 
 # Deterministic chaos soak: drive the fault-injection engine, the hardening
 # features, and the invariant checker under the race detector, then survive

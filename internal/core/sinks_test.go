@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"runtime"
+	rtmetrics "runtime/metrics"
 	"strings"
 	"testing"
 
@@ -123,5 +125,38 @@ func TestSinkAllocBudget(t *testing.T) {
 	w, cfg, _ := allSinksRun(t)
 	if perTask := objectsPerTask(t, w, cfg); perTask > sinkAllocBudget {
 		t.Fatalf("all-sinks run allocates %.2f objects per task, budget %.1f", perTask, sinkAllocBudget)
+	}
+}
+
+// TestSinkRetainedBudget keeps the sinks' retained heap from creeping back
+// the way TestSinkAllocBudget keeps their allocations: after the all-sinks
+// run of TestSinkExportsGolden, with its outcome and sinks still
+// referenced, the live heap the run added (runtime/metrics
+// /gc/heap/live:bytes after a forced GC, less the same reading before the
+// run) must stay within sinkRetainedBudget bytes per task.
+func TestSinkRetainedBudget(t *testing.T) {
+	// Measured at 6,983 bytes per task (go1.24, linux/amd64; 10,527 before
+	// spans were stored as pointer-free records and node series handed to
+	// their summaries) and 6,986-6,994 under -race; the bound is 10% above
+	// the plain count, so make check (which runs the suite only with -race)
+	// catches a creep.
+	const sinkRetainedBudget = 7680
+	w, cfg, _ := allSinksRun(t)
+	live := []rtmetrics.Sample{{Name: "/gc/heap/live:bytes"}}
+	runtime.GC()
+	rtmetrics.Read(live)
+	before := live[0].Value.Uint64()
+	out, err := Run(w, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	rtmetrics.Read(live)
+	perTask := (float64(live[0].Value.Uint64()) - float64(before)) / float64(out.Stats.Completed+out.Stats.Failed)
+	runtime.KeepAlive(out)
+	runtime.KeepAlive(cfg)
+	t.Logf("%.0f live bytes per task", perTask)
+	if perTask > sinkRetainedBudget {
+		t.Fatalf("all-sinks run retains %.0f bytes per task, budget %d", perTask, sinkRetainedBudget)
 	}
 }

@@ -30,6 +30,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 
 	"lfm/internal/sim"
 )
@@ -144,50 +145,187 @@ type Link struct {
 
 // chunkSpans is the number of spans in one storage chunk. Recording fills
 // one chunk at a time, so growing the store never copies or clears the
-// spans already held; a chunk is about 120 KB.
+// records already held; a chunk is 48 KB.
 const chunkSpans = 1024
 
-// Store is an append-only span store for one run. The zero value is unusable;
-// construct with NewStore. A nil *Store accepts (and discards) all recording
-// calls, so emitters need no tracing-enabled guards.
+// record is a span as a chunk stores it. Its ID is its position in the
+// store, its integers are int32 (see wideInt) and its strings are indexes
+// into the store's string table, so a record holds no pointers: 48 bytes
+// that the garbage collector never scans.
+type record struct {
+	parent, task, worker, attempt   int32
+	start, end                      sim.Time
+	kind, category, outcome, detail uint32
+}
+
+// wideInt in an integer field of a record marks a value that does not fit
+// in int32: the store keeps the exact value in its wide map, keyed by span
+// and field, so no value is ever narrowed.
+const wideInt = math.MinInt32
+
+// intField names a record's integer fields in the wide map.
+type intField uint8
+
+const (
+	fieldParent intField = iota
+	fieldTask
+	fieldWorker
+	fieldAttempt
+)
+
+type wideKey struct {
+	id    SpanID
+	field intField
+}
+
+// strField names a record's string fields in the string table's memo.
+type strField uint8
+
+const (
+	strKind strField = iota
+	strCategory
+	strOutcome
+	strDetail
+)
+
+// strTable interns a store's span strings. Index 0 is "", and index i > 0
+// is strs[i-1]. The memo remembers the last string interned into each
+// record field, so a run of spans that repeat a kind, category or outcome
+// looks it up without hashing it.
+type strTable struct {
+	strs []string
+	ids  map[string]uint32
+	memo [4]struct {
+		s string
+		i uint32
+	}
+}
+
+// index returns v's index, interning it on first use.
+func (t *strTable) index(f strField, v string) uint32 {
+	if v == "" {
+		return 0
+	}
+	m := &t.memo[f]
+	if m.s == v {
+		return m.i
+	}
+	i, ok := t.ids[v]
+	if !ok {
+		if t.ids == nil {
+			t.ids = make(map[string]uint32)
+		}
+		t.strs = append(t.strs, v)
+		i = uint32(len(t.strs))
+		t.ids[v] = i
+	}
+	m.s, m.i = v, i
+	return i
+}
+
+func (t *strTable) str(i uint32) string {
+	if i == 0 {
+		return ""
+	}
+	return t.strs[i-1]
+}
+
+// Store is an append-only span store for one run. A nil *Store accepts (and
+// discards) all recording calls, so emitters need no tracing-enabled guards.
 type Store struct {
-	// flat holds spans 1..len(flat) in one slice, as compacted by Spans;
-	// chunks hold the spans recorded after those, chunkSpans to a chunk
-	// (the last may be partly filled).
-	flat   []Span
-	chunks [][]Span
+	// chunks hold the records of spans 1..n, chunkSpans to a chunk (the
+	// last may be partly filled).
+	chunks [][]record
 	n      int
-	links  []Link
+	strs   strTable
+	wide   map[wideKey]int
+	// flat is the slice the last Spans call built, spans 1..len(flat);
+	// End and SetWorker keep it current.
+	flat  []Span
+	links []Link
 }
 
 // NewStore returns an empty span store.
 func NewStore() *Store { return &Store{} }
 
+// narrow returns v as a record stores it, keeping a value that does not
+// fit in int32 in the wide map.
+func (s *Store) narrow(id SpanID, f intField, v int) int32 {
+	if v != wideInt && int(int32(v)) == v {
+		return int32(v)
+	}
+	if s.wide == nil {
+		s.wide = make(map[wideKey]int)
+	}
+	s.wide[wideKey{id, f}] = v
+	return wideInt
+}
+
+// widen is narrow's inverse.
+func (s *Store) widen(id SpanID, f intField, v int32) int {
+	if v == wideInt {
+		return s.wide[wideKey{id, f}]
+	}
+	return int(v)
+}
+
 // add appends a span, assigning the next ID.
 func (s *Store) add(sp Span) SpanID {
 	s.n++
-	sp.ID = SpanID(s.n)
+	id := SpanID(s.n)
 	last := len(s.chunks) - 1
 	if last < 0 || len(s.chunks[last]) == chunkSpans {
-		s.chunks = append(s.chunks, make([]Span, 0, chunkSpans))
+		s.chunks = append(s.chunks, make([]record, 0, chunkSpans))
 		last++
 	}
-	s.chunks[last] = append(s.chunks[last], sp)
-	return sp.ID
+	s.chunks[last] = append(s.chunks[last], record{
+		parent:   s.narrow(id, fieldParent, int(sp.Parent)),
+		task:     s.narrow(id, fieldTask, sp.Task),
+		worker:   s.narrow(id, fieldWorker, sp.Worker),
+		attempt:  s.narrow(id, fieldAttempt, sp.Attempt),
+		start:    sp.Start,
+		end:      sp.End,
+		kind:     s.strs.index(strKind, string(sp.Kind)),
+		category: s.strs.index(strCategory, sp.Category),
+		outcome:  s.strs.index(strOutcome, sp.Outcome),
+		detail:   s.strs.index(strDetail, sp.Detail),
+	})
+	return id
 }
 
-// at returns the recorded span with the given ID, or nil for NoSpan,
+// at returns the record of the span with the given ID, or nil for NoSpan,
 // unknown IDs and a nil store.
-func (s *Store) at(id SpanID) *Span {
+func (s *Store) at(id SpanID) *record {
 	if s == nil || id <= 0 || int(id) > s.n {
 		return nil
 	}
 	i := int(id) - 1
-	if i < len(s.flat) {
-		return &s.flat[i]
-	}
-	i -= len(s.flat)
 	return &s.chunks[i/chunkSpans][i%chunkSpans]
+}
+
+// span builds the Span that record r of span id stores.
+func (s *Store) span(id SpanID, r *record) Span {
+	return Span{
+		ID:       id,
+		Parent:   SpanID(s.widen(id, fieldParent, r.parent)),
+		Kind:     Kind(s.strs.str(r.kind)),
+		Task:     s.widen(id, fieldTask, r.task),
+		Category: s.strs.str(r.category),
+		Worker:   s.widen(id, fieldWorker, r.worker),
+		Attempt:  s.widen(id, fieldAttempt, r.attempt),
+		Start:    r.start,
+		End:      r.end,
+		Outcome:  s.strs.str(r.outcome),
+		Detail:   s.strs.str(r.detail),
+	}
+}
+
+// updated carries a change to record r of span id into the slice Spans
+// handed out, if that slice holds the span.
+func (s *Store) updated(id SpanID, r *record) {
+	if int(id) <= len(s.flat) {
+		s.flat[id-1] = s.span(id, r)
+	}
 }
 
 // Begin records an open span and returns its ID. The caller fills Kind,
@@ -205,15 +343,16 @@ func (s *Store) Begin(sp Span) SpanID {
 // NoSpan, an unknown ID, or an already-closed span is a no-op, as is any call
 // on a nil store.
 func (s *Store) End(id SpanID, at sim.Time, outcome, detail string) {
-	sp := s.at(id)
-	if sp == nil || sp.End >= 0 {
+	r := s.at(id)
+	if r == nil || r.end >= 0 {
 		return
 	}
-	sp.End = at
-	sp.Outcome = outcome
+	r.end = at
+	r.outcome = s.strs.index(strOutcome, outcome)
 	if detail != "" {
-		sp.Detail = detail
+		r.detail = s.strs.index(strDetail, detail)
 	}
+	s.updated(id, r)
 }
 
 // Instant records a zero-duration span at `at` and returns its ID.
@@ -229,9 +368,15 @@ func (s *Store) Instant(sp Span, at sim.Time) SpanID {
 // SetWorker stamps the executing worker on a recorded span (the worker is
 // unknown when an attempt span opens and learned at placement).
 func (s *Store) SetWorker(id SpanID, worker int) {
-	if sp := s.at(id); sp != nil {
-		sp.Worker = worker
+	r := s.at(id)
+	if r == nil {
+		return
 	}
+	if r.worker == wideInt {
+		delete(s.wide, wideKey{id, fieldWorker})
+	}
+	r.worker = s.narrow(id, fieldWorker, worker)
+	s.updated(id, r)
 }
 
 // AddLink records a causal edge between two recorded spans; edges touching
@@ -253,27 +398,28 @@ func (s *Store) Len() int {
 
 // Span returns a recorded span by ID, or a zero Span for NoSpan/unknown IDs.
 func (s *Store) Span(id SpanID) Span {
-	if sp := s.at(id); sp != nil {
-		return *sp
+	if r := s.at(id); r != nil {
+		return s.span(id, r)
 	}
 	return Span{Task: -1, Worker: -1}
 }
 
-// Spans returns the recorded spans in creation order. The first call after
-// recording compacts the chunks into one exact-length slice, which the
-// store then keeps; recording may continue, and the next call compacts
-// again. The slice is shared with the store and must not be mutated.
+// Spans returns the recorded spans in creation order, as one exact-length
+// slice that the store keeps and that later End and SetWorker calls
+// update. Recording may continue; the next call then builds a new slice
+// from the kept one and the spans recorded since. The slice is shared with
+// the store and must not be mutated.
 func (s *Store) Spans() []Span {
 	if s == nil {
 		return nil
 	}
-	if len(s.chunks) > 0 {
-		flat := make([]Span, 0, s.n)
-		flat = append(flat, s.flat...)
-		for _, c := range s.chunks {
-			flat = append(flat, c...)
+	if len(s.flat) < s.n {
+		flat := make([]Span, s.n)
+		copy(flat, s.flat)
+		for i := len(s.flat); i < s.n; i++ {
+			flat[i] = s.span(SpanID(i+1), &s.chunks[i/chunkSpans][i%chunkSpans])
 		}
-		s.flat, s.chunks = flat, nil
+		s.flat = flat
 	}
 	return s.flat
 }
@@ -352,12 +498,16 @@ func ReadJSON(r io.Reader) (*Store, error) {
 	if doc.Version != formatVersion {
 		return nil, fmt.Errorf("trace: unsupported version %d", doc.Version)
 	}
-	st := &Store{flat: doc.Spans, n: len(doc.Spans), links: doc.Links}
-	for i, sp := range st.flat {
+	st := &Store{links: doc.Links}
+	for i, sp := range doc.Spans {
 		if int(sp.ID) != i+1 {
 			return nil, fmt.Errorf("trace: span %d has ID %d, want %d", i, sp.ID, i+1)
 		}
+		st.add(sp)
 	}
+	// The decoded slice is what Spans would build from the records, so the
+	// store keeps it as its Spans prefix.
+	st.flat = doc.Spans
 	for _, l := range st.links {
 		if l.From <= 0 || int(l.From) > st.n || l.To <= 0 || int(l.To) > st.n {
 			return nil, fmt.Errorf("trace: link %d->%d references unknown spans", l.From, l.To)

@@ -2,6 +2,9 @@ package trace
 
 import (
 	"bytes"
+	"math"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -299,5 +302,75 @@ func TestJSONRoundTripAcrossChunks(t *testing.T) {
 	got.End(id, 1, OutcomeOK, "")
 	if int(id) != s.Len()+1 || got.Span(id).Outcome != OutcomeOK {
 		t.Fatalf("span after load: ID %d, %+v", id, got.Span(id))
+	}
+}
+
+// TestWideIntsReadBackExactly records integers that do not fit a record's
+// int32 fields, among them the value a record uses as its marker, and
+// checks every one reads back exactly, also after SetWorker moves a worker
+// between narrow and wide values and after a JSON round trip.
+func TestWideIntsReadBackExactly(t *testing.T) {
+	s := NewStore()
+	fillStore(s, 3)
+	want := []Span{s.Span(1), s.Span(2), s.Span(3)}
+	for _, v := range []int{math.MaxInt32 + 1, math.MinInt32, math.MinInt32 - 1, math.MaxInt64, math.MinInt64} {
+		sp := Span{Parent: SpanID(v), Kind: KindPoll, Task: v, Worker: v, Attempt: v, Start: 1}
+		sp.ID = s.Instant(sp, 1)
+		sp.End = 1
+		want = append(want, sp)
+	}
+	s.SetWorker(4, 5)
+	want[3].Worker = 5
+	s.SetWorker(1, math.MaxInt32+1)
+	want[0].Worker = math.MaxInt32 + 1
+	s.SetWorker(5, math.MinInt64)
+	want[4].Worker = math.MinInt64
+	for i, w := range want {
+		if got := s.Span(SpanID(i + 1)); got != w {
+			t.Fatalf("span %d = %+v, want %+v", i+1, got, w)
+		}
+	}
+	if !slices.Equal(s.Spans(), want) {
+		t.Fatalf("Spans() = %+v, want %+v", s.Spans(), want)
+	}
+	var buf bytes.Buffer
+	if err := s.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadJSON(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, w := range want {
+		if sp := got.Span(SpanID(i + 1)); sp != w {
+			t.Fatalf("reloaded span %d = %+v, want %+v", i+1, sp, w)
+		}
+	}
+}
+
+// TestRecordHoldsNoPointers walks the span record type: nothing in it may be
+// a pointer, string, slice, map, channel, function or interface, so the
+// collector never scans a chunk, and a record takes at most 64 bytes.
+func TestRecordHoldsNoPointers(t *testing.T) {
+	var walk func(path string, ty reflect.Type)
+	walk = func(path string, ty reflect.Type) {
+		switch ty.Kind() {
+		case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+			reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64,
+			reflect.Float32, reflect.Float64:
+		case reflect.Array:
+			walk(path+"[]", ty.Elem())
+		case reflect.Struct:
+			for i := range ty.NumField() {
+				walk(path+"."+ty.Field(i).Name, ty.Field(i).Type)
+			}
+		default:
+			t.Errorf("%s is a %s", path, ty.Kind())
+		}
+	}
+	ty := reflect.TypeFor[record]()
+	walk(ty.Name(), ty)
+	if ty.Size() > 64 {
+		t.Errorf("a record takes %d bytes, want at most 64", ty.Size())
 	}
 }

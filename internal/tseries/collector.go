@@ -47,6 +47,9 @@ type Collector struct {
 	nextSeq   int
 	attempts  []AttemptSummary
 	anomalies []Anomaly
+
+	// final is what the first Finalize returned.
+	final *RunTelemetry
 }
 
 // NewCollector returns a collector on the engine. A nil cfg uses defaults.
@@ -339,10 +342,16 @@ func (c *Collector) closeAttempt(rec *AttemptRecorder, outcome string, end sim.T
 
 // Finalize closes the books and renders the run's telemetry. Recorders still
 // open (the run ended mid-attempt) are closed with outcome "open"; connected
-// nodes accrue their integrals to now but are not marked left.
+// nodes accrue their integrals to now but are not marked left. Finalize is
+// once-only: it hands every node timeline's series buffers to the result
+// rather than copying them, so a repeat call returns the first result, meta
+// included, and its node timelines ignore later updates.
 func (c *Collector) Finalize(meta RunMeta) *RunTelemetry {
 	if c == nil {
 		return nil
+	}
+	if c.final != nil {
+		return c.final
 	}
 	now := c.eng.Now()
 	open := slices.Clone(c.open)
@@ -373,5 +382,6 @@ func (c *Collector) Finalize(meta RunMeta) *RunTelemetry {
 		rt.Nodes = append(rt.Nodes, n.summary())
 	}
 	rt.Util = summarizeUtilization(rt.Nodes)
+	c.final = rt
 	return rt
 }

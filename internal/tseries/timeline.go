@@ -136,8 +136,11 @@ type NodeSummary struct {
 	Used  []Point `json:"used"`
 }
 
+// summary renders the node's export. It hands the node's series buffers
+// over to the summary rather than copying them, and closes the timeline,
+// whose series are gone: later updates to it are ignored.
 func (n *nodeTimeline) summary() *NodeSummary {
-	return &NodeSummary{
+	ns := &NodeSummary{
 		Node:                   n.id,
 		Capacity:               n.capacity,
 		Joined:                 n.joined,
@@ -147,9 +150,11 @@ func (n *nodeTimeline) summary() *NodeSummary {
 		UsedCoreSeconds:        n.usedCS,
 		AllocatedMemMBSeconds:  n.allocMemS,
 		UsedMemMBSeconds:       n.usedMemS,
-		Alloc:                  n.allocSeries.Points(),
-		Used:                   n.usedSeries.Points(),
+		Alloc:                  n.allocSeries.take(),
+		Used:                   n.usedSeries.take(),
 	}
+	n.allocSeries, n.usedSeries, n.closed = nil, nil, true
+	return ns
 }
 
 // UtilizationSummary is the run-level waste/packing roll-up over all nodes,

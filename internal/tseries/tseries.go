@@ -194,6 +194,18 @@ func (s *Series) Points() []Point {
 	return out
 }
 
+// take returns the retained points, including any partially-filled bucket,
+// in the series' own buffer, which the caller then owns: the series must
+// not be used again.
+func (s *Series) take() []Point {
+	if s.bkt.N > 0 {
+		p := s.bkt
+		p.DT = s.bktAt - s.lastAt
+		s.pts = append(s.pts, p)
+	}
+	return s.pts
+}
+
 // Len reports the retained point count (pending bucket included).
 func (s *Series) Len() int {
 	n := len(s.pts)

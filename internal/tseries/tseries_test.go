@@ -510,6 +510,35 @@ func TestClosedRecordersReleased(t *testing.T) {
 	if c.spare != nil || len(c.open) != 0 {
 		t.Fatalf("after Finalize: %d spare series, %d open recorders", len(c.spare), len(c.open))
 	}
+	// The node's series buffers went to its summary, and the timeline
+	// keeps no series of its own. The used series took the join point,
+	// every measurement and each attempt's release; the last 6 of those
+	// 62 sit in the pending bucket, which the summary must include.
+	for _, n := range c.timelines {
+		if n.allocSeries != nil || n.usedSeries != nil {
+			t.Fatalf("node %d keeps its series after Finalize", n.id)
+		}
+	}
+	var used int
+	for _, p := range rt.Nodes[0].Used {
+		used += p.N
+	}
+	if want := 1 + 5 + 40 + 3 + 9 + len(lens); used != want {
+		t.Fatalf("node summary's used series merges %d points, want %d", used, want)
+	}
+	// Finalize is once-only: a repeat call returns the first result and
+	// exports the same bytes.
+	var first, second bytes.Buffer
+	if err := WriteJSONL(&first, []*RunTelemetry{rt}); err != nil {
+		t.Fatal(err)
+	}
+	again := c.Finalize(RunMeta{})
+	if err := WriteJSONL(&second, []*RunTelemetry{again}); err != nil {
+		t.Fatal(err)
+	}
+	if again != rt || !bytes.Equal(first.Bytes(), second.Bytes()) {
+		t.Fatal("a second Finalize returned a different export")
+	}
 	wantOrder := []int{1, 0, 2, 3}
 	if len(rt.Attempts) != len(wantOrder) {
 		t.Fatalf("attempts = %d, want %d", len(rt.Attempts), len(wantOrder))
