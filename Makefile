@@ -46,6 +46,11 @@ test-race:
 # trace.ReadJSON accepts must re-encode byte-identically and take further
 # recording; an input can hold thousands of spans, each run JSON-encoding
 # them several times, so its minimizing is capped at 50 runs too.
+# FuzzParseVersion and FuzzParseSpec: arbitrary strings go to the pypkg
+# version and requirement-spec parsers; none may panic, a rejected one
+# must fail with a pypkg: error, and an accepted one must re-parse from
+# its String to an equal value. Their seeds are the cases of the version
+# and requirements tests.
 # Seed inputs also run as plain tests under `make test`.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzAutoLabel$$' -fuzztime 10s ./internal/alloc
@@ -54,6 +59,8 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzEventQueue$$' -fuzztime 10s ./internal/sim
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s ./internal/serde
 	$(GO) test -run '^$$' -fuzz '^FuzzSpanStore$$' -fuzztime 10s -fuzzminimizetime 50x ./internal/trace
+	$(GO) test -run '^$$' -fuzz '^FuzzParseVersion$$' -fuzztime 10s ./internal/pypkg
+	$(GO) test -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime 10s ./internal/pypkg
 
 # Deterministic chaos soak: drive the fault-injection engine, the hardening
 # features, and the invariant checker under the race detector, then survive

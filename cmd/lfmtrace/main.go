@@ -16,6 +16,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"text/tabwriter"
 
@@ -45,7 +46,7 @@ func main() {
 		fatal(err)
 	}
 
-	report(st, *top)
+	report(os.Stdout, st, *top)
 
 	if *perfetto != "" {
 		out, err := os.Create(*perfetto)
@@ -68,24 +69,25 @@ func fatal(err error) {
 	os.Exit(1)
 }
 
-func report(st *lfm.TraceStore, top int) {
-	fmt.Printf("trace: %d spans, end of run at %.3fs\n", st.Len(), float64(st.EndTime()))
+// report writes the analysis of st to out.
+func report(out io.Writer, st *lfm.TraceStore, top int) {
+	fmt.Fprintf(out, "trace: %d spans, end of run at %.3fs\n", st.Len(), float64(st.EndTime()))
 
 	cp := st.CriticalPath()
 	if cp == nil {
-		fmt.Println("no task spans recorded; nothing to analyze")
+		fmt.Fprintln(out, "no task spans recorded; nothing to analyze")
 		return
 	}
-	fmt.Printf("\ncritical path: %.3fs, [%.3fs, %.3fs], %d steps across %d tasks\n",
+	fmt.Fprintf(out, "\ncritical path: %.3fs, [%.3fs, %.3fs], %d steps across %d tasks\n",
 		float64(cp.Total()), float64(cp.Start), float64(cp.End), len(cp.Steps), pathTasks(cp))
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+	w := tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "  phase\ttime\tshare")
 	for _, p := range cp.Phases {
 		fmt.Fprintf(w, "  %s\t%.3fs\t%.1f%%\n", p.Kind, float64(p.Duration), 100*p.Fraction)
 	}
 	w.Flush()
-	fmt.Println("\npath steps:")
-	w = tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+	fmt.Fprintln(out, "\npath steps:")
+	w = tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "  task\tcategory\tphase\tstart\tduration\tworker")
 	for _, sp := range cp.Steps {
 		worker := "-"
@@ -97,14 +99,14 @@ func report(st *lfm.TraceStore, top int) {
 	}
 	w.Flush()
 
-	buckets(st, false, "bottlenecks by category:")
-	buckets(st, true, "bottlenecks by worker:")
-	chaosSection(st, cp)
+	buckets(out, st, false, "bottlenecks by category:")
+	buckets(out, st, true, "bottlenecks by worker:")
+	chaosSection(out, st, cp)
 
 	slow := st.Slowest(top)
 	if len(slow) > 0 {
-		fmt.Printf("\ntop %d slowest spans:\n", len(slow))
-		w = tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+		fmt.Fprintf(out, "\ntop %d slowest spans:\n", len(slow))
+		w = tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
 		fmt.Fprintln(w, "  kind\ttask\tcategory\tstart\tduration\toutcome\tdetail")
 		end := st.EndTime()
 		for _, sp := range slow {
@@ -118,7 +120,7 @@ func report(st *lfm.TraceStore, top int) {
 // chaosSection lists injected faults and failure-detection events, flagging
 // those whose window overlaps the critical path — the faults that plausibly
 // cost makespan.
-func chaosSection(st *lfm.TraceStore, cp *lfm.TraceCriticalPath) {
+func chaosSection(out io.Writer, st *lfm.TraceStore, cp *lfm.TraceCriticalPath) {
 	var evs []lfm.TraceSpan
 	for _, sp := range st.Spans() {
 		switch sp.Kind {
@@ -131,8 +133,8 @@ func chaosSection(st *lfm.TraceStore, cp *lfm.TraceCriticalPath) {
 		return
 	}
 	end := st.EndTime()
-	fmt.Printf("\nfailure events (%d):\n", len(evs))
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+	fmt.Fprintf(out, "\nfailure events (%d):\n", len(evs))
+	w := tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "  kind\tstart\tduration\tworker\tdetail\ton critical path")
 	onPath := 0
 	for _, sp := range evs {
@@ -153,7 +155,7 @@ func chaosSection(st *lfm.TraceStore, cp *lfm.TraceCriticalPath) {
 			sp.Kind, float64(sp.Start), float64(d), worker, sp.Detail, mark)
 	}
 	w.Flush()
-	fmt.Printf("  %d of %d overlap the critical path window\n", onPath, len(evs))
+	fmt.Fprintf(out, "  %d of %d overlap the critical path window\n", onPath, len(evs))
 }
 
 // pathTasks counts distinct tasks on the critical path.
@@ -165,13 +167,13 @@ func pathTasks(cp *lfm.TraceCriticalPath) int {
 	return len(seen)
 }
 
-func buckets(st *lfm.TraceStore, byWorker bool, title string) {
+func buckets(out io.Writer, st *lfm.TraceStore, byWorker bool, title string) {
 	bs := st.Bottlenecks(byWorker)
 	if len(bs) == 0 {
 		return
 	}
-	fmt.Printf("\n%s\n", title)
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+	fmt.Fprintf(out, "\n%s\n", title)
+	w := tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "  group\ttotal\tdep-wait\tqueue\tstage\texec\toutput\twaste\tattempts\twasted")
 	for _, b := range bs {
 		fmt.Fprintf(w, "  %s\t%.1fs\t%.1fs\t%.1fs\t%.1fs\t%.1fs\t%.1fs\t%.1fs\t%d\t%d\n",

@@ -48,6 +48,7 @@ func (cp *CriticalPath) Sum() sim.Time {
 
 // index holds the lookups a path walk needs.
 type index struct {
+	spans    []Span            // every span, from one Spans call
 	children map[SpanID][]Span // parent -> children, creation order
 	depsInto map[SpanID][]Span // dependent task span -> dependency task spans
 }
@@ -60,7 +61,8 @@ func (s *Store) index() *index {
 	if s == nil {
 		return ix
 	}
-	for _, sp := range s.Spans() {
+	ix.spans = s.Spans()
+	for _, sp := range ix.spans {
 		if sp.Parent != NoSpan {
 			ix.children[sp.Parent] = append(ix.children[sp.Parent], sp)
 		}
@@ -119,7 +121,7 @@ func (s *Store) CriticalPath() *CriticalPath {
 	// keeping the walk deterministic.
 	last := NoSpan
 	lastEnd := sim.Time(-1)
-	for _, sp := range s.Spans() {
+	for _, sp := range ix.spans {
 		if sp.Kind != KindTask {
 			continue
 		}
@@ -276,7 +278,7 @@ func (s *Store) Bottlenecks(byWorker bool) []Bucket {
 		}
 		return sp.Category, true
 	}
-	for _, sp := range s.Spans() {
+	for _, sp := range ix.spans {
 		switch sp.Kind {
 		case KindDepWait:
 			if g, ok := groupOf(sp); ok {

@@ -239,10 +239,7 @@ type Store struct {
 	n      int
 	strs   strTable
 	wide   map[wideKey]int
-	// flat is the slice the last Spans call built, spans 1..len(flat);
-	// End and SetWorker keep it current.
-	flat  []Span
-	links []Link
+	links  []Link
 }
 
 // NewStore returns an empty span store.
@@ -320,14 +317,6 @@ func (s *Store) span(id SpanID, r *record) Span {
 	}
 }
 
-// updated carries a change to record r of span id into the slice Spans
-// handed out, if that slice holds the span.
-func (s *Store) updated(id SpanID, r *record) {
-	if int(id) <= len(s.flat) {
-		s.flat[id-1] = s.span(id, r)
-	}
-}
-
 // Begin records an open span and returns its ID. The caller fills Kind,
 // Parent, Task/Category/Worker, Start, and Detail; ID and End are assigned
 // here. On a nil store it returns NoSpan.
@@ -352,7 +341,6 @@ func (s *Store) End(id SpanID, at sim.Time, outcome, detail string) {
 	if detail != "" {
 		r.detail = s.strs.index(strDetail, detail)
 	}
-	s.updated(id, r)
 }
 
 // Instant records a zero-duration span at `at` and returns its ID.
@@ -376,7 +364,6 @@ func (s *Store) SetWorker(id SpanID, worker int) {
 		delete(s.wide, wideKey{id, fieldWorker})
 	}
 	r.worker = s.narrow(id, fieldWorker, worker)
-	s.updated(id, r)
 }
 
 // AddLink records a causal edge between two recorded spans; edges touching
@@ -404,24 +391,20 @@ func (s *Store) Span(id SpanID) Span {
 	return Span{Task: -1, Worker: -1}
 }
 
-// Spans returns the recorded spans in creation order, as one exact-length
-// slice that the store keeps and that later End and SetWorker calls
-// update. Recording may continue; the next call then builds a new slice
-// from the kept one and the spans recorded since. The slice is shared with
-// the store and must not be mutated.
+// Spans returns the recorded spans in creation order, as a fresh
+// exact-length slice built from the records on every call; the store keeps
+// no copy, so later recording does not show in a slice already returned.
+// A store that has recorded nothing returns nil, unless ReadJSON loaded it
+// from an empty span list.
 func (s *Store) Spans() []Span {
-	if s == nil {
+	if s == nil || s.chunks == nil {
 		return nil
 	}
-	if len(s.flat) < s.n {
-		flat := make([]Span, s.n)
-		copy(flat, s.flat)
-		for i := len(s.flat); i < s.n; i++ {
-			flat[i] = s.span(SpanID(i+1), &s.chunks[i/chunkSpans][i%chunkSpans])
-		}
-		s.flat = flat
+	spans := make([]Span, s.n)
+	for i := range spans {
+		spans[i] = s.span(SpanID(i+1), &s.chunks[i/chunkSpans][i%chunkSpans])
 	}
-	return s.flat
+	return spans
 }
 
 // Links returns the recorded causal edges. The slice is shared with the
@@ -434,15 +417,21 @@ func (s *Store) Links() []Link {
 }
 
 // EndTime reports the latest timestamp recorded in any span, the trace's
-// notion of "end of run" used to clip still-open spans.
+// notion of "end of run" used to clip still-open spans. It reads the
+// records, so it builds no []Span.
 func (s *Store) EndTime() sim.Time {
 	var end sim.Time
-	for _, sp := range s.Spans() {
-		if sp.Start > end {
-			end = sp.Start
-		}
-		if sp.End > end {
-			end = sp.End
+	if s == nil {
+		return end
+	}
+	for _, c := range s.chunks {
+		for _, r := range c {
+			if r.start > end {
+				end = r.start
+			}
+			if r.end > end {
+				end = r.end
+			}
 		}
 	}
 	return end
@@ -499,15 +488,15 @@ func ReadJSON(r io.Reader) (*Store, error) {
 		return nil, fmt.Errorf("trace: unsupported version %d", doc.Version)
 	}
 	st := &Store{links: doc.Links}
+	if doc.Spans != nil {
+		st.chunks = [][]record{} // so an empty list writes back as one
+	}
 	for i, sp := range doc.Spans {
 		if int(sp.ID) != i+1 {
 			return nil, fmt.Errorf("trace: span %d has ID %d, want %d", i, sp.ID, i+1)
 		}
 		st.add(sp)
 	}
-	// The decoded slice is what Spans would build from the records, so the
-	// store keeps it as its Spans prefix.
-	st.flat = doc.Spans
 	for _, l := range st.links {
 		if l.From <= 0 || int(l.From) > st.n || l.To <= 0 || int(l.To) > st.n {
 			return nil, fmt.Errorf("trace: link %d->%d references unknown spans", l.From, l.To)

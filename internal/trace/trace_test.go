@@ -244,11 +244,11 @@ func TestSpansMidRecording(t *testing.T) {
 	if len(first) != chunkSpans+10 {
 		t.Fatalf("first Spans() = %d spans", len(first))
 	}
-	// Updates to compacted spans show in the slice already handed out,
-	// and recording continues with the next ID.
+	// Updates after Spans() reach the store, and recording continues with
+	// the next ID.
 	s.End(5, 7, OutcomeDone, "")
-	if first[4].End != 7 {
-		t.Fatalf("End after Spans() not visible: %+v", first[4])
+	if sp := s.Span(5); sp.End != 7 {
+		t.Fatalf("End after Spans() not visible: %+v", sp)
 	}
 	id := s.Instant(Span{Kind: KindPoll, Task: 1, Worker: 2}, 3)
 	if id != chunkSpans+11 {

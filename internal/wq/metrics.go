@@ -2,18 +2,16 @@ package wq
 
 import (
 	"strconv"
-	"time"
 
 	"lfm/internal/metrics"
 	"lfm/internal/monitor"
-	"lfm/internal/sim"
 )
 
 // SetMetrics attaches a metrics registry to the master: pool and queue gauges
 // are registered immediately and the hot paths (placement, staging, transfer,
 // completion) update counters and histograms from then on. Call it before
 // submitting work; nil detaches. Runs without a registry pay only a nil check
-// per hook.
+// per transition.
 func (m *Master) SetMetrics(reg *metrics.Registry) {
 	if reg == nil {
 		m.met = nil
@@ -22,10 +20,9 @@ func (m *Master) SetMetrics(reg *metrics.Registry) {
 	m.met = newMasterMetrics(m, reg)
 }
 
-// masterMetrics holds the master's registry instruments. All on* methods are
+// masterMetrics holds the master's registry instruments. Its on method is
 // nil-safe so uninstrumented masters skip straight through.
 type masterMetrics struct {
-	m   *Master
 	reg *metrics.Registry
 
 	placements *metrics.Counter
@@ -109,7 +106,6 @@ func newMasterMetrics(m *Master, reg *metrics.Registry) *masterMetrics {
 	})
 
 	return &masterMetrics{
-		m:           m,
 		reg:         reg,
 		placements:  reg.Counter("wq_placements_total"),
 		retries:     reg.Counter("wq_retries_total"),
@@ -150,163 +146,107 @@ func workerLabel(w *Worker) metrics.Label {
 	return metrics.L("worker", strconv.Itoa(w.Node.ID))
 }
 
-func (mm *masterMetrics) onSubmit(t *Task) {
-	if mm != nil {
-		cm := mm.category(t)
-		mm.counter(&cm.submitted, "wq_tasks_submitted_total", cm.label).Inc()
-	}
-}
-
-func (mm *masterMetrics) onDone(t *Task) {
-	if mm != nil {
-		cm := mm.category(t)
-		mm.counter(&cm.completed, "wq_tasks_completed_total", cm.label).Inc()
-	}
-}
-
-func (mm *masterMetrics) onFail(t *Task) {
-	if mm != nil {
-		cm := mm.category(t)
-		mm.counter(&cm.failed, "wq_tasks_failed_total", cm.label).Inc()
-	}
-}
-
-func (mm *masterMetrics) onDepFail(t *Task) {
-	if mm != nil {
-		cm := mm.category(t)
-		mm.counter(&cm.depFailed, "wq_tasks_dep_failed_total", cm.label).Inc()
-	}
-}
-
-func (mm *masterMetrics) onPlace() {
-	if mm != nil {
-		mm.placements.Inc()
-	}
-}
-
-func (mm *masterMetrics) onStart(t *Task) {
-	if mm != nil {
-		mm.waitSeconds.Observe(float64(t.StartedAt - t.SubmittedAt))
-	}
-}
-
-func (mm *masterMetrics) onExec(wall sim.Time) {
-	if mm != nil {
-		mm.execSeconds.Observe(float64(wall))
-	}
-}
-
-func (mm *masterMetrics) onRetry() {
-	if mm != nil {
-		mm.retries.Inc()
-	}
-}
-
-func (mm *masterMetrics) onLost() {
-	if mm != nil {
-		mm.lost.Inc()
-	}
-}
-
-func (mm *masterMetrics) onCacheHit() {
-	if mm != nil {
-		mm.cacheHits.Inc()
-	}
-}
-
-func (mm *masterMetrics) onTransferIn(bytes int64) {
-	if mm != nil {
-		mm.cacheMiss.Inc()
-		mm.bytesIn.Add(float64(bytes))
-	}
-}
-
-func (mm *masterMetrics) onTransferOut(bytes int64) {
-	if mm != nil {
-		mm.bytesOut.Add(float64(bytes))
-	}
-}
-
-// Resilience instruments register lazily, on their first event: undisturbed
-// runs keep a byte-identical registry dump.
-
-func (mm *masterMetrics) onSuspect(latency sim.Time) {
-	if mm != nil {
-		mm.reg.Help("wq_detection_latency_seconds", "worker death to heartbeat-suspicion latency")
-		mm.reg.Histogram("wq_detection_latency_seconds", metrics.DefTimeBuckets()).Observe(float64(latency))
-	}
-}
-
-func (mm *masterMetrics) onSpecLaunch() {
-	if mm != nil {
-		mm.reg.Help("wq_speculative_launched_total", "backup copies launched for straggling tasks")
-		mm.reg.Counter("wq_speculative_launched_total").Inc()
-	}
-}
-
-func (mm *masterMetrics) onSpecWin() {
-	if mm != nil {
-		mm.reg.Help("wq_speculative_wins_total", "backup copies that finished before the original")
-		mm.reg.Counter("wq_speculative_wins_total").Inc()
-	}
-}
-
-func (mm *masterMetrics) onSpecCancel() {
-	if mm != nil {
-		mm.reg.Help("wq_speculative_cancelled_total", "race-losing or dead speculative attempts cancelled")
-		mm.reg.Counter("wq_speculative_cancelled_total").Inc()
-	}
-}
-
-func (mm *masterMetrics) onStagingRetry() {
-	if mm != nil {
-		mm.reg.Help("wq_staging_retries_total", "failed input transfers retried under backoff")
-		mm.reg.Counter("wq_staging_retries_total").Inc()
-	}
-}
-
-func (mm *masterMetrics) onStagingFailure() {
-	if mm != nil {
-		mm.reg.Help("wq_staging_failures_total", "attempts failed by staging-transfer faults")
-		mm.reg.Counter("wq_staging_failures_total").Inc()
-	}
-}
-
-func (mm *masterMetrics) onQuarantine(w *Worker) {
-	if mm != nil {
-		mm.reg.Help("wq_quarantines_total", "worker circuit-breaker trips, by worker")
-		mm.reg.Counter("wq_quarantines_total", workerLabel(w)).Inc()
-	}
-}
-
-func (mm *masterMetrics) onQuarantineEnd(*Worker) {}
-
-// onSchedPass records one scheduling round: its candidates-examined count
-// and wall-clock duration. Registered lazily like the resilience
-// instruments, though in practice the first round fires immediately.
-func (mm *masterMetrics) onSchedPass(candidates int64, dur time.Duration) {
+// on updates the instruments a transition moves. Resilience, scheduler and
+// per-category peak instruments register lazily, on their first event, so
+// runs without such events keep a byte-identical registry dump.
+func (mm *masterMetrics) on(e *event) {
 	if mm == nil {
 		return
 	}
-	if mm.rounds == nil {
-		mm.reg.Help("wq_sched_rounds_total", "scheduling rounds run by the matcher")
-		mm.rounds = mm.reg.Counter("wq_sched_rounds_total")
-		mm.reg.Help("wq_sched_candidates", "workers tested for fit per scheduling round")
-		mm.candidates = mm.reg.Histogram("wq_sched_candidates", metrics.ExpBuckets(1, 4, 12))
-		mm.reg.Help("wq_sched_round_seconds", "wall-clock duration of one scheduling round")
-		mm.roundSecs = mm.reg.Histogram("wq_sched_round_seconds", metrics.ExpBuckets(1e-7, 4, 14))
+	switch e.kind {
+	case evJoin:
+		w := e.w
+		mm.reg.GaugeFunc("wq_worker_cores_used", func() float64 { return w.usedCores }, workerLabel(w))
+		mm.reg.GaugeFunc("wq_worker_cores_free", func() float64 { return w.free().Cores }, workerLabel(w))
+	case evLeave:
+		mm.reg.Unregister("wq_worker_cores_used", workerLabel(e.w))
+		mm.reg.Unregister("wq_worker_cores_free", workerLabel(e.w))
+	case evSubmit:
+		cm := mm.category(e.t)
+		mm.counter(&cm.submitted, "wq_tasks_submitted_total", cm.label).Inc()
+	case evDepFail:
+		cm := mm.category(e.t)
+		mm.counter(&cm.depFailed, "wq_tasks_dep_failed_total", cm.label).Inc()
+	case evPlaced:
+		mm.placements.Inc()
+	case evExecStart:
+		if !e.a.speculative {
+			mm.waitSeconds.Observe(float64(e.a.t.StartedAt - e.a.t.SubmittedAt))
+		}
+	case evReport:
+		mm.report(e.a.t, e.rep)
+		if e.rep.Completed && e.a.speculative {
+			mm.inc("wq_speculative_wins_total", "backup copies that finished before the original")
+		}
+	case evAttemptDone:
+		if e.rep.Completed {
+			mm.execSeconds.Observe(float64(e.rep.WallTime))
+		}
+	case evLost:
+		mm.lost.Inc()
+		mm.specCancelled(e.a)
+	case evCancelled:
+		mm.specCancelled(e.a)
+	case evStagingFailed:
+		mm.inc("wq_staging_failures_total", "attempts failed by staging-transfer faults")
+		mm.specCancelled(e.a)
+	case evCacheHit:
+		mm.cacheHits.Inc()
+	case evTransferIn:
+		mm.cacheMiss.Inc()
+		mm.bytesIn.Add(float64(e.f.SizeBytes))
+	case evTransferOut:
+		mm.bytesOut.Add(float64(e.t.OutputBytes))
+	case evRetry:
+		mm.retries.Inc()
+	case evComplete:
+		cm := mm.category(e.t)
+		if e.t.State == TaskDone {
+			mm.counter(&cm.completed, "wq_tasks_completed_total", cm.label).Inc()
+		} else {
+			mm.counter(&cm.failed, "wq_tasks_failed_total", cm.label).Inc()
+		}
+	case evSuspect:
+		mm.reg.Help("wq_detection_latency_seconds", "worker death to heartbeat-suspicion latency")
+		mm.reg.Histogram("wq_detection_latency_seconds", metrics.DefTimeBuckets()).Observe(float64(e.d))
+	case evStagingRetry:
+		mm.inc("wq_staging_retries_total", "failed input transfers retried under backoff")
+	case evQuarantine:
+		mm.inc("wq_quarantines_total", "worker circuit-breaker trips, by worker", workerLabel(e.w))
+	case evSpecLaunch:
+		mm.inc("wq_speculative_launched_total", "backup copies launched for straggling tasks")
+	case evSchedPass:
+		if mm.rounds == nil {
+			mm.reg.Help("wq_sched_rounds_total", "scheduling rounds run by the matcher")
+			mm.rounds = mm.reg.Counter("wq_sched_rounds_total")
+			mm.reg.Help("wq_sched_candidates", "workers tested for fit per scheduling round")
+			mm.candidates = mm.reg.Histogram("wq_sched_candidates", metrics.ExpBuckets(1, 4, 12))
+			mm.reg.Help("wq_sched_round_seconds", "wall-clock duration of one scheduling round")
+			mm.roundSecs = mm.reg.Histogram("wq_sched_round_seconds", metrics.ExpBuckets(1e-7, 4, 14))
+		}
+		mm.rounds.Inc()
+		mm.candidates.Observe(float64(e.n))
+		mm.roundSecs.Observe(e.wall.Seconds())
 	}
-	mm.rounds.Inc()
-	mm.candidates.Observe(float64(candidates))
-	mm.roundSecs.Observe(dur.Seconds())
 }
 
-// onReport exports what the allocation strategy actually observed: the
+// inc increments a lazily registered counter.
+func (mm *masterMetrics) inc(name, help string, labels ...metrics.Label) {
+	mm.reg.Help(name, help)
+	mm.reg.Counter(name, labels...).Inc()
+}
+
+// specCancelled counts a speculative attempt that ended without winning.
+func (mm *masterMetrics) specCancelled(a *attempt) {
+	if a.speculative {
+		mm.inc("wq_speculative_cancelled_total", "race-losing or dead speculative attempts cancelled")
+	}
+}
+
+// report exports what the allocation strategy actually observed: the
 // per-category distributions of completed-attempt peaks and time-to-peak.
-// Registered lazily on a category's first completed report, so runs
-// without completions keep a byte-identical registry dump.
-func (mm *masterMetrics) onReport(t *Task, rep monitor.Report) {
-	if mm == nil || !rep.Completed {
+func (mm *masterMetrics) report(t *Task, rep *monitor.Report) {
+	if !rep.Completed {
 		return
 	}
 	cm := mm.category(t)
@@ -325,20 +265,4 @@ func (mm *masterMetrics) onReport(t *Task, rep monitor.Report) {
 	cm.peakCores.Observe(rep.Peak.Cores)
 	cm.peakDisk.Observe(rep.Peak.DiskMB)
 	cm.timeToPeak.Observe(float64(rep.TimeToPeak))
-}
-
-func (mm *masterMetrics) onWorkerJoin(w *Worker) {
-	if mm == nil {
-		return
-	}
-	mm.reg.GaugeFunc("wq_worker_cores_used", func() float64 { return w.usedCores }, workerLabel(w))
-	mm.reg.GaugeFunc("wq_worker_cores_free", func() float64 { return w.free().Cores }, workerLabel(w))
-}
-
-func (mm *masterMetrics) onWorkerLeave(w *Worker) {
-	if mm == nil {
-		return
-	}
-	mm.reg.Unregister("wq_worker_cores_used", workerLabel(w))
-	mm.reg.Unregister("wq_worker_cores_free", workerLabel(w))
 }

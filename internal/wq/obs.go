@@ -41,3 +41,21 @@ func (m *Master) SetObs(b *obs.Bus) {
 		return t
 	})
 }
+
+// obsOn pushes the latency observations: submit to first placement, and
+// submit to successful completion.
+func obsOn(b *obs.Bus, e *event) {
+	if b == nil {
+		return
+	}
+	switch e.kind {
+	case evPlaced:
+		if a := e.a; !a.speculative && a.t.Attempts == 1 {
+			b.TaskPlaced(a.t.Category, a.placedAt-a.t.SubmittedAt)
+		}
+	case evComplete:
+		if t := e.t; t.State == TaskDone {
+			b.TaskFinished(t.Category, t.FinishedAt-t.SubmittedAt)
+		}
+	}
+}

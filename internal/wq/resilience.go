@@ -1,7 +1,6 @@
 package wq
 
 import (
-	"fmt"
 	"math"
 
 	"lfm/internal/sim"
@@ -126,14 +125,7 @@ func (m *Master) suspectWorker(w *Worker) {
 	latency := m.Eng.Now() - w.diedAt
 	rs := m.stats.resilience()
 	rs.DetectionDelays.Add(float64(latency))
-	m.met.onSuspect(latency)
-	if st := m.st(); st != nil {
-		st.Instant(trace.Span{
-			Kind: trace.KindSuspect, Task: -1, Worker: w.Node.ID,
-			Outcome: trace.OutcomeOK,
-			Detail:  fmt.Sprintf("silent for %.1fs", float64(latency)),
-		}, m.Eng.Now())
-	}
+	m.emit(event{kind: evSuspect, w: w, d: latency})
 	m.RemoveWorker(w)
 }
 
@@ -164,7 +156,7 @@ func (m *Master) retryStaging(a *attempt, f *File, try int, cont func()) {
 	rs := m.stats.resilience()
 	if try < r.StagingRetries {
 		rs.StagingRetries++
-		m.met.onStagingRetry()
+		m.emit(event{kind: evStagingRetry, a: a, f: f})
 		m.Eng.After(r.StagingBackoff.Delay(try, m.resRNG), func() {
 			if a.done {
 				return
@@ -186,7 +178,8 @@ func (m *Master) retryStaging(a *attempt, f *File, try int, cont func()) {
 	delete(w.staging, f.Name)
 	m.failStaging(a, f)
 	for _, wt := range waiters {
-		wt.fail()
+		m.st().End(wt.span, m.Eng.Now(), trace.OutcomeFailed, "transfer failed")
+		m.failStaging(wt.a, f)
 	}
 	m.workerAttemptFailed(w)
 }
@@ -204,12 +197,10 @@ func (m *Master) failStaging(a *attempt, f *File) {
 	m.releaseAttempt(a)
 	rs := m.stats.resilience()
 	rs.StagingFailures++
-	m.met.onStagingFailure()
-	m.traceStagingFailed(a, f)
 	if a.speculative {
 		rs.SpecCancelled++
-		m.met.onSpecCancel()
 	}
+	m.emit(event{kind: evStagingFailed, a: a, f: f})
 	if len(t.active) > 0 || t.State != TaskRunning {
 		m.schedule()
 		return
@@ -239,14 +230,10 @@ func (m *Master) loseAttempt(a *attempt) {
 		t.Attempts--
 	}
 	m.stats.LostTasks++
-	m.met.onLost()
-	m.telem.AbortAttempt(a.rec, "lost")
-	m.traceAttemptLost(a)
 	if a.speculative {
-		rs := m.stats.resilience()
-		rs.SpecCancelled++
-		m.met.onSpecCancel()
+		m.stats.resilience().SpecCancelled++
 	}
+	m.emit(event{kind: evLost, a: a})
 	if len(t.active) == 0 && t.State == TaskRunning {
 		m.makeReady(t)
 	}
@@ -267,13 +254,11 @@ func (m *Master) cancelAttempt(a *attempt) {
 	rs := m.stats.resilience()
 	if a.speculative {
 		rs.SpecCancelled++
-		m.met.onSpecCancel()
 	}
 	if a.started {
 		rs.SpecWasteSeconds += a.req.Cores * float64(m.Eng.Now()-a.execStart)
 	}
-	m.telem.AbortAttempt(a.rec, "cancelled")
-	m.traceAttemptCancelled(a)
+	m.emit(event{kind: evCancelled, a: a})
 	m.schedule()
 }
 
@@ -314,19 +299,12 @@ func (m *Master) workerAttemptFailed(w *Worker) {
 	}
 	rs := m.stats.resilience()
 	rs.Quarantines++
-	m.met.onQuarantine(w)
 	probation := m.Cfg.Resilience.QuarantineProbation
 	for i := 0; i < w.probationRound; i++ {
 		probation *= 2
 	}
 	w.probationRound++
-	if st := m.st(); st != nil {
-		st.Instant(trace.Span{
-			Kind: trace.KindQuarantine, Task: -1, Worker: w.Node.ID,
-			Outcome: trace.OutcomeOK,
-			Detail:  fmt.Sprintf("%d consecutive failures, probation %.0fs", w.consecFails, float64(probation)),
-		}, m.Eng.Now())
-	}
+	m.emit(event{kind: evQuarantine, w: w, d: probation})
 	w.probationEv = m.Eng.After(probation, func() {
 		w.probationEv = sim.Event{}
 		if !w.alive {
@@ -338,7 +316,6 @@ func (m *Master) workerAttemptFailed(w *Worker) {
 		if m.sched != nil {
 			m.sched.admit(w)
 		}
-		m.met.onQuarantineEnd(w)
 		m.schedule()
 	})
 }
@@ -418,7 +395,7 @@ func (m *Master) speculate(a *attempt) {
 	}
 	t.specCount++
 	m.stats.resilience().SpecLaunched++
-	m.met.onSpecLaunch()
+	m.emit(event{kind: evSpecLaunch, a: a})
 	m.startAttempt(t, best, a.dec, true)
 }
 
@@ -448,7 +425,6 @@ func (m *Master) drainCheck() {
 			if m.sched != nil {
 				m.sched.admit(w)
 			}
-			m.met.onQuarantineEnd(w)
 		}
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"math/bits"
 	"slices"
 	"strings"
-	"time"
 
 	"lfm/internal/alloc"
 )
@@ -759,10 +758,7 @@ func (s *schedState) examine(t *Task) {
 // unplaceable for the rest of the round.
 func (m *Master) schedulePassIndexed() {
 	s := m.sched
-	start := time.Now()
 	st := &m.schedStats
-	st.Passes++
-	candBefore := st.CandidatesExamined
 	queued := int64(len(s.readyQ) + s.nblocked)
 	st.ScanTasksExamined += queued
 	st.ScanCandidatesExamined += queued * int64(len(m.workers))
@@ -800,9 +796,6 @@ func (m *Master) schedulePassIndexed() {
 	s.dirtyIx = treap{}
 	clear(s.spare)
 	s.spare = s.spare[:0]
-	elapsed := time.Since(start)
-	st.ElapsedNanos += elapsed.Nanoseconds()
-	m.met.onSchedPass(st.CandidatesExamined-candBefore, elapsed)
 }
 
 // queueLen counts ready-but-unplaced tasks (queued plus blocked).

@@ -1,6 +1,7 @@
 package wq
 
 import (
+	"lfm/internal/monitor"
 	"lfm/internal/tseries"
 )
 
@@ -11,7 +12,7 @@ import (
 // flatline detector also becomes a data-grounded speculation trigger (the
 // one behavioural effect of telemetry, active only when resilience
 // speculation is itself enabled). Call before submitting work; nil detaches.
-// Runs without a collector pay only a nil check per hook.
+// Runs without a collector pay only a nil check per transition.
 func (m *Master) SetTelemetry(c *tseries.Collector) {
 	m.telem = c
 	c.SetCategoryMeans(func(category string) (float64, int) {
@@ -21,4 +22,31 @@ func (m *Master) SetTelemetry(c *tseries.Collector) {
 		}
 		return cs.WallTimes.Mean(), cs.WallTimes.N()
 	})
+}
+
+// telemetryOn moves node timelines on joins, leaves and allocation changes,
+// and closes attempt series when an attempt reports or ends without a
+// report.
+func telemetryOn(c *tseries.Collector, e *event) {
+	if c == nil {
+		return
+	}
+	switch e.kind {
+	case evJoin:
+		n := e.w.Node
+		c.NodeJoin(n.ID, monitor.Resources{Cores: n.Cores, MemoryMB: n.MemoryMB, DiskMB: n.DiskMB})
+	case evLeave:
+		c.NodeLeave(e.w.Node.ID)
+	case evPlaced:
+		c.NodeAlloc(e.a.w.Node.ID, e.a.req)
+	case evReport:
+		c.FinishAttempt(e.a.rec, *e.rep)
+	case evAttemptDone, evStagingFailed:
+		c.NodeAlloc(e.a.w.Node.ID, e.a.req.Scale(-1))
+	case evLost:
+		c.AbortAttempt(e.a.rec, "lost")
+	case evCancelled:
+		c.NodeAlloc(e.a.w.Node.ID, e.a.req.Scale(-1))
+		c.AbortAttempt(e.a.rec, "cancelled")
+	}
 }

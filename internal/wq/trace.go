@@ -87,210 +87,153 @@ type taskSpans struct {
 	failDetail string
 }
 
-func (m *Master) traceSubmit(t *Task) {
-	st := m.st()
+// on records the spans a transition opens and closes. Closing NoSpan is a
+// no-op, so only the cases that open spans check whether the task or
+// attempt is traced.
+func (tr *Trace) on(e *event, now sim.Time) {
+	st := tr.store()
 	if st == nil {
 		return
 	}
-	now := m.Eng.Now()
-	t.spans.task = st.Begin(trace.Span{
-		Kind: trace.KindTask, Task: t.ID, Category: t.Category, Worker: -1, Start: now,
-	})
-	t.spans.depWait = st.Begin(trace.Span{
-		Kind: trace.KindDepWait, Parent: t.spans.task,
-		Task: t.ID, Category: t.Category, Worker: -1, Start: now,
-	})
-	for _, dep := range t.DependsOn {
-		st.AddLink(dep.spans.task, t.spans.task, "dep")
+	t, a := e.t, e.a
+	if a != nil {
+		t = a.t
 	}
-}
-
-// traceDepFailed closes the dependency wait of a task that will never run
-// because a dependency failed.
-func (m *Master) traceDepFailed(t *Task) {
-	if t.spans.task == trace.NoSpan {
-		return
-	}
-	m.st().End(t.spans.depWait, m.Eng.Now(), trace.OutcomeFailed, "dependency failed")
-	t.spans.failDetail = "dependency failed"
-}
-
-// traceReady closes the dependency wait (first time only) and opens a new
-// attempt with its ready-queue phase.
-func (m *Master) traceReady(t *Task) {
-	st := m.st()
-	if st == nil || t.spans.task == trace.NoSpan {
-		return
-	}
-	now := m.Eng.Now()
-	st.End(t.spans.depWait, now, trace.OutcomeOK, "")
-	t.spans.seq++
-	t.spans.attempt = st.Begin(trace.Span{
-		Kind: trace.KindAttempt, Parent: t.spans.task,
-		Task: t.ID, Category: t.Category, Worker: -1, Attempt: t.spans.seq, Start: now,
-	})
-	t.spans.phase = st.Begin(trace.Span{
-		Kind: trace.KindReadyQueue, Parent: t.spans.attempt,
-		Task: t.ID, Category: t.Category, Worker: -1, Start: now,
-	})
-}
-
-// tracePlaced moves the task's pending attempt span onto the placement (or,
-// for a speculative copy, opens a fresh attempt span), closes the
-// ready-queue phase, stamps the chosen worker, and opens the staging phase.
-func (m *Master) tracePlaced(a *attempt) {
-	st := m.st()
-	if st == nil {
-		return
-	}
-	t, w := a.t, a.w
-	now := m.Eng.Now()
-	if a.speculative {
+	switch e.kind {
+	case evJoin:
+		e.w.span = st.Begin(trace.Span{Kind: trace.KindWorker, Task: -1, Worker: e.w.Node.ID, Start: now})
+	case evLeave:
+		st.End(e.w.span, now, trace.OutcomeOK, "")
+	case evSubmit:
+		t.spans.task = st.Begin(trace.Span{
+			Kind: trace.KindTask, Task: t.ID, Category: t.Category, Worker: -1, Start: now,
+		})
+		t.spans.depWait = st.Begin(trace.Span{
+			Kind: trace.KindDepWait, Parent: t.spans.task,
+			Task: t.ID, Category: t.Category, Worker: -1, Start: now,
+		})
+		for _, dep := range t.DependsOn {
+			st.AddLink(dep.spans.task, t.spans.task, "dep")
+		}
+	case evDepFail:
+		st.End(t.spans.depWait, now, trace.OutcomeFailed, "dependency failed")
+		t.spans.failDetail = "dependency failed"
+	case evReady:
+		// Close the dependency wait (first time only) and open a new
+		// attempt with its ready-queue phase.
 		if t.spans.task == trace.NoSpan {
 			return
 		}
+		st.End(t.spans.depWait, now, trace.OutcomeOK, "")
 		t.spans.seq++
-		a.span = st.Begin(trace.Span{
+		t.spans.attempt = st.Begin(trace.Span{
 			Kind: trace.KindAttempt, Parent: t.spans.task,
-			Task: t.ID, Category: t.Category, Worker: w.Node.ID,
-			Attempt: t.spans.seq, Detail: "speculative", Start: now,
+			Task: t.ID, Category: t.Category, Worker: -1, Attempt: t.spans.seq, Start: now,
 		})
-	} else {
-		if t.spans.attempt == trace.NoSpan {
-			return
+		t.spans.phase = st.Begin(trace.Span{
+			Kind: trace.KindReadyQueue, Parent: t.spans.attempt,
+			Task: t.ID, Category: t.Category, Worker: -1, Start: now,
+		})
+	case evPlaced:
+		// The pending attempt span moves onto the placement, or a
+		// speculative copy opens a fresh one; then staging starts.
+		if a.speculative {
+			if t.spans.task == trace.NoSpan {
+				return
+			}
+			t.spans.seq++
+			a.span = st.Begin(trace.Span{
+				Kind: trace.KindAttempt, Parent: t.spans.task,
+				Task: t.ID, Category: t.Category, Worker: a.w.Node.ID,
+				Attempt: t.spans.seq, Detail: "speculative", Start: now,
+			})
+		} else {
+			if t.spans.attempt == trace.NoSpan {
+				return
+			}
+			a.span, a.phase = t.spans.attempt, t.spans.phase
+			t.spans.attempt, t.spans.phase = trace.NoSpan, trace.NoSpan
+			st.SetWorker(a.span, a.w.Node.ID)
 		}
-		a.span = t.spans.attempt
-		t.spans.attempt = trace.NoSpan
-		st.End(t.spans.phase, now, trace.OutcomeOK, "") // ready-queue phase
-		t.spans.phase = trace.NoSpan
-		st.SetWorker(a.span, w.Node.ID)
-	}
-	a.phase = st.Begin(trace.Span{
-		Kind: trace.KindStage, Parent: a.span,
-		Task: t.ID, Category: t.Category, Worker: w.Node.ID, Start: now,
-	})
-}
-
-// traceAttemptLost closes an attempt whose worker vanished, either while
-// inputs were in flight (detail "staging") or mid-execution.
-func (m *Master) traceAttemptLost(a *attempt) {
-	st := m.st()
-	if st == nil || a.span == trace.NoSpan {
-		return
-	}
-	now := m.Eng.Now()
-	detail := ""
-	if !a.started {
-		detail = "staging"
-	}
-	st.End(a.phase, now, trace.OutcomeLost, detail)
-	st.End(a.span, now, trace.OutcomeLost, detail)
-}
-
-// traceAttemptCancelled closes an attempt that lost the speculation race.
-func (m *Master) traceAttemptCancelled(a *attempt) {
-	st := m.st()
-	if st == nil || a.span == trace.NoSpan {
-		return
-	}
-	now := m.Eng.Now()
-	st.End(a.phase, now, trace.OutcomeCancelled, "")
-	st.End(a.span, now, trace.OutcomeCancelled, "lost speculation race")
-}
-
-// traceStagingFailed closes an attempt whose input transfer failed for good.
-func (m *Master) traceStagingFailed(a *attempt, f *File) {
-	st := m.st()
-	if st == nil || a.span == trace.NoSpan {
-		return
-	}
-	now := m.Eng.Now()
-	st.End(a.phase, now, trace.OutcomeFailed, f.Name)
-	st.End(a.span, now, trace.OutcomeFailed, "staging "+f.Name)
-}
-
-// traceExecStart closes the staging phase and opens the execute phase. It
-// returns the recording handle for the LFM (nil/NoSpan when untraced).
-func (m *Master) traceExecStart(a *attempt) (*trace.Store, trace.SpanID) {
-	st := m.st()
-	if st == nil || a.span == trace.NoSpan {
-		return nil, trace.NoSpan
-	}
-	now := m.Eng.Now()
-	st.End(a.phase, now, trace.OutcomeOK, "")
-	a.phase = st.Begin(trace.Span{
-		Kind: trace.KindExecute, Parent: a.span,
-		Task: a.t.ID, Category: a.t.Category, Worker: a.w.Node.ID, Start: now,
-	})
-	return st, a.phase
-}
-
-// traceExecEnd closes the execute phase with the monitor's verdict and opens
-// the output-retrieval phase.
-func (m *Master) traceExecEnd(a *attempt, rep monitor.Report) {
-	st := m.st()
-	if st == nil || a.span == trace.NoSpan {
-		return
-	}
-	now := m.Eng.Now()
-	if rep.Completed {
+		nextPhase(st, a, now, trace.OutcomeOK, "", trace.KindStage)
+	case evExecStart:
+		if a.span != trace.NoSpan {
+			nextPhase(st, a, now, trace.OutcomeOK, "", trace.KindExecute)
+		}
+	case evReport:
+		if a.span != trace.NoSpan {
+			outcome, detail := verdict(e.rep)
+			nextPhase(st, a, now, outcome, detail, trace.KindOutput)
+		}
+	case evAttemptDone:
 		st.End(a.phase, now, trace.OutcomeOK, "")
-	} else {
-		st.End(a.phase, now, trace.OutcomeExhausted, string(rep.Exhausted))
+		outcome, detail := verdict(e.rep)
+		st.End(a.span, now, outcome, detail)
+	case evLost:
+		// The worker vanished while inputs were in flight or mid-execution.
+		detail := ""
+		if !a.started {
+			detail = "staging"
+		}
+		st.End(a.phase, now, trace.OutcomeLost, detail)
+		st.End(a.span, now, trace.OutcomeLost, detail)
+	case evCancelled:
+		st.End(a.phase, now, trace.OutcomeCancelled, "")
+		st.End(a.span, now, trace.OutcomeCancelled, "lost speculation race")
+	case evStagingFailed:
+		st.End(a.phase, now, trace.OutcomeFailed, e.f.Name)
+		st.End(a.span, now, trace.OutcomeFailed, "staging "+e.f.Name)
+	case evComplete:
+		if t.State == TaskDone {
+			st.End(t.spans.task, now, trace.OutcomeDone, "")
+		} else {
+			st.End(t.spans.task, now, trace.OutcomeFailed, t.spans.failDetail)
+		}
+	case evSuspect:
+		st.Instant(trace.Span{
+			Kind: trace.KindSuspect, Task: -1, Worker: e.w.Node.ID, Outcome: trace.OutcomeOK,
+			Detail: fmt.Sprintf("silent for %.1fs", float64(e.d)),
+		}, now)
+	case evQuarantine:
+		st.Instant(trace.Span{
+			Kind: trace.KindQuarantine, Task: -1, Worker: e.w.Node.ID, Outcome: trace.OutcomeOK,
+			Detail: fmt.Sprintf("%d consecutive failures, probation %.0fs", e.w.consecFails, float64(e.d)),
+		}, now)
 	}
+}
+
+// nextPhase closes a's open phase and opens the next one under the attempt.
+func nextPhase(st *trace.Store, a *attempt, now sim.Time, outcome, detail string, kind trace.Kind) {
+	st.End(a.phase, now, outcome, detail)
 	a.phase = st.Begin(trace.Span{
-		Kind: trace.KindOutput, Parent: a.span,
+		Kind: kind, Parent: a.span,
 		Task: a.t.ID, Category: a.t.Category, Worker: a.w.Node.ID, Start: now,
 	})
 }
 
-// traceAttemptDone closes the output phase and the attempt itself once
-// outputs have been retrieved.
-func (m *Master) traceAttemptDone(a *attempt, rep monitor.Report) {
-	st := m.st()
-	if st == nil || a.span == trace.NoSpan {
-		return
-	}
-	now := m.Eng.Now()
-	st.End(a.phase, now, trace.OutcomeOK, "")
+// verdict is the outcome and detail a monitor report closes a span with.
+func verdict(rep *monitor.Report) (outcome, detail string) {
 	if rep.Completed {
-		st.End(a.span, now, trace.OutcomeOK, "")
-	} else {
-		st.End(a.span, now, trace.OutcomeExhausted, string(rep.Exhausted))
+		return trace.OutcomeOK, ""
 	}
+	return trace.OutcomeExhausted, string(rep.Exhausted)
 }
 
-// traceComplete closes the task's root span.
-func (m *Master) traceComplete(t *Task, state TaskState) {
-	st := m.st()
-	if st == nil || t.spans.task == trace.NoSpan {
-		return
-	}
-	now := m.Eng.Now()
-	if state == TaskDone {
-		st.End(t.spans.task, now, trace.OutcomeDone, "")
-	} else {
-		st.End(t.spans.task, now, trace.OutcomeFailed, t.spans.failDetail)
-	}
-}
-
-func (m *Master) traceWorkerJoin(w *Worker) {
-	w.span = m.st().Begin(trace.Span{
-		Kind: trace.KindWorker, Task: -1, Worker: w.Node.ID, Start: m.Eng.Now(),
-	})
-}
-
-func (m *Master) traceWorkerLeave(w *Worker) {
-	m.st().End(w.span, m.Eng.Now(), trace.OutcomeOK, "")
-}
-
-// stageKind classifies a file transfer: packed environments (anything with an
+// stageSpan opens the span of a's staging of f under its stage phase, or
+// returns NoSpan when a is untraced. Packed environments (anything with an
 // unpack step) stage as env-stage, plain data as input-stage.
-func stageKind(f *File) trace.Kind {
-	if f.UnpackTime > 0 {
-		return trace.KindStageEnv
+func (m *Master) stageSpan(a *attempt, f *File) trace.SpanID {
+	if a.phase == trace.NoSpan {
+		return trace.NoSpan
 	}
-	return trace.KindStageInput
+	kind := trace.KindStageInput
+	if f.UnpackTime > 0 {
+		kind = trace.KindStageEnv
+	}
+	return m.st().Begin(trace.Span{
+		Kind: kind, Parent: a.phase, Task: a.t.ID, Category: a.t.Category,
+		Worker: a.w.Node.ID, Detail: f.Name, Start: m.Eng.Now(),
+	})
 }
 
 // Events derives the flat, time-ordered scheduler event stream of earlier

@@ -235,11 +235,12 @@ func (s *Stats) resilience() *ResilienceStats {
 }
 
 // stagingWaiter is one attempt piggybacking on another attempt's in-flight
-// transfer of a cacheable file: ok resumes it when the transfer lands, fail
-// propagates a terminal transfer failure.
+// transfer of a cacheable file: cont resumes it when the transfer lands,
+// and span is its shared-transfer trace span.
 type stagingWaiter struct {
-	ok   func()
-	fail func()
+	a    *attempt
+	cont func()
+	span trace.SpanID
 }
 
 // Worker is one pilot job on a node executing tasks under LFMs.
@@ -474,11 +475,7 @@ func (m *Master) AddWorker(node *cluster.Node) *Worker {
 	if m.sched != nil {
 		m.sched.workerJoined(w)
 	}
-	m.met.onWorkerJoin(w)
-	m.telem.NodeJoin(node.ID, monitor.Resources{
-		Cores: node.Cores, MemoryMB: node.MemoryMB, DiskMB: node.DiskMB,
-	})
-	m.traceWorkerJoin(w)
+	m.emit(event{kind: evJoin, w: w})
 	m.schedule()
 	return w
 }
@@ -502,9 +499,7 @@ func (m *Master) RemoveWorker(w *Worker) {
 	if m.sched != nil {
 		m.sched.workerLeft(w)
 	}
-	m.met.onWorkerLeave(w)
-	m.telem.NodeLeave(w.Node.ID)
-	m.traceWorkerLeave(w)
+	m.emit(event{kind: evLeave, w: w})
 	for i, other := range m.workers {
 		if other == w {
 			m.workers = slices.Delete(m.workers, i, i+1)
@@ -534,8 +529,7 @@ func (m *Master) Submit(t *Task) {
 	t.SubmittedAt = m.Eng.Now()
 	t.State = TaskWaiting
 	m.stats.Submitted++
-	m.met.onSubmit(t)
-	m.traceSubmit(t)
+	m.emit(event{kind: evSubmit, t: t})
 	m.armSpeculation()
 	depFailed := false
 	for _, dep := range t.DependsOn {
@@ -565,14 +559,13 @@ func (m *Master) Submit(t *Task) {
 // propagates the failure transitively to the task's own dependents.
 func (m *Master) failDependent(t *Task) {
 	m.stats.DepFailed++
-	m.met.onDepFail(t)
-	m.traceDepFailed(t)
+	m.emit(event{kind: evDepFail, t: t})
 	m.complete(t, TaskFailed)
 }
 
 func (m *Master) makeReady(t *Task) {
 	t.State = TaskReady
-	m.traceReady(t)
+	m.emit(event{kind: evReady, t: t})
 	if m.sched != nil {
 		m.sched.taskReady(t)
 	} else {
@@ -604,27 +597,28 @@ func (m *Master) schedule() {
 
 // schedulePass runs one scheduling round under the configured matcher.
 func (m *Master) schedulePass() {
-	if m.sched != nil {
-		m.schedulePassIndexed()
-		return
-	}
 	start := time.Now()
 	st := &m.schedStats
 	st.Passes++
 	candBefore := st.CandidatesExamined
-	// Examine in the indexed matcher's (-Priority, readySeq) order: m.ready
-	// is already in ready order, so a stable sort on priority suffices.
-	sort.SliceStable(m.ready, func(i, j int) bool { return m.ready[i].Priority > m.ready[j].Priority })
-	var remaining []*Task
-	for _, t := range m.ready {
-		if !m.place(t) {
-			remaining = append(remaining, t)
+	if m.sched != nil {
+		m.schedulePassIndexed()
+	} else {
+		// Examine in the indexed matcher's (-Priority, readySeq) order:
+		// m.ready is already in ready order, so a stable sort on priority
+		// suffices.
+		sort.SliceStable(m.ready, func(i, j int) bool { return m.ready[i].Priority > m.ready[j].Priority })
+		var remaining []*Task
+		for _, t := range m.ready {
+			if !m.place(t) {
+				remaining = append(remaining, t)
+			}
 		}
+		m.ready = remaining
 	}
-	m.ready = remaining
 	elapsed := time.Since(start)
 	st.ElapsedNanos += elapsed.Nanoseconds()
-	m.met.onSchedPass(st.CandidatesExamined-candBefore, elapsed)
+	m.emit(event{kind: evSchedPass, n: st.CandidatesExamined - candBefore, wall: elapsed})
 }
 
 // place finds a worker for one task, preferring cached inputs, and starts
@@ -685,7 +679,6 @@ func (m *Master) allocCapacity(w *Worker, req monitor.Resources) {
 	w.usedMemMB += req.MemoryMB
 	w.usedDiskMB += req.DiskMB
 	w.running++
-	m.telem.NodeAlloc(w.Node.ID, req)
 	if m.sched != nil {
 		m.sched.capacityChanged(w, false)
 	}
@@ -705,9 +698,6 @@ func (m *Master) releaseCapacity(w *Worker, req monitor.Resources) {
 	w.usedMemMB -= req.MemoryMB
 	w.usedDiskMB -= req.DiskMB
 	w.running--
-	m.telem.NodeAlloc(w.Node.ID, monitor.Resources{
-		Cores: -req.Cores, MemoryMB: -req.MemoryMB, DiskMB: -req.DiskMB,
-	})
 	if m.sched != nil {
 		m.sched.capacityChanged(w, true)
 	}
@@ -766,11 +756,7 @@ func (m *Master) startAttempt(t *Task, w *Worker, dec alloc.Decision, speculativ
 		m.running++
 		t.State = TaskRunning
 		t.Attempts++
-		if t.Attempts == 1 {
-			m.obs.TaskPlaced(t.Category, a.placedAt-t.SubmittedAt)
-		}
 	}
-	m.met.onPlace()
 	req := effectiveRequest(w, dec)
 	a.req = req
 	m.allocCapacity(w, req)
@@ -780,7 +766,7 @@ func (m *Master) startAttempt(t *Task, w *Worker, dec alloc.Decision, speculativ
 		m.stats.PeakCoresUsed = w.usedCores
 	}
 
-	m.tracePlaced(a)
+	m.emit(event{kind: evPlaced, a: a})
 	m.stageInputs(a, 0, func() {
 		if a.done {
 			return // cancelled or failed while inputs were in flight
@@ -801,7 +787,6 @@ func (m *Master) startAttempt(t *Task, w *Worker, dec alloc.Decision, speculativ
 		if !speculative {
 			t.StartedAt = a.execStart
 			m.stats.WaitTimes.Add(float64(t.StartedAt - t.SubmittedAt))
-			m.met.onStart(t)
 		}
 		limits := monitor.Resources{}
 		if !dec.Monitorless {
@@ -811,13 +796,18 @@ func (m *Master) startAttempt(t *Task, w *Worker, dec alloc.Decision, speculativ
 		if w.slow > 1 {
 			spec = t.Spec.ScaleTime(w.slow)
 		}
-		tst, execSpan := m.traceExecStart(a)
+		m.emit(event{kind: evExecStart, a: a})
+		// The monitor records its polls under the execute phase.
+		var tst *trace.Store
+		if a.span != trace.NoSpan {
+			tst = m.st()
+		}
 		var obs monitor.Observer
 		if m.telem != nil {
 			a.rec = m.telem.StartAttempt(t.ID, t.Attempts, speculative, t.Category, w.Node.ID, req)
 			obs = a.rec.Observe
 		}
-		a.exec = m.lfm.RunObserved(spec, limits, tst, execSpan, obs, func(rep monitor.Report) {
+		a.exec = m.lfm.RunObserved(spec, limits, tst, a.phase, obs, func(rep monitor.Report) {
 			m.endAttempt(a)
 			t.Report = rep
 			m.Cfg.Strategy.Observe(t.Category, rep)
@@ -825,16 +815,13 @@ func (m *Master) startAttempt(t *Task, w *Worker, dec alloc.Decision, speculativ
 				m.sched.strategyObserved(t.Category)
 			}
 			m.categories.observe(t.Category, rep)
-			m.telem.FinishAttempt(a.rec, rep)
-			m.met.onReport(t, rep)
-			m.traceExecEnd(a, rep)
+			m.emit(event{kind: evReport, a: a, rep: &rep})
 			if rep.Completed {
 				// First result wins: cancel the losing copies.
 				t.StartedAt = a.execStart
 				w.consecFails, w.probationRound = 0, 0
 				if a.speculative {
 					m.stats.resilience().SpecWins++
-					m.met.onSpecWin()
 				}
 				for _, o := range append([]*attempt(nil), t.active...) {
 					m.cancelAttempt(o)
@@ -845,7 +832,7 @@ func (m *Master) startAttempt(t *Task, w *Worker, dec alloc.Decision, speculativ
 					m.stats.UsedCoreSeconds.Add(rep.Peak.Cores * float64(rep.WallTime))
 				}
 				m.releaseCapacity(w, req)
-				m.traceAttemptDone(a, rep)
+				m.emit(event{kind: evAttemptDone, a: a, rep: &rep})
 				if rep.Completed || len(t.active) == 0 {
 					m.finishAttempt(t, rep)
 				}
@@ -865,18 +852,11 @@ func (m *Master) stageInputs(a *attempt, i int, done func()) {
 		return
 	}
 	f := t.Inputs[i]
-	st := m.st()
 	cont := func() { m.stageInputs(a, i+1, done) }
 	if w.cache[f.Name] {
 		m.stats.CacheHits++
-		m.met.onCacheHit()
-		if a.phase != trace.NoSpan {
-			st.Instant(trace.Span{
-				Kind: stageKind(f), Parent: a.phase,
-				Task: t.ID, Category: t.Category, Worker: w.Node.ID,
-				Outcome: trace.OutcomeCacheHit, Detail: f.Name,
-			}, m.Eng.Now())
-		}
+		m.emit(event{kind: evCacheHit, a: a, f: f})
+		m.st().End(m.stageSpan(a, f), m.Eng.Now(), trace.OutcomeCacheHit, "")
 		cont()
 		return
 	}
@@ -885,25 +865,8 @@ func (m *Master) stageInputs(a *attempt, i int, done func()) {
 			// Another task is already pulling this file to the worker;
 			// piggyback on its transfer.
 			m.stats.CacheHits++
-			m.met.onCacheHit()
-			wake := cont
-			fail := func() { m.failStaging(a, f) }
-			if a.phase != trace.NoSpan {
-				shared := st.Begin(trace.Span{
-					Kind: stageKind(f), Parent: a.phase,
-					Task: t.ID, Category: t.Category, Worker: w.Node.ID,
-					Detail: f.Name, Start: m.Eng.Now(),
-				})
-				wake = func() {
-					st.End(shared, m.Eng.Now(), trace.OutcomeShared, "")
-					cont()
-				}
-				fail = func() {
-					st.End(shared, m.Eng.Now(), trace.OutcomeFailed, "transfer failed")
-					m.failStaging(a, f)
-				}
-			}
-			w.staging[f.Name] = append(waiters, stagingWaiter{ok: wake, fail: fail})
+			m.emit(event{kind: evCacheHit, a: a, f: f})
+			w.staging[f.Name] = append(waiters, stagingWaiter{a: a, cont: cont, span: m.stageSpan(a, f)})
 			return
 		}
 		w.staging[f.Name] = nil
@@ -915,19 +878,12 @@ func (m *Master) stageInputs(a *attempt, i int, done func()) {
 // retrying injected transfer failures under exponential backoff and failing
 // the attempt (plus any piggybacked waiters) once retries are exhausted.
 func (m *Master) transferFile(a *attempt, f *File, try int, cont func()) {
-	t, w := a.t, a.w
+	w := a.w
 	st := m.st()
 	m.stats.CacheMisses++
 	m.stats.BytesIn += f.SizeBytes
-	m.met.onTransferIn(f.SizeBytes)
-	fsp := trace.NoSpan
-	if a.phase != trace.NoSpan {
-		fsp = st.Begin(trace.Span{
-			Kind: stageKind(f), Parent: a.phase,
-			Task: t.ID, Category: t.Category, Worker: w.Node.ID,
-			Detail: f.Name, Start: m.Eng.Now(),
-		})
-	}
+	m.emit(event{kind: evTransferIn, a: a, f: f})
+	fsp := m.stageSpan(a, f)
 	m.link.Transfer(float64(f.SizeBytes), func() {
 		w.Node.Disk.Write(f.SizeBytes, func() {
 			if m.stageFault != nil && w.alive && !w.dead && m.stageFault(w, f) {
@@ -945,8 +901,9 @@ func (m *Master) transferFile(a *attempt, f *File, try int, cont func()) {
 					}
 					waiters := w.staging[f.Name]
 					delete(w.staging, f.Name)
-					for _, wake := range waiters {
-						wake.ok()
+					for _, wt := range waiters {
+						st.End(wt.span, m.Eng.Now(), trace.OutcomeShared, "")
+						wt.cont()
 					}
 				}
 				cont()
@@ -966,7 +923,7 @@ func (m *Master) sendOutputs(t *Task, completed bool, done func()) {
 		return
 	}
 	m.stats.BytesOut += t.OutputBytes
-	m.met.onTransferOut(t.OutputBytes)
+	m.emit(event{kind: evTransferOut, t: t})
 	m.link.Transfer(float64(t.OutputBytes), done)
 }
 
@@ -974,7 +931,6 @@ func (m *Master) sendOutputs(t *Task, completed bool, done func()) {
 func (m *Master) finishAttempt(t *Task, rep monitor.Report) {
 	if rep.Completed {
 		m.stats.ExecTimes.Add(float64(rep.WallTime))
-		m.met.onExec(rep.WallTime)
 		m.complete(t, TaskDone)
 		return
 	}
@@ -985,7 +941,7 @@ func (m *Master) finishAttempt(t *Task, rep monitor.Report) {
 		return
 	}
 	m.stats.Retries++
-	m.met.onRetry()
+	m.emit(event{kind: evRetry, t: t})
 	dec := m.Cfg.Strategy.Retry(t.Category, t.Attempts)
 	if m.sched != nil {
 		m.sched.strategyObserved(t.Category)
@@ -997,15 +953,12 @@ func (m *Master) finishAttempt(t *Task, rep monitor.Report) {
 func (m *Master) complete(t *Task, state TaskState) {
 	t.State = state
 	t.FinishedAt = m.Eng.Now()
-	m.traceComplete(t, state)
 	if state == TaskDone {
-		m.obs.TaskFinished(t.Category, t.FinishedAt-t.SubmittedAt)
 		m.stats.Completed++
-		m.met.onDone(t)
 	} else {
 		m.stats.Failed++
-		m.met.onFail(t)
 	}
+	m.emit(event{kind: evComplete, t: t})
 	// Release dependents — or, if this task failed, fail them without
 	// executing (cascading through complete() for their own dependents).
 	waiters := t.waiters
