@@ -30,8 +30,7 @@ test-race:
 # (archive, trace, obs stream, telemetry export); none may panic, every
 # failure must be the shared typed error, and accepted input must
 # re-encode to a fixed point. Its seeds are whole artifacts of tens to
-# hundreds of KB, so minimizing each new input is capped at 50 runs to
-# leave the 10 s for fuzzing. FuzzLazyPolls: random process trees, poll
+# hundreds of KB. FuzzLazyPolls: random process trees, poll
 # intervals, limits, kill delays and aborts run under the monitor's grid
 # walker and under the eager one-event-per-poll reference; the reports
 # (series on), observed streams and final engine times must be equal.
@@ -45,29 +44,35 @@ test-race:
 # out and export exactly what a plain []Span reference holds, and any input
 # trace.ReadJSON accepts must re-encode byte-identically and take further
 # recording; an input can hold thousands of spans, each run JSON-encoding
-# them several times, so its minimizing is capped at 50 runs too.
+# them several times.
 # FuzzParseVersion and FuzzParseSpec: arbitrary strings go to the pypkg
 # version and requirement-spec parsers; none may panic, a rejected one
 # must fail with a pypkg: error, and an accepted one must re-parse from
 # its String to an equal value. Their seeds are the cases of the version
 # and requirements tests.
+# Minimizing each new input is capped at 50 runs on every target but
+# FuzzLazyPolls and FuzzDecode: uncapped, minimizing stalled FuzzAutoLabel,
+# FuzzEventQueue and FuzzParseSpec at 0 execs/s for most of their 10 s,
+# and the large inputs of FuzzReaders and FuzzSpanStore minimize slowly.
 # Seed inputs also run as plain tests under `make test`.
 fuzz:
-	$(GO) test -run '^$$' -fuzz '^FuzzAutoLabel$$' -fuzztime 10s ./internal/alloc
+	$(GO) test -run '^$$' -fuzz '^FuzzAutoLabel$$' -fuzztime 10s -fuzzminimizetime 50x ./internal/alloc
 	$(GO) test -run '^$$' -fuzz '^FuzzReaders$$' -fuzztime 10s -fuzzminimizetime 50x ./internal/artifact
 	$(GO) test -run '^$$' -fuzz '^FuzzLazyPolls$$' -fuzztime 10s ./internal/monitor
-	$(GO) test -run '^$$' -fuzz '^FuzzEventQueue$$' -fuzztime 10s ./internal/sim
+	$(GO) test -run '^$$' -fuzz '^FuzzEventQueue$$' -fuzztime 10s -fuzzminimizetime 50x ./internal/sim
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s ./internal/serde
 	$(GO) test -run '^$$' -fuzz '^FuzzSpanStore$$' -fuzztime 10s -fuzzminimizetime 50x ./internal/trace
-	$(GO) test -run '^$$' -fuzz '^FuzzParseVersion$$' -fuzztime 10s ./internal/pypkg
-	$(GO) test -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime 10s ./internal/pypkg
+	$(GO) test -run '^$$' -fuzz '^FuzzParseVersion$$' -fuzztime 10s -fuzzminimizetime 50x ./internal/pypkg
+	$(GO) test -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime 10s -fuzzminimizetime 50x ./internal/pypkg
 
 # Deterministic chaos soak: drive the fault-injection engine, the hardening
 # features, and the invariant checker under the race detector, then survive
-# a full storm schedule end to end via the CLI.
+# the overload-storm scenario (2x overload plus churn, crashes, slowdowns and
+# flaky staging) end to end via the CLI, which exits 3 on any invariant
+# breach.
 chaos:
 	$(GO) test -race -count=1 -run 'Chaos|Resilience|Speculation|Heartbeat|Quarantine|Staging|KillDelay|CrashW|SlowWorker|ProvisionReject' ./internal/...
-	$(GO) run ./cmd/lfmbench -chaos-profile storm -seed 7
+	$(GO) run ./cmd/lfmscenario run overload-storm
 
 # Scheduler scale sweep in quick mode: measures the indexed matcher against
 # the linear scan's counterfactual cost, re-runs each point with the
@@ -78,19 +83,18 @@ chaos:
 bench:
 	$(GO) run ./cmd/lfmbench -scale -quick -scale-out BENCH_scheduler.json -cpuprofile BENCH_cpu.pprof
 
-# Observability smoke: stream a seeded chaos run's snapshot bus to JSONL
-# plus the unified summary, re-run it with the same seed and byte-compare
-# the two streams (the determinism contract), then render the health
-# report. CI uploads OBS_stream.jsonl as an artifact.
+# Observability smoke: archive the overload-storm scenario's run (config,
+# summary with health, snapshot ring, scheduler events), archive it again
+# with the same seed and byte-compare the two (the determinism contract),
+# then render the health report from the archive. The run sheds load by
+# design, so its verdict is unhealthy. CI uploads OBS_run.lfma as an
+# artifact.
 obs:
-	$(GO) run ./cmd/lfmbench -chaos-profile storm -seed 7 \
-		-obs-out OBS_stream.jsonl -summary-out OBS_summary.json
-	$(GO) run ./cmd/lfmbench -chaos-profile storm -seed 7 \
-		-obs-out OBS_stream.rerun.jsonl -summary-out OBS_summary.rerun.json
-	cmp OBS_stream.jsonl OBS_stream.rerun.jsonl
-	cmp OBS_summary.json OBS_summary.rerun.json
-	rm -f OBS_stream.rerun.jsonl OBS_summary.rerun.json
-	$(GO) run ./cmd/lfmreport -allow-unhealthy OBS_stream.jsonl
+	$(GO) run ./cmd/lfmscenario run overload-storm -archive OBS_run.lfma
+	$(GO) run ./cmd/lfmscenario run overload-storm -archive OBS_run.rerun.lfma
+	cmp OBS_run.lfma OBS_run.rerun.lfma
+	rm -f OBS_run.rerun.lfma
+	$(GO) run ./cmd/lfmreport -allow-unhealthy OBS_run.lfma
 
 # Open-loop serving sweep in quick mode: stream Poisson arrivals at
 # fractions of cluster capacity through the admission-control frontend,

@@ -7,9 +7,11 @@
 //	lfmbench -metrics-out FILE [-metrics-timeline FILE] [-metrics-resolution SECS]
 //	lfmbench -trace-out FILE [-trace-format json|perfetto]
 //	lfmbench -telemetry-out FILE [-telemetry-sweep]
+//	lfmbench -scale [-scale-out FILE] [-scale-points LIST]
+//	lfmbench -serve [-serve-out FILE] [-serve-loads LIST]
 //
 // With no arguments every experiment runs in the paper's order. Experiment
-// IDs: fig4 fig5 table1 table2 table3 fig6 fig7 fig8 fig9.
+// IDs: fig4 fig5 table1 table2 table3 fig6 fig7 fig8 fig9 util.
 //
 // The -metrics-out form runs one instrumented Figure-6-style HEP workload
 // (auto strategy, 20 four-core ND-CRC workers) and writes the final metric
@@ -21,6 +23,10 @@
 // and writes the trace: format "json" (the default) is the lfm-trace span
 // store consumed by cmd/lfmtrace, "perfetto" is Chrome trace-event JSON
 // loadable at https://ui.perfetto.dev. Both forms may be combined.
+//
+// Observed single runs (chaos, snapshot stream, health, summary) come from
+// the canned scenarios: `lfmscenario run overload-storm -archive FILE`
+// writes a run archive that cmd/lfmreport renders and cmd/lfmdiff compares.
 package main
 
 import (
@@ -44,20 +50,12 @@ func main() {
 	metricsRes := flag.Float64("metrics-resolution", 1, "sampling resolution in simulated seconds for -metrics-timeline")
 	traceOut := flag.String("trace-out", "", "run a traced HEP benchmark and write the span trace to this file (- for stdout)")
 	traceFormat := flag.String("trace-format", "json", "trace export format: json (lfm-trace store) or perfetto (Chrome trace-event)")
-	chaosProfile := flag.String("chaos-profile", "", "run an HEP benchmark under a canned fault schedule ("+strings.Join(lfm.ChaosProfiles(), ", ")+") with full resilience enabled; exits nonzero on invariant violations")
-	chaosSeed := flag.Int64("chaos-seed", 0, "with -chaos-profile: seed fault injection independently of -seed (0 uses -seed)")
-	chaosTrace := flag.String("chaos-trace", "", "with -chaos-profile: write the chaos run's span trace to this file (- for stdout)")
 	scale := flag.Bool("scale", false, "run the scheduler scale sweep (up to 1M tasks x 50k workers; -quick shrinks it) and write BENCH_scheduler.json")
 	scaleOut := flag.String("scale-out", "BENCH_scheduler.json", "with -scale: write the sweep report JSON to this file (- for stdout)")
 	scalePoints := flag.String("scale-points", "", "with -scale: override sweep points, e.g. 100000x5000,1000000x50000")
 	serveFlag := flag.Bool("serve", false, "run the open-loop serving sweep (Poisson arrivals at fractions of cluster capacity with admission control and load shedding) and write BENCH_serving.json")
 	serveOut := flag.String("serve-out", "BENCH_serving.json", "with -serve: write the sweep report JSON to this file (- for stdout)")
 	serveLoads := flag.String("serve-loads", "", "with -serve: override sweep load fractions, e.g. 0.5,1,2")
-	obsOut := flag.String("obs-out", "", "run with the streaming observability plane and write the snapshot stream as JSONL to this file (- for stdout); combines with -chaos-profile; render it with cmd/lfmreport")
-	obsCadence := flag.Float64("obs-cadence", 1, "with -obs-out/-top/-summary-out: snapshot cadence in simulated seconds")
-	topFlag := flag.Bool("top", false, "render a live lfmtop dashboard on stderr while the observed benchmark runs")
-	summaryOut := flag.String("summary-out", "", "write the unified run summary JSON (stats, sched counters, latency quantiles, health) to this file (- for stdout)")
-	archiveOut := flag.String("archive-out", "", "write the run's lfmdiff archive (config, summary, snapshot stream, scheduler events) to this file; combines with -chaos-profile")
 	telemetryOut := flag.String("telemetry-out", "", "run with resource time-series telemetry and write the JSONL export to this file (- for stdout); render it with cmd/lfmprof")
 	telemetrySweep := flag.Bool("telemetry-sweep", false, "with -telemetry-out: record every paper workload under every strategy and print a utilization/waste table")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the whole invocation to this file")
@@ -65,6 +63,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "usage: lfmbench [-quick] [-seed N] [experiment ...]\n")
 		fmt.Fprintf(os.Stderr, "       lfmbench -metrics-out FILE [-metrics-timeline FILE] [-metrics-resolution SECS]\n")
 		fmt.Fprintf(os.Stderr, "       lfmbench -trace-out FILE [-trace-format json|perfetto]\n")
+		fmt.Fprintf(os.Stderr, "       lfmbench -telemetry-out FILE [-telemetry-sweep]\n")
+		fmt.Fprintf(os.Stderr, "       lfmbench -scale [-scale-out FILE] [-scale-points LIST]\n")
+		fmt.Fprintf(os.Stderr, "       lfmbench -serve [-serve-out FILE] [-serve-loads LIST]\n")
+		fmt.Fprintf(os.Stderr, "for an observed chaos run, use: lfmscenario run overload-storm -archive FILE\n")
 		fmt.Fprintf(os.Stderr, "experiments: %s\n", strings.Join(lfm.ExperimentIDs(), " "))
 		flag.PrintDefaults()
 	}
@@ -109,18 +111,6 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	obsOpts := &obsOptions{out: *obsOut, cadence: *obsCadence, top: *topFlag, summary: *summaryOut, archive: *archiveOut}
-	if *chaosProfile != "" {
-		if err := runChaos(*seed, *chaosSeed, *chaosProfile, *chaosTrace, obsOpts); err != nil {
-			fmt.Fprintf(os.Stderr, "lfmbench: %v\n", err)
-			os.Exit(1)
-		}
-	} else if obsOpts.enabled() {
-		if err := runObs(*seed, obsOpts); err != nil {
-			fmt.Fprintf(os.Stderr, "lfmbench: %v\n", err)
-			os.Exit(1)
-		}
-	}
 	if *scale {
 		if err := runScale(*seed, *quick, *scaleOut, *scalePoints); err != nil {
 			fmt.Fprintf(os.Stderr, "lfmbench: %v\n", err)
@@ -143,7 +133,7 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	if (*metricsOut != "" || *traceOut != "" || *chaosProfile != "" || *scale || *serveFlag || *telemetryOut != "" || obsOpts.enabled()) && flag.NArg() == 0 {
+	if (*metricsOut != "" || *traceOut != "" || *scale || *serveFlag || *telemetryOut != "") && flag.NArg() == 0 {
 		return
 	}
 
@@ -162,21 +152,29 @@ func main() {
 	}
 }
 
-// runInstrumented executes the Figure-6 point (HEP on ND-CRC, 20 four-core
-// workers, auto strategy) with full metrics instrumentation and writes the
-// requested exports.
-func runInstrumented(seed int64, resolution float64, promPath, timelinePath string) error {
+// runHEP executes the Figure-6 point (HEP on ND-CRC, 20 four-core workers,
+// auto strategy) with the sinks that attach sets on its config.
+func runHEP(seed int64, attach func(*lfm.RunConfig)) (*lfm.Outcome, error) {
 	w := lfm.HEPWorkload(seed, 200)
 	strategy, err := lfm.StrategyFor("auto", w)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	reg := lfm.NewMetricsRegistry()
-	out, err := lfm.RunWorkload(w, lfm.RunConfig{
+	cfg := lfm.RunConfig{
 		SiteName: "ndcrc", Workers: 20,
 		WorkerCores: 4, WorkerMemoryMB: 4 * 1024, WorkerDiskMB: 8 * 1024,
 		Strategy: strategy, Seed: seed, NoBatchLatency: true,
-		Metrics: reg, MetricsResolution: lfm.Time(resolution),
+	}
+	attach(&cfg)
+	return lfm.RunWorkload(w, cfg)
+}
+
+// runInstrumented executes the HEP benchmark point with full metrics
+// instrumentation and writes the requested exports.
+func runInstrumented(seed int64, resolution float64, promPath, timelinePath string) error {
+	reg := lfm.NewMetricsRegistry()
+	out, err := runHEP(seed, func(c *lfm.RunConfig) {
+		c.Metrics, c.MetricsResolution = reg, lfm.Time(resolution)
 	})
 	if err != nil {
 		return err
@@ -200,18 +198,8 @@ func runTraced(seed int64, path, format string) error {
 	if format != "json" && format != "perfetto" {
 		return fmt.Errorf("unknown -trace-format %q (want json or perfetto)", format)
 	}
-	w := lfm.HEPWorkload(seed, 200)
-	strategy, err := lfm.StrategyFor("auto", w)
-	if err != nil {
-		return err
-	}
 	tr := &lfm.ExecutionTrace{}
-	out, err := lfm.RunWorkload(w, lfm.RunConfig{
-		SiteName: "ndcrc", Workers: 20,
-		WorkerCores: 4, WorkerMemoryMB: 4 * 1024, WorkerDiskMB: 8 * 1024,
-		Strategy: strategy, Seed: seed, NoBatchLatency: true,
-		Trace: tr,
-	})
+	out, err := runHEP(seed, func(c *lfm.RunConfig) { c.Trace = tr })
 	if err != nil {
 		return err
 	}
@@ -235,95 +223,6 @@ func runTraced(seed int64, path, format string) error {
 		fmt.Fprintf(msg, "open the trace at https://ui.perfetto.dev (or chrome://tracing)\n")
 	} else {
 		fmt.Fprintf(msg, "analyze with: lfmtrace %s\n", path)
-	}
-	return nil
-}
-
-// runChaos executes the HEP benchmark point under a canned fault schedule
-// with every hardening feature enabled, prints the survival report, and
-// fails if any scheduler invariant broke. The observability options, when
-// enabled, attach the snapshot bus to the same run, so one invocation
-// yields both the chaos verdict and the obs stream.
-func runChaos(seed, chaosSeed int64, profile, tracePath string, opts *obsOptions) error {
-	w := lfm.HEPWorkload(seed, 200)
-	strategy, err := lfm.StrategyFor("auto", w)
-	if err != nil {
-		return err
-	}
-	sched, err := lfm.ChaosProfile(profile, 10*lfm.Minute)
-	if err != nil {
-		return err
-	}
-	var tr *lfm.ExecutionTrace
-	if tracePath != "" || opts.archive != "" {
-		tr = &lfm.ExecutionTrace{}
-	}
-	var ocfg *lfm.ObsConfig
-	var top *lfm.ObsTop
-	cleanup := func() error { return nil }
-	if opts.enabled() {
-		if ocfg, top, cleanup, err = opts.attach(); err != nil {
-			return err
-		}
-	}
-	resilience := lfm.ResilienceConfig{
-		HeartbeatInterval:     10,
-		SpeculationMultiplier: 2,
-		QuarantineThreshold:   3,
-		StagingRetries:        3,
-	}
-	scfg := lfm.ScenarioConfig{
-		SiteName: "ndcrc", Workers: 20,
-		WorkerCores: 4, WorkerMemoryMB: 4 * 1024, WorkerDiskMB: 8 * 1024,
-		Strategy: "auto", Seed: seed, ChaosSeed: chaosSeed, NoBatchLatency: true,
-		Resilience: resilience, Faults: sched,
-	}
-	out, err := lfm.RunWorkload(w, lfm.RunConfig{
-		SiteName: "ndcrc", Workers: 20,
-		WorkerCores: 4, WorkerMemoryMB: 4 * 1024, WorkerDiskMB: 8 * 1024,
-		Strategy: strategy, Seed: seed, ChaosSeed: chaosSeed, NoBatchLatency: true,
-		Resilience: resilience,
-		Faults:     sched,
-		Trace:      tr,
-		Obs:        ocfg,
-	})
-	if cerr := cleanup(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return err
-	}
-	msg := io.Writer(os.Stdout)
-	if tracePath == "-" || opts.out == "-" || opts.summary == "-" {
-		msg = os.Stderr
-	}
-	fmt.Fprintf(msg, "chaos %q over %s: %d/%d tasks completed (%d failed), makespan %.0fs\n",
-		profile, out.Workload, out.Stats.Completed, out.TaskCount, out.Failed, float64(out.Makespan))
-	fmt.Fprintf(msg, "  %s\n", out.Chaos.Summary())
-	if rs := out.Stats.Resilience; rs != nil {
-		fmt.Fprintf(msg, "  detections: %d (mean latency %.1fs)  speculation: %d launched / %d won  staging retries: %d  quarantines: %d\n",
-			rs.DetectionDelays.N(), rs.DetectionDelays.Mean(),
-			rs.SpecLaunched, rs.SpecWins, rs.StagingRetries, rs.Quarantines)
-	}
-	if out.ProvisionFailures > 0 {
-		fmt.Fprintf(msg, "  provisioning rejections: %d (last: %s)\n", out.ProvisionFailures, out.ProvisionError)
-	}
-	if tracePath != "" {
-		if err := writeTo(tracePath, func(f io.Writer) error { return tr.Store().WriteJSON(f) }); err != nil {
-			return err
-		}
-		fmt.Fprintf(msg, "  analyze with: lfmtrace %s\n", tracePath)
-	}
-	if err := opts.writeArchive(out, scfg, w, msg); err != nil {
-		return err
-	}
-	if opts.enabled() {
-		if err := opts.finish(out, top, msg); err != nil {
-			return err
-		}
-	}
-	if len(out.Chaos.Violations) > 0 {
-		return fmt.Errorf("%d invariant violations: %v", len(out.Chaos.Violations), out.Chaos.Violations)
 	}
 	return nil
 }

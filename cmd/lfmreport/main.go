@@ -1,27 +1,32 @@
-// Command lfmreport renders an observability stream (as written by
-// lfmbench -obs-out or ObsConfig.Stream) as a run health report: the
+// Command lfmreport renders a run's observations as a health report: the
 // verdict and rule findings with their evidence windows, the queue-depth
 // and utilization timelines as sparklines, and the run's scheduling and
-// end-to-end latency quantiles per category.
+// end-to-end latency quantiles per category. It reads either artifact the
+// observability plane writes, dispatching on the format its header line
+// declares: a run archive (`lfmscenario run NAME -archive FILE`), whose
+// snapshot ring, final snapshot and summary health it renders, or an obs
+// stream (ObsConfig.Stream), which keeps every snapshot boundary.
 //
 // Usage:
 //
-//	lfmreport [-json FILE] [-width N] [-allow-unhealthy] OBS.jsonl
+//	lfmreport [-json FILE] [-width N] [-allow-unhealthy] RUN.lfma|OBS.jsonl
 //
-// The file may be "-" for stdin. When the stream carries no health line
-// (a bus closed without one), the health rules are re-run over the
-// streamed snapshots; a stream cut off before its footer (a truncated or
-// live capture) is refused as corrupt. -json additionally re-exports the
-// health report as JSON for machine consumption.
+// The file may be "-" for stdin. When a stream carries no health line (a
+// bus closed without one), the health rules are re-run over the streamed
+// snapshots; an artifact cut off before its footer (a truncated or live
+// capture) is refused as corrupt. -json additionally re-exports the health
+// report as JSON for machine consumption.
 //
 // Exit status: 0 healthy, 1 operational error (unreadable or corrupt
-// stream), 2 usage, 3 unhealthy verdict. -allow-unhealthy renders an
+// artifact), 2 usage, 3 unhealthy verdict. -allow-unhealthy renders an
 // unhealthy run without the nonzero exit, for exploratory use on runs that
 // are expected to be degraded.
 package main
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -32,44 +37,59 @@ import (
 )
 
 func main() {
-	jsonOut := flag.String("json", "", "also write the health report as JSON to this file (- for stdout)")
-	width := flag.Int("width", 60, "character width of the timeline sparklines")
-	allowUnhealthy := flag.Bool("allow-unhealthy", false, "exit 0 even when the verdict is unhealthy")
-	flag.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: lfmreport [-json FILE] [-width N] [-allow-unhealthy] OBS.jsonl")
-		flag.PrintDefaults()
+	os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr))
+}
+
+// run is the whole command; it returns the exit status.
+func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("lfmreport", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	jsonOut := fs.String("json", "", "also write the health report as JSON to this file (- for stdout)")
+	width := fs.Int("width", 60, "character width of the timeline sparklines")
+	allowUnhealthy := fs.Bool("allow-unhealthy", false, "exit 0 even when the verdict is unhealthy")
+	fs.Usage = func() {
+		fmt.Fprintln(stderr, "usage: lfmreport [-json FILE] [-width N] [-allow-unhealthy] RUN.lfma|OBS.jsonl")
+		fs.PrintDefaults()
 	}
-	flag.Parse()
-	if flag.NArg() != 1 {
-		flag.Usage()
-		os.Exit(2)
+	if err := fs.Parse(args); err == flag.ErrHelp {
+		return 0
+	} else if err != nil || fs.NArg() != 1 {
+		if err == nil {
+			fs.Usage()
+		}
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintf(stderr, "lfmreport: %v\n", err)
+		return 1
 	}
 
-	in := os.Stdin
-	if path := flag.Arg(0); path != "-" {
-		f, err := os.Open(path)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		in = f
+	var data []byte
+	var err error
+	if path := fs.Arg(0); path == "-" {
+		data, err = io.ReadAll(stdin)
+	} else {
+		data, err = os.ReadFile(path)
 	}
-	st, err := lfm.ReadObsStream(in)
 	if err != nil {
-		fatal(err)
+		return fail(err)
+	}
+	st, err := load(data)
+	if err != nil {
+		return fail(err)
 	}
 	health := st.Health
 	if health == nil {
 		health = lfm.AnalyzeObs(st.RunObs(), nil)
 	}
-	render(os.Stdout, st, health, *width)
+	render(stdout, st, health, *width)
 
 	if *jsonOut != "" {
-		w := io.Writer(os.Stdout)
+		w := stdout
 		if *jsonOut != "-" {
 			f, err := os.Create(*jsonOut)
 			if err != nil {
-				fatal(err)
+				return fail(err)
 			}
 			defer f.Close()
 			w = f
@@ -77,14 +97,43 @@ func main() {
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(health); err != nil {
-			fatal(err)
+			return fail(err)
 		}
 	}
 
-	if code := verdictExit(health, *allowUnhealthy); code != 0 {
-		fmt.Fprintf(os.Stderr, "lfmreport: run is unhealthy (worst: %s); pass -allow-unhealthy to suppress\n", health.Worst())
-		os.Exit(code)
+	code := verdictExit(health, *allowUnhealthy)
+	if code != 0 {
+		fmt.Fprintf(stderr, "lfmreport: run is unhealthy (worst: %s); pass -allow-unhealthy to suppress\n", health.Worst())
 	}
+	return code
+}
+
+// load parses a run archive or an obs stream, dispatching on the format
+// tag of the header line. An archive is rendered from its retained
+// snapshot ring and final snapshot, with the health its summary carries.
+func load(data []byte) (*lfm.ObsStream, error) {
+	var first struct {
+		Header struct {
+			Format string `json:"format"`
+		} `json:"header"`
+	}
+	line, _, _ := bytes.Cut(data, []byte("\n"))
+	// An unparsable first line is left to the stream reader to report.
+	if json.Unmarshal(line, &first) != nil || first.Header.Format != lfm.RunArchiveFormat {
+		return lfm.ReadObsStream(bytes.NewReader(data))
+	}
+	a, err := lfm.ReadRunArchive(data)
+	if err != nil {
+		return nil, err
+	}
+	if a.Obs == nil {
+		return nil, errors.New("run archive carries no snapshot stream")
+	}
+	return &lfm.ObsStream{
+		Meta: a.Obs.Meta, Cadence: a.Obs.Cadence,
+		Snapshots: a.Obs.Snapshots, Final: a.Obs.Final,
+		Health: a.Summary.Health,
+	}, nil
 }
 
 // verdictExit maps the health verdict to the process exit code: 3 for an
@@ -94,11 +143,6 @@ func verdictExit(health *lfm.RunHealth, allowUnhealthy bool) int {
 		return 3
 	}
 	return 0
-}
-
-func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "lfmreport: %v\n", err)
-	os.Exit(1)
 }
 
 // render prints the report: header, verdict and findings, timelines,

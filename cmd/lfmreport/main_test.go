@@ -2,12 +2,18 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
+	"errors"
 	"flag"
+	"fmt"
 	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"lfm"
+	"lfm/internal/artifact"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden files from current output")
@@ -115,5 +121,100 @@ func TestFixtureVerdictExit(t *testing.T) {
 	}
 	if got := verdictExit(health, true); got != 0 {
 		t.Errorf("-allow-unhealthy must exit 0, got %d", got)
+	}
+}
+
+// writeArchive archives one run of the named scenario, as `lfmscenario run
+// NAME -archive FILE` does, and returns the file's path and the archive.
+func writeArchive(t *testing.T, name string) (string, *lfm.RunArchive) {
+	t.Helper()
+	s, err := lfm.ScenarioByName(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, arch, err := lfm.RunScenarioArchived(s, lfm.ScenarioArchiveOptions{Events: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := lfm.WriteRunArchive(arch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), name+".lfma")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path, arch
+}
+
+// TestArchiveReport renders an overload-storm run archive: the verdict and
+// every finding come from the archive's summary health, the -json export
+// is that health report, and the run, which sheds load by design, exits 3
+// unless -allow-unhealthy is given.
+func TestArchiveReport(t *testing.T) {
+	path, arch := writeArchive(t, "overload-storm")
+	want := arch.Summary.Health
+	if want == nil || want.Healthy {
+		t.Fatalf("overload-storm archive health = %+v, want an unhealthy verdict", want)
+	}
+	jsonPath := filepath.Join(t.TempDir(), "health.json")
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-json", jsonPath, path}, nil, &stdout, &stderr); code != 3 {
+		t.Fatalf("exit %d, want 3; stderr: %s", code, stderr.String())
+	}
+	out := stdout.String()
+	verdict := fmt.Sprintf("verdict: UNHEALTHY (worst: %s) — %d findings over %d snapshots",
+		want.Worst(), len(want.Findings), want.Snapshots)
+	if !strings.Contains(out, verdict) {
+		t.Fatalf("report lacks %q:\n%s", verdict, out)
+	}
+	for _, f := range want.Findings {
+		if !strings.Contains(out, f.Rule) || !strings.Contains(out, f.Detail) {
+			t.Fatalf("report lacks finding %s: %s\n%s", f.Rule, f.Detail, out)
+		}
+	}
+	data, err := os.ReadFile(jsonPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got lfm.RunHealth
+	if err := json.Unmarshal(data, &got); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(&got, want) {
+		t.Fatalf("-json health = %+v, want the archive's %+v", got, *want)
+	}
+
+	stdout.Reset()
+	if code := run([]string{"-allow-unhealthy", path}, nil, &stdout, &stderr); code != 0 {
+		t.Fatalf("-allow-unhealthy: exit %d, want 0", code)
+	}
+	if stdout.String() != out {
+		t.Fatal("-allow-unhealthy changed the report")
+	}
+}
+
+// TestTruncatedArchiveRefused cuts an archive short: the report must
+// refuse it with the typed artifact error and exit 1.
+func TestTruncatedArchiveRefused(t *testing.T) {
+	path, _ := writeArchive(t, "heavy-tail")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cut := data[:len(data)/2]
+	var aerr *artifact.Error
+	if _, err := load(cut); !errors.As(err, &aerr) || aerr.Format != lfm.RunArchiveFormat || aerr.Reason != artifact.Corrupt {
+		t.Fatalf("load(truncated archive) = %v, want a corrupt %s error", err, lfm.RunArchiveFormat)
+	}
+	if err := os.WriteFile(path, cut, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{path}, nil, &stdout, &stderr); code != 1 {
+		t.Fatalf("exit %d, want 1", code)
+	}
+	if stdout.Len() != 0 || !strings.Contains(stderr.String(), artifact.Corrupt) {
+		t.Fatalf("stdout %q, stderr %q: want no report and the corrupt error", stdout.String(), stderr.String())
 	}
 }

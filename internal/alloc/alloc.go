@@ -390,14 +390,24 @@ func (a *Auto) label(h *history) monitor.Resources {
 // minimizing expected waste: candidate values are observed peaks, and the
 // cost of candidate c is c (paid by every task) plus the overflow
 // probability times the retry's cost, with tail headroom added per
-// SafetyStds.
+// SafetyStds. A NaN dimension comes out as math.NaN(): which NaN payload
+// survives the arithmetic depends on code generation, and a label must
+// not.
 func (a *Auto) computeLabel(h *history) monitor.Resources {
 	scale := 1 + a.Pad + a.BootstrapBoost/float64(len(h.peaks))
 	return monitor.Resources{
-		Cores:    math.Ceil(a.chooseDim(h.sorted[0]) - 1e-9),
-		MemoryMB: a.chooseDim(h.sorted[1]) * scale,
-		DiskMB:   a.chooseDim(h.sorted[2]) * scale,
+		Cores:    canonNaN(math.Ceil(a.chooseDim(h.sorted[0]) - 1e-9)),
+		MemoryMB: canonNaN(a.chooseDim(h.sorted[1]) * scale),
+		DiskMB:   canonNaN(a.chooseDim(h.sorted[2]) * scale),
 	}
+}
+
+// canonNaN maps every NaN to math.NaN() and leaves other values alone.
+func canonNaN(x float64) float64 {
+	if x != x {
+		return math.NaN()
+	}
+	return x
 }
 
 // chooseDim labels one dimension from its values in peakOrder.

@@ -90,14 +90,21 @@ func freshLabel(a *Auto, cat string) (monitor.Resources, bool) {
 // afresh, binary-searches each candidate's overflow and accumulates the
 // spread in a sim.Stats. Auto.computeLabel must match it bit for bit. Its
 // sort uses peakOrder, so that values equal under == (-0 and +0, NaNs)
-// land where the incrementally sorted window puts them.
+// land where the incrementally sorted window puts them, and every NaN
+// dimension it returns is math.NaN() whatever payload its inputs carried.
 func oracleLabel(a *Auto, peaks []monitor.Resources) monitor.Resources {
 	scale := 1 + a.Pad + a.BootstrapBoost/float64(len(peaks))
-	return monitor.Resources{
+	l := monitor.Resources{
 		Cores:    math.Ceil(oracleDim(a, peaks, func(r monitor.Resources) float64 { return r.Cores }) - 1e-9),
 		MemoryMB: oracleDim(a, peaks, func(r monitor.Resources) float64 { return r.MemoryMB }) * scale,
 		DiskMB:   oracleDim(a, peaks, func(r monitor.Resources) float64 { return r.DiskMB }) * scale,
 	}
+	for _, v := range []*float64{&l.Cores, &l.MemoryMB, &l.DiskMB} {
+		if math.IsNaN(*v) {
+			*v = math.NaN()
+		}
+	}
+	return l
 }
 
 func oracleDim(a *Auto, peaks []monitor.Resources, dim func(monitor.Resources) float64) float64 {
@@ -298,6 +305,11 @@ func FuzzAutoLabel(f *testing.F) {
 		labelOp{kind: opObserveDone, cat: "b", v: [3]float64{0, negZero, nan2}}, labelOp{kind: opNext, cat: "b"},
 		labelOp{kind: opObserveDone, cat: "b", v: [3]float64{negZero, negZero, 1}}, labelOp{kind: opCurrentLabel, cat: "b"},
 		labelOp{kind: opPreload, cat: "b", v: [3]float64{0, nan2, negZero}}))
+	// A cores peak that is a NaN with a payload. Which NaN the label's
+	// arithmetic hands on differs between builds: with the fuzzer's
+	// instrumentation one build returned the default NaN where the oracle
+	// kept the payload, so both return math.NaN().
+	f.Add(encodeLabelOps(labelOp{kind: opObserveDone, cat: "c", v: [3]float64{math.Float64frombits(0x7ff8303030303030), 1, 10}}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		runLabelOps(t, NewAuto(), decodeLabelOps(data))
 	})

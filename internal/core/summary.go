@@ -22,7 +22,8 @@ const SummaryVersion = 1
 // headline numbers plus the pieces the Outcome deliberately excludes from
 // its own JSON (scheduler work counters, telemetry waste totals, latency
 // quantiles, health findings), each present only when its subsystem was
-// enabled. WriteSummaryJSON renders it; lfmbench -summary-out exports it.
+// enabled. WriteSummaryJSON renders it (`lfmscenario record -summary` and
+// `replay -summary`), and every run archive carries it.
 type RunSummary struct {
 	// SchemaVersion is SummaryVersion at write time; consumers reject
 	// newer documents instead of misparsing them.

@@ -3,8 +3,8 @@
 // instantaneous state — queue depth, running/blocked/speculating tasks,
 // pool utilization, scheduler-round deltas, chaos and quarantine state,
 // and per-category scheduling (submit→placement) and end-to-end
-// (submit→completion) latency quantiles — into bounded ring buffers and,
-// optionally, a JSONL stream and a live dashboard.
+// (submit→completion) latency quantiles — into a bounded ring buffer and,
+// optionally, a JSONL stream.
 //
 // The bus samples passively, the way the paper's monitor polls /proc at a
 // fixed interval instead of mirroring every change. It registers on the
@@ -72,10 +72,6 @@ type Config struct {
 	// footer counting the snapshots. Output is byte-deterministic for a
 	// given seed.
 	Stream io.Writer
-	// OnSnapshot, when non-nil, observes every sealed snapshot — the hook
-	// the lfmtop dashboard renders from. It must not mutate the snapshot
-	// or call back into the simulation.
-	OnSnapshot func(*Snapshot)
 	// Health tunes the end-of-run health analysis; nil uses defaults.
 	Health *HealthConfig
 	// Meta identifies the run on the stream's header line.
@@ -238,24 +234,20 @@ func (b *Bus) sealThrough(at sim.Time) {
 	}
 }
 
-// seal closes the boundary at time `at`: builds the snapshot if anything
-// would observe it (stream, dashboard hook, or ring retention — skipping
-// the build otherwise keeps unobserved cadences nearly free), streams it,
-// and retains it in the decimating ring.
+// seal closes the boundary at time `at`: builds the snapshot if the stream
+// or the ring would keep it (a boundary the decimated ring skips costs
+// nothing on an unstreamed run), streams it, and retains it in the ring.
 func (b *Bus) seal(at sim.Time) {
 	tick := b.tick
 	b.tick++
 	retain := tick%b.stride == 0
-	if b.out == nil && b.cfg.OnSnapshot == nil && !retain {
+	if b.out == nil && !retain {
 		return
 	}
 	s := b.build(at, tick)
 	b.latest = s
 	if b.out != nil {
 		b.out.Put("snapshot", s)
-	}
-	if b.cfg.OnSnapshot != nil {
-		b.cfg.OnSnapshot(s)
 	}
 	if !retain {
 		return

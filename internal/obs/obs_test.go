@@ -8,7 +8,6 @@ import (
 	"math"
 	"strings"
 	"testing"
-	"time"
 
 	"lfm/internal/artifact"
 	"lfm/internal/sim"
@@ -362,31 +361,6 @@ func TestSparklineAndBar(t *testing.T) {
 	}
 	if got := Bar(-1, 3); got != "░░░" {
 		t.Fatalf("negative Bar = %q", got)
-	}
-}
-
-func TestTopThrottleAndRender(t *testing.T) {
-	var buf bytes.Buffer
-	clock := time.Unix(0, 0)
-	top := &Top{W: &buf, MinInterval: time.Second, Clock: func() time.Time { return clock }}
-	s := &Snapshot{At: 5, QueueDepth: 3, Running: 2, Submitted: 10, Completed: 4,
-		WorkersAlive: 2, PoolCores: 16, AllocatedCores: 8, Utilization: 0.5,
-		SchedLatency:  LatencyQuantiles{Count: 4, P50: 0.1, P99: 0.4, P999: 0.5, Max: 1},
-		ChaosInjected: 1, Events: []ChaosEvent{{At: 2, Kind: "worker-crash"}},
-	}
-	top.OnSnapshot(s) // first frame renders
-	top.OnSnapshot(s) // throttled: same instant
-	clock = clock.Add(2 * time.Second)
-	top.OnSnapshot(s) // renders again
-	top.Final(s)      // final always renders
-	if top.Frames() != 3 {
-		t.Fatalf("frames = %d, want 3", top.Frames())
-	}
-	out := buf.String()
-	for _, want := range []string{"lfmtop", "queue", "worker-crash", "p99", "done 4/10"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("frame missing %q:\n%s", want, out)
-		}
 	}
 }
 

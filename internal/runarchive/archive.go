@@ -7,8 +7,8 @@
 // obs snapshot stream, the telemetry category profiles, the critical-path
 // bottleneck buckets, and optionally the flat scheduler event stream for
 // first-divergence bisection. Archives are written by `lfmscenario run
-// -archive` and `lfmbench -archive-out`, committed as baselines under
-// baselines/, and read back standalone by `lfmdiff`.
+// -archive` and `lfmdiff gate -refresh`, committed as baselines under
+// baselines/, and read back standalone by `lfmdiff` and `lfmreport`.
 //
 // The container is framed by internal/artifact, like the scenario trace,
 // the obs stream and the telemetry export (DESIGN.md §15): every line is
@@ -55,8 +55,8 @@ var frame = artifact.Frame{
 type Header struct {
 	artifact.Header
 	Tool string `json:"tool"`
-	// Scenario is the registry name of an archived scenario run, empty for
-	// ad-hoc benchmark archives.
+	// Scenario is the registry name of the archived scenario run, empty
+	// when Build was given none.
 	Scenario string `json:"scenario,omitempty"`
 	// Workload is the generated workload's display name.
 	Workload string `json:"workload"`
@@ -119,7 +119,7 @@ type Archive struct {
 
 // BuildOptions parameterize Build.
 type BuildOptions struct {
-	// Scenario names the archived scenario run (empty for ad-hoc runs).
+	// Scenario names the archived scenario run.
 	Scenario string
 	// Digest is the run's outcome digest (scenario.OutcomeDigest).
 	Digest string

@@ -1,7 +1,9 @@
 package trace
 
 import (
+	"container/heap"
 	"fmt"
+	"slices"
 	"sort"
 
 	"lfm/internal/sim"
@@ -325,31 +327,77 @@ func (s *Store) Bottlenecks(byWorker bool) []Bucket {
 }
 
 // Slowest returns the n longest closed, non-instant spans of the given kinds
-// (all kinds when none are given), longest first.
+// (all kinds when none are given), longest first and, among equal
+// durations, in creation order. It reads the records, keeping the n
+// longest so far in a heap, and builds a Span only for each it returns.
 func (s *Store) Slowest(n int, kinds ...Kind) []Span {
 	if s == nil || n <= 0 {
 		return nil
 	}
-	want := make(map[Kind]bool, len(kinds))
-	for _, k := range kinds {
-		want[k] = true
+	var want map[Kind]bool
+	if len(kinds) > 0 {
+		want = make(map[Kind]bool, len(kinds))
+		for _, k := range kinds {
+			want[k] = true
+		}
 	}
 	end := s.EndTime()
-	var out []Span
-	for _, sp := range s.Spans() {
-		if len(want) > 0 && !want[sp.Kind] {
-			continue
+	h := &slowHeap{}
+	id := SpanID(0)
+	for _, c := range s.chunks {
+		for i := range c {
+			id++
+			r := &c[i]
+			if want != nil && !want[Kind(s.strs.str(r.kind))] {
+				continue
+			}
+			e := slowEntry{id, duration(r.start, r.end, end)}
+			switch {
+			case e.dur <= 0:
+			case len(*h) < n:
+				*h = append(*h, e)
+				heap.Fix(h, len(*h)-1)
+			case e.ahead((*h)[0]):
+				(*h)[0] = e
+				heap.Fix(h, 0)
+			}
 		}
-		if sp.Duration(end) <= 0 {
-			continue
-		}
-		out = append(out, sp)
 	}
-	sort.SliceStable(out, func(i, j int) bool {
-		return out[i].Duration(end) > out[j].Duration(end)
+	slices.SortFunc(*h, func(a, b slowEntry) int {
+		if a.ahead(b) {
+			return -1
+		}
+		return 1
 	})
-	if len(out) > n {
-		out = out[:n]
+	out := make([]Span, len(*h))
+	for i, e := range *h {
+		out[i] = s.span(e.id, s.at(e.id))
 	}
 	return out
+}
+
+// slowEntry is a Slowest candidate: a span and its duration.
+type slowEntry struct {
+	id  SpanID
+	dur sim.Time
+}
+
+// ahead reports whether e ranks before o: longer, or as long and older.
+func (e slowEntry) ahead(o slowEntry) bool {
+	return e.dur > o.dur || e.dur == o.dur && e.id < o.id
+}
+
+// slowHeap keeps the candidates ranked furthest back at its root, the
+// first to go when a span that ranks ahead of it arrives.
+type slowHeap []slowEntry
+
+func (h slowHeap) Len() int           { return len(h) }
+func (h slowHeap) Less(i, j int) bool { return h[j].ahead(h[i]) }
+func (h slowHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *slowHeap) Push(x any)        { *h = append(*h, x.(slowEntry)) }
+func (h *slowHeap) Pop() any {
+	old := *h
+	e := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return e
 }

@@ -128,8 +128,9 @@ func (s *Store) WritePerfetto(w io.Writer) error {
 		return n
 	}
 
+	ix := s.index()
 	taskSlice := make(map[SpanID]Span) // task span ID -> span, for flows
-	for _, sp := range s.Spans() {
+	for _, sp := range ix.spans {
 		pid, tid := place(sp)
 		args := map[string]any{"outcome": sp.Outcome}
 		if sp.Task >= 0 {
@@ -164,7 +165,6 @@ func (s *Store) WritePerfetto(w io.Writer) error {
 
 	// DAG edges as flow arrows between task slices: start at the
 	// dependency's completion, finish at the dependent's release.
-	ix := s.index()
 	flowID := 0
 	for _, l := range s.Links() {
 		if l.Kind != "dep" {

@@ -120,14 +120,16 @@ type Span struct {
 }
 
 // Duration is End - Start, treating an open span as running to `end`.
-func (sp Span) Duration(end sim.Time) sim.Time {
-	if sp.End < 0 {
-		if end < sp.Start {
+func (sp Span) Duration(end sim.Time) sim.Time { return duration(sp.Start, sp.End, end) }
+
+func duration(start, stop, end sim.Time) sim.Time {
+	if stop < 0 {
+		if end < start {
 			return 0
 		}
-		return end - sp.Start
+		return end - start
 	}
-	return sp.End - sp.Start
+	return stop - start
 }
 
 // Open reports whether the span has not ended.
@@ -437,15 +439,20 @@ func (s *Store) EndTime() sim.Time {
 	return end
 }
 
-// Children returns the direct children of a span, in creation order.
+// Children returns the direct children of a span, in creation order. It
+// reads the records and builds a Span only for each child.
 func (s *Store) Children(id SpanID) []Span {
 	if s == nil {
 		return nil
 	}
 	var out []Span
-	for _, sp := range s.Spans() {
-		if sp.Parent == id {
-			out = append(out, sp)
+	child := SpanID(0)
+	for _, c := range s.chunks {
+		for i := range c {
+			child++
+			if SpanID(s.widen(child, fieldParent, c[i].parent)) == id {
+				out = append(out, s.span(child, &c[i]))
+			}
 		}
 	}
 	return out

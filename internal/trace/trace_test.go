@@ -2,11 +2,14 @@ package trace
 
 import (
 	"bytes"
+	"cmp"
 	"math"
 	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"lfm/internal/sim"
 )
@@ -133,6 +136,73 @@ func TestSlowest(t *testing.T) {
 		if sp.Kind != KindExecute {
 			t.Fatalf("kind = %v", sp.Kind)
 		}
+	}
+}
+
+// TestSlowestAndChildrenMatchSpans checks the record-reading Slowest and
+// Children against the same selections made over Spans(), on a store with
+// ties, open spans, instants and several kinds, and bounds what Slowest
+// allocates: a small fraction of one Spans() copy, whatever the store's
+// size.
+func TestSlowestAndChildrenMatchSpans(t *testing.T) {
+	s := NewStore()
+	kinds := []Kind{KindTask, KindExecute, KindStage, KindPoll}
+	for i := 0; i < 20000; i++ {
+		parent := SpanID(0)
+		if i > 0 {
+			parent = SpanID(i%97 + 1)
+		}
+		sp := Span{Kind: kinds[i%len(kinds)], Parent: parent, Task: i, Worker: i % 5, Start: sim.Time(i % 300)}
+		if i%50 == 7 {
+			s.Instant(sp, sp.Start)
+			continue
+		}
+		id := s.Begin(sp)
+		if i%13 != 0 { // every 13th span stays open
+			s.End(id, sp.Start+sim.Time(i*7919%1000)/10, OutcomeOK, "")
+		}
+	}
+	all := s.Spans()
+	end := s.EndTime()
+	slowest := func(n int, want ...Kind) []Span {
+		var out []Span
+		for _, sp := range all {
+			if (len(want) == 0 || slices.Contains(want, sp.Kind)) && sp.Duration(end) > 0 {
+				out = append(out, sp)
+			}
+		}
+		slices.SortStableFunc(out, func(a, b Span) int {
+			return -cmp.Compare(a.Duration(end), b.Duration(end))
+		})
+		return out[:min(n, len(out))]
+	}
+	for _, tc := range []struct {
+		n     int
+		kinds []Kind
+	}{{1, nil}, {5, nil}, {40, []Kind{KindExecute}}, {7, []Kind{KindStage, KindTask}}, {len(all) + 3, nil}} {
+		if got, want := s.Slowest(tc.n, tc.kinds...), slowest(tc.n, tc.kinds...); !reflect.DeepEqual(got, want) {
+			t.Fatalf("Slowest(%d, %v) differs from a sort over Spans():\n%v\nwant\n%v", tc.n, tc.kinds, got, want)
+		}
+	}
+	for _, id := range []SpanID{NoSpan, 1, 50, 97, 20001} {
+		var want []Span
+		for _, sp := range all {
+			if sp.Parent == id {
+				want = append(want, sp)
+			}
+		}
+		if got := s.Children(id); !reflect.DeepEqual(got, want) {
+			t.Fatalf("Children(%d): %d spans, want %d", id, len(got), len(want))
+		}
+	}
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s.Slowest(5)
+	runtime.ReadMemStats(&after)
+	spansCopy := uint64(len(all)) * uint64(unsafe.Sizeof(Span{}))
+	if got := after.TotalAlloc - before.TotalAlloc; got > spansCopy/20 {
+		t.Fatalf("Slowest(5) allocated %d B on %d spans, want at most 1/20 of one Spans() copy (%d B)", got, len(all), spansCopy)
 	}
 }
 

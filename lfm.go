@@ -367,9 +367,6 @@ func ChaosProfile(name string, horizon Time) (*ChaosSchedule, error) {
 	return chaos.Profile(name, horizon)
 }
 
-// ChaosProfiles lists the canned fault schedule names.
-func ChaosProfiles() []string { return chaos.Profiles() }
-
 // ---- Metrics & observability ----
 
 // MetricsRegistry holds named counters, gauges, and histograms. Attach one
@@ -429,7 +426,7 @@ func WriteTelemetry(w io.Writer, runs []*RunTelemetry) error { return tseries.Wr
 
 // ObsConfig attaches the streaming observability plane to a run: set it on
 // RunConfig.Obs to seal deterministic RunSnapshots at a simulated-time
-// cadence, stream them as JSONL, and feed a live dashboard — all without
+// cadence and stream them as JSONL — all without
 // perturbing the run (outcomes, placements, and traces stay byte-identical).
 type ObsConfig = obs.Config
 
@@ -452,10 +449,6 @@ type HealthConfig = obs.HealthConfig
 // ObsStream is a parsed obs stream (run identity, snapshots, final, health).
 type ObsStream = obs.Stream
 
-// ObsTop is the lfmtop-style live terminal dashboard; wire its OnSnapshot
-// method as ObsConfig.OnSnapshot.
-type ObsTop = obs.Top
-
 // RunSummary is the unified single-document summary of a run (headline
 // stats, scheduler work, telemetry waste, latency quantiles, health);
 // rendered by Outcome.WriteSummaryJSON.
@@ -471,12 +464,12 @@ func ReadObsStream(r io.Reader) (*ObsStream, error) { return obs.ReadStream(r) }
 // cfg uses the default thresholds.
 func AnalyzeObs(ro *RunObs, cfg *HealthConfig) *RunHealth { return obs.Analyze(ro, cfg) }
 
-// Sparkline renders vals as a fixed-width unicode sparkline (the lfmtop
-// queue-depth chart).
+// Sparkline renders vals as a fixed-width unicode sparkline (lfmreport's
+// queue-depth and utilization timelines).
 func Sparkline(vals []float64, width int) string { return obs.Sparkline(vals, width) }
 
-// Bar renders a 0..1 fraction as a fixed-width block bar (the lfmtop
-// utilization gauge).
+// Bar renders a 0..1 fraction as a fixed-width block bar (lfmrun's
+// RSS-against-limit gauge).
 func Bar(frac float64, width int) string { return obs.Bar(frac, width) }
 
 // ---- Open-loop serving ----
@@ -537,13 +530,6 @@ func AllScenarios() []*Scenario { return scenario.All() }
 // optional tr records the replay's scheduler event stream.
 func ReplayScenarioTrace(data []byte, tr *ExecutionTrace) (*ScenarioReplay, error) {
 	return scenario.ReplayTrace(data, tr)
-}
-
-// ScenarioOutcomeDigest fingerprints a run for replay verification: a
-// SHA-256 over the deterministic summary plus every task's terminal state
-// and timestamps.
-func ScenarioOutcomeDigest(out *Outcome, tasks []*wq.Task) (string, error) {
-	return scenario.OutcomeDigest(out, tasks)
 }
 
 // ScenarioCatalog renders the registry as the markdown catalog table
@@ -616,14 +602,8 @@ func (e *UnknownExperimentError) Error() string {
 // optionally the flat scheduler event stream.
 type RunArchive = runarchive.Archive
 
-// RunArchiveOptions parameterize BuildRunArchive.
-type RunArchiveOptions = runarchive.BuildOptions
-
-// BuildRunArchive assembles an archive from a finished run (attach a trace
-// via RunConfig.Trace first for bottleneck attribution and bisection).
-func BuildRunArchive(out *Outcome, cfg ScenarioConfig, opt RunArchiveOptions) *RunArchive {
-	return runarchive.Build(out, cfg, opt)
-}
+// RunArchiveFormat is the format tag on a run archive's header line.
+const RunArchiveFormat = runarchive.Format
 
 // WriteRunArchive serializes an archive as JSONL, byte-deterministic for
 // identical archives.
