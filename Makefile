@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check fmt build vet test test-race fuzz chaos bench profile obs serve scenarios diff
+.PHONY: check fmt build vet test test-race allocs fuzz chaos bench profile obs serve scenarios diff
 
 check: fmt build vet test-race
 
@@ -22,6 +22,17 @@ test:
 
 test-race:
 	$(GO) test -race ./...
+
+# Allocation budgets, counted plain: make check runs the suite only under
+# -race, whose instrumentation changes the counts, so the four
+# *AllocBudget tests run here again without it. Then ALLOCS.pprof records
+# where the scale-batch-shaped run of TestScaleAllocBudget allocates (one
+# sample per 512 B; read it with `go tool pprof -sample_index=alloc_objects
+# ALLOCS.pprof`). CI uploads the profile as an artifact.
+allocs:
+	$(GO) test -count=1 -run 'AllocBudget$$' -v ./internal/core
+	$(GO) test -count=1 -run '^TestScaleAllocBudget$$' -memprofile ALLOCS.pprof -memprofilerate 512 ./internal/core
+	rm -f core.test
 
 # Native fuzzing. FuzzAutoLabel: random Observe/Preload/Retry/Next/
 # CurrentLabel sequences and field changes, with arbitrary float peaks,

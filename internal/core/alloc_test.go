@@ -40,16 +40,25 @@ func objectsPerTask(t *testing.T, w *workloads.Workload, cfg RunConfig) float64 
 	return perTask
 }
 
+// allocBudget picks a budget test's bound: each bound sits 10% above the
+// count measured in that mode, plain or under -race, whose instrumentation
+// adds a few objects. `make allocs` runs the budgets plain and `make check`
+// under -race, so a creep fails either.
+func allocBudget(plain, race float64) float64 {
+	if raceEnabled {
+		return race
+	}
+	return plain
+}
+
 // TestScaleAllocBudget keeps the bare path's allocations from creeping
 // back: a small Scale run under Guess with cache-affinity placement and no
 // sinks (the scale-batch bench model at 2,000 tasks on 100 workers) must
 // allocate at most scaleAllocBudget heap objects per task.
 func TestScaleAllocBudget(t *testing.T) {
-	// Measured at 22.7 objects per task (go1.24, linux/amd64) and 23.1
-	// under -race, whose instrumentation adds a few; the bound is 10%
-	// above the plain count, so it holds under -race too and make check
-	// (which runs the suite only with -race) catches a creep.
-	const scaleAllocBudget = 24.9
+	// Measured at 7.18 objects per task (go1.24, linux/amd64) and 7.59
+	// under -race.
+	scaleAllocBudget := allocBudget(7.9, 8.3)
 	w := workloads.Scale(sim.NewRNG(7), 2000, 8)
 	s, err := StrategyFor("guess", w)
 	if err != nil {
@@ -72,10 +81,9 @@ func TestScaleAllocBudget(t *testing.T) {
 // DAG under Auto, a queue deeper than the pool, no sinks) must allocate at
 // most autoAllocBudget heap objects per task.
 func TestAutoAllocBudget(t *testing.T) {
-	// Measured at 23.4 objects per task (go1.24, linux/amd64) and 23.7
-	// under -race; the bound is 10% above the plain count, as for
-	// TestScaleAllocBudget.
-	const autoAllocBudget = 25.8
+	// Measured at 8.40 objects per task (go1.24, linux/amd64) and 8.66
+	// under -race.
+	autoAllocBudget := allocBudget(9.2, 9.5)
 	w := workloads.HEP(sim.NewRNG(7), 200)
 	s, err := StrategyFor("auto", w)
 	if err != nil {
@@ -98,11 +106,10 @@ func TestAutoAllocBudget(t *testing.T) {
 // stack) must allocate at most serveAllocBudget heap objects per terminal
 // task.
 func TestServeAllocBudget(t *testing.T) {
-	// Measured at 9.65 objects per task (go1.24, linux/amd64) and 9.68
-	// under -race; the bound is 10% above the plain count, as for
-	// TestScaleAllocBudget. Two thirds of the offers are shed at
-	// admission, which is why the count sits far below the batch runs'.
-	const serveAllocBudget = 10.6
+	// Measured at 4.95 objects per task (go1.24, linux/amd64) and 5.00
+	// under -race. Two thirds of the offers are shed at admission, which
+	// is why the count sits below the batch runs'.
+	serveAllocBudget := allocBudget(5.4, 5.5)
 	const window = 1800 * sim.Second
 	w := workloads.Scale(sim.NewRNG(7), 5600, 8)
 	s, err := StrategyFor("guess", w)

@@ -135,7 +135,7 @@ type LFM struct {
 	Eng *sim.Engine
 	Cfg Config
 
-	met *lfmMetrics
+	met lfmMetrics
 	// armPolls, when set, replaces the grid walker as the way a run's polls
 	// are scheduled. Only tests set it, to run the eager reference poller
 	// the walker is checked against.
@@ -154,8 +154,8 @@ func New(eng *sim.Engine, cfg Config) *LFM {
 	return m
 }
 
-// lfmMetrics holds the monitor's registry instruments. All methods are
-// nil-safe so uninstrumented runs pay only a nil check.
+// lfmMetrics holds the monitor's registry instruments, all nil when it has
+// no registry, so uninstrumented runs pay only a nil check (see inc).
 type lfmMetrics struct {
 	runs        *metrics.Counter
 	completions *metrics.Counter
@@ -165,13 +165,13 @@ type lfmMetrics struct {
 	kills       map[Kind]*metrics.Counter
 }
 
-func newLFMMetrics(reg *metrics.Registry) *lfmMetrics {
+func newLFMMetrics(reg *metrics.Registry) lfmMetrics {
 	reg.Help("lfm_kills_total", "tasks killed by the monitor, by exhausted resource kind")
 	kills := make(map[Kind]*metrics.Counter, 3)
 	for _, k := range []Kind{KindCores, KindMemory, KindDisk} {
 		kills[k] = reg.Counter("lfm_kills_total", metrics.L("kind", string(k)))
 	}
-	return &lfmMetrics{
+	return lfmMetrics{
 		runs:        reg.Counter("lfm_runs_total"),
 		completions: reg.Counter("lfm_completions_total"),
 		aborts:      reg.Counter("lfm_aborts_total"),
@@ -181,39 +181,10 @@ func newLFMMetrics(reg *metrics.Registry) *lfmMetrics {
 	}
 }
 
-func (lm *lfmMetrics) onRun() {
-	if lm != nil {
-		lm.runs.Inc()
-	}
-}
-
-func (lm *lfmMetrics) onPoll() {
-	if lm != nil {
-		lm.polls.Inc()
-	}
-}
-
-func (lm *lfmMetrics) onProcEvent() {
-	if lm != nil {
-		lm.procEvents.Inc()
-	}
-}
-
-func (lm *lfmMetrics) onKill(kind Kind) {
-	if lm != nil {
-		lm.kills[kind].Inc()
-	}
-}
-
-func (lm *lfmMetrics) onComplete() {
-	if lm != nil {
-		lm.completions.Inc()
-	}
-}
-
-func (lm *lfmMetrics) onAbort() {
-	if lm != nil {
-		lm.aborts.Inc()
+// inc counts one event on c, which is nil on an uninstrumented monitor.
+func inc(c *metrics.Counter) {
+	if c != nil {
+		c.Inc()
 	}
 }
 
@@ -245,6 +216,7 @@ type run struct {
 	nextAt sim.Time
 	wakeEv sim.Event
 	wakeFn func()
+	stepFn func() // step, bound once: the start and the completion event
 
 	// obs, if set, receives every measurement (telemetry streaming). The
 	// mean-usage integral and last-measurement state back Report.MeanUsage.
@@ -264,19 +236,19 @@ type run struct {
 
 // Execution is a handle to an in-flight monitored run. Aborting it (e.g.
 // because the hosting worker disappeared) cancels all monitoring events and
-// suppresses the completion report.
+// suppresses the completion report. It holds the run itself.
 type Execution struct {
-	r       *run
+	r       run
 	startEv sim.Event
 }
 
 // Abort cancels the execution; the done callback will not fire.
 func (e *Execution) Abort() {
-	r := e.r
+	r := &e.r
 	if r.finished {
 		return
 	}
-	r.m.met.onAbort()
+	inc(r.m.met.aborts)
 	if !e.startEv.Cancelled() {
 		// The overhead event has not fired yet: monitoring never began, so
 		// there is nothing to tear down and no measurements were taken.
@@ -304,22 +276,15 @@ func (m *LFM) SetKillDelay(fn func() sim.Time) { m.Cfg.KillDelay = fn }
 // unseen, exactly as with a real polling monitor. The returned handle can
 // abort the execution.
 func (m *LFM) Run(spec ProcSpec, limits Resources, done func(Report)) *Execution {
-	return m.RunTraced(spec, limits, nil, trace.NoSpan, done)
+	return m.RunObserved(spec, limits, nil, trace.NoSpan, nil, done)
 }
 
-// RunTraced is Run with span recording: the monitor's setup overhead becomes
-// an lfm-overhead child of parent, and every poll, fork/exit measurement, and
-// kill is recorded as an instant under it. Recording is passive — a traced
-// run reports, kills and finishes exactly as an untraced one; it only wakes
-// the engine at every poll grid point to record each poll live (see
-// RunObserved).
-func (m *LFM) RunTraced(spec ProcSpec, limits Resources, tr *trace.Store, parent trace.SpanID, done func(Report)) *Execution {
-	return m.RunObserved(spec, limits, tr, parent, nil, done)
-}
-
-// RunObserved is RunTraced with a measurement observer: obs receives every
-// measurement the monitor takes (polls, fork/exit events, the final one), in
-// time order, after the peak is updated and before any kill decision. The
+// RunObserved is Run with span recording and a measurement observer. With
+// a trace store the monitor's setup overhead becomes an lfm-overhead child
+// of parent, and every poll, fork/exit measurement and kill an instant
+// under it. obs receives every measurement the monitor takes (polls,
+// fork/exit events, the final one), in time order, after the peak is
+// updated and before any kill decision. Both are passive. The
 // observer, a trace store, a Config.Callback and a metrics registry are
 // live per-poll consumers: a run with any of them wakes the engine at every
 // poll grid point and delivers each poll at its own instant. A bare run
@@ -327,8 +292,9 @@ func (m *LFM) RunTraced(spec ProcSpec, limits Resources, tr *trace.Store, parent
 // Either way the report, the kill time and every other engine event are the
 // same.
 func (m *LFM) RunObserved(spec ProcSpec, limits Resources, tr *trace.Store, parent trace.SpanID, obs Observer, done func(Report)) *Execution {
-	r := &run{m: m, spec: spec, limits: limits, done: done, obs: obs,
-		tr: tr, parent: parent, ovSpan: trace.NoSpan, trTask: -1, trWorker: -1}
+	ex := &Execution{r: run{m: m, spec: spec, limits: limits, done: done, obs: obs,
+		tr: tr, parent: parent, ovSpan: trace.NoSpan, trTask: -1, trWorker: -1}}
+	r := &ex.r
 	if tr != nil {
 		psp := tr.Span(parent)
 		r.trTask, r.trWorker = psp.Task, psp.Worker
@@ -338,30 +304,39 @@ func (m *LFM) RunObserved(spec ProcSpec, limits Resources, tr *trace.Store, pare
 			Start: m.Eng.Now(),
 		})
 	}
-	ex := &Execution{r: r}
-	m.met.onRun()
-	ex.startEv = m.Eng.After(m.Cfg.Overhead, func() {
-		r.tr.End(r.ovSpan, m.Eng.Now(), trace.OutcomeOK, "")
-		r.start = m.Eng.Now()
-		r.rep.Start = r.start
-		r.rep.Procs = spec.countProcs()
-		// Initial measurement at task start.
-		r.measureAt(byPoll, r.start)
-		if r.finished {
-			return
-		}
-		r.next, r.nextAt = 1, r.start+m.Cfg.PollInterval
-		if m.armPolls != nil {
-			m.armPolls(r)
-		} else {
-			r.armWalker()
-		}
-		if m.Cfg.TrackProcessEvents {
-			r.scheduleProcEvents(spec, r.start)
-		}
-		r.endEv = m.Eng.After(spec.Duration(), func() { r.complete() })
-	})
+	inc(m.met.runs)
+	r.stepFn = r.step
+	ex.startEv = m.Eng.After(m.Cfg.Overhead, r.stepFn)
 	return ex
+}
+
+// step begins monitoring once the setup overhead has passed, then
+// completes the run once the task's duration has.
+func (r *run) step() {
+	if r.endEv != (sim.Event{}) {
+		r.complete() // the end event is armed once monitoring began
+		return
+	}
+	m := r.m
+	r.tr.End(r.ovSpan, m.Eng.Now(), trace.OutcomeOK, "")
+	r.start = m.Eng.Now()
+	r.rep.Start = r.start
+	r.rep.Procs = r.spec.countProcs()
+	// Initial measurement at task start.
+	r.measureAt(byPoll, r.start)
+	if r.finished {
+		return
+	}
+	r.next, r.nextAt = 1, r.start+m.Cfg.PollInterval
+	if m.armPolls != nil {
+		m.armPolls(r)
+	} else {
+		r.armWalker()
+	}
+	if m.Cfg.TrackProcessEvents {
+		r.scheduleProcEvents(r.spec, r.start)
+	}
+	r.endEv = m.Eng.After(r.spec.Duration(), r.stepFn)
 }
 
 // measureSource names what triggered a measurement: a polling tick, a
@@ -385,14 +360,14 @@ func (r *run) measureAt(src measureSource, now sim.Time) {
 	switch src {
 	case byPoll:
 		r.rep.Polls++
-		r.m.met.onPoll()
+		inc(r.m.met.polls)
 		r.traceInstant(trace.KindPoll, "", now)
 		if cb := r.m.Cfg.Callback; cb != nil {
 			cb(now, u)
 		}
 	case byProcEvent:
 		r.rep.ProcEvents++
-		r.m.met.onProcEvent()
+		inc(r.m.met.procEvents)
 		r.traceInstant(trace.KindProcEvent, "", now)
 		fromEvent = true
 	case atCompletion:
@@ -402,7 +377,7 @@ func (r *run) measureAt(src measureSource, now sim.Time) {
 		// channel, so ablation counts stay honest.
 		if r.m.Cfg.TrackProcessEvents {
 			r.rep.ProcEvents++
-			r.m.met.onProcEvent()
+			inc(r.m.met.procEvents)
 			fromEvent = true
 		}
 	}
@@ -477,7 +452,7 @@ func (r *run) catchUp(now sim.Time, last int) {
 // live reports whether some consumer must see each poll as it happens: the
 // decorator callback, a measurement observer, span recording, or metrics.
 func (r *run) live() bool {
-	return r.m.Cfg.Callback != nil || r.obs != nil || r.tr != nil || r.m.met != nil
+	return r.m.Cfg.Callback != nil || r.obs != nil || r.tr != nil || r.m.met.runs != nil
 }
 
 // armWalker schedules the run's polling wakes. A live run wakes at every
@@ -591,7 +566,7 @@ func (r *run) kill(kind Kind) {
 func (r *run) doKill(kind Kind) {
 	r.rep.Killed = true
 	r.rep.Exhausted = kind
-	r.m.met.onKill(kind)
+	inc(r.m.met.kills[kind])
 	detail := string(kind)
 	// Telemetry-observed runs enrich the kill span with the observed
 	// violation; bare runs keep the pre-telemetry detail byte-for-byte.
@@ -610,7 +585,7 @@ func (r *run) complete() {
 	r.catchUp(now, 1)
 	r.measureAt(atCompletion, now)
 	if !r.finished {
-		r.m.met.onComplete()
+		inc(r.m.met.completions)
 		r.finish(true)
 	}
 }

@@ -27,12 +27,12 @@ type FairShare struct {
 	// flows is a min-heap on (vEnd, seq). Completion callbacks for flows
 	// that finish at the same instant fire in start order, so runs stay
 	// deterministic.
-	flows   []*Flow
+	flows   []flow
 	vnow    float64 // virtual units served per flow since the last idle rebase
 	lastUpd Time
 	next    Event
 	seq     uint64
-	scratch []*Flow
+	scratch []flow
 	// onDue is complete bound once: a method value passed to After would
 	// allocate a fresh closure on every reschedule.
 	onDue func()
@@ -42,12 +42,12 @@ type FairShare struct {
 	MovedUnits float64
 }
 
-// Flow is one in-progress transfer on a FairShare resource.
-type Flow struct {
+// flow is one in-progress transfer. Flows live by value in the heap, so
+// starting one allocates nothing once the heap has grown.
+type flow struct {
 	vEnd float64
 	seq  uint64
 	done func()
-	fs   *FairShare
 }
 
 // NewFairShare returns a fair-shared resource with the given aggregate
@@ -64,12 +64,8 @@ func NewFairShare(eng *Engine, capacity float64) *FairShare {
 // Active reports the number of in-progress flows.
 func (f *FairShare) Active() int { return len(f.flows) }
 
-// rate returns the current per-flow service rate.
-func (f *FairShare) rate() float64 {
-	n := len(f.flows)
-	if n == 0 {
-		return 0
-	}
+// rate returns the per-flow service rate while n flows are active.
+func (f *FairShare) rate(n int) float64 {
 	r := f.Capacity / float64(n)
 	if f.PerFlowCap > 0 && r > f.PerFlowCap {
 		r = f.PerFlowCap
@@ -86,7 +82,7 @@ func (f *FairShare) advance() {
 	if dt <= 0 || len(f.flows) == 0 {
 		return
 	}
-	progress := f.rate() * dt
+	progress := f.rate(len(f.flows)) * dt
 	f.vnow += progress
 	f.MovedUnits += progress * float64(len(f.flows))
 }
@@ -99,7 +95,7 @@ func (f *FairShare) reschedule() {
 	if len(f.flows) == 0 {
 		return
 	}
-	eta := Time((f.flows[0].vEnd - f.vnow) / f.rate())
+	eta := Time((f.flows[0].vEnd - f.vnow) / f.rate(len(f.flows)))
 	if eta < 0 {
 		eta = 0
 	}
@@ -132,23 +128,27 @@ func (f *FairShare) complete() {
 	}
 	// Callbacks fire in start order, after bookkeeping, so they can start
 	// new flows safely.
-	slices.SortFunc(finished, func(a, b *Flow) int { return cmp.Compare(a.seq, b.seq) })
+	slices.SortFunc(finished, func(a, b flow) int { return cmp.Compare(a.seq, b.seq) })
 	for _, fl := range finished {
-		fl.fs = nil
 		if fl.done != nil {
 			fl.done()
 		}
 	}
-	f.scratch = finished[:0]
-	for i := range finished {
-		finished[i] = nil
+	// A burst's batch is dropped rather than kept at its high-water size.
+	clear(finished)
+	f.scratch = nil
+	if cap(finished) <= maxScratch {
+		f.scratch = finished[:0]
 	}
 	f.reschedule()
 }
 
+// maxScratch is the largest completion batch whose scratch is reused.
+const maxScratch = 64
+
 // Transfer starts a flow of the given size and calls done when it completes.
 // A zero-size transfer completes on the next event dispatch.
-func (f *FairShare) Transfer(units float64, done func()) *Flow {
+func (f *FairShare) Transfer(units float64, done func()) {
 	if units < 0 {
 		panic("sim: negative transfer size")
 	}
@@ -156,41 +156,34 @@ func (f *FairShare) Transfer(units float64, done func()) *Flow {
 	if len(f.flows) == 0 {
 		f.vnow = 0
 	}
-	fl := &Flow{vEnd: f.vnow + units, seq: f.seq, done: done, fs: f}
+	f.heapPush(flow{vEnd: f.vnow + units, seq: f.seq, done: done})
 	f.seq++
-	f.heapPush(fl)
 	f.reschedule()
-	return fl
 }
 
 // EstimateLatency reports how long a transfer of the given size would take if
 // the current number of flows stayed constant. Schedulers use it for
 // planning; it performs no simulation side effects.
 func (f *FairShare) EstimateLatency(units float64) Time {
-	n := len(f.flows) + 1
-	r := f.Capacity / float64(n)
-	if f.PerFlowCap > 0 && r > f.PerFlowCap {
-		r = f.PerFlowCap
-	}
-	return Time(units / r)
+	return Time(units / f.rate(len(f.flows)+1))
 }
 
 // flow-heap primitives (binary min-heap on (vEnd, seq)). Flows cannot be
 // cancelled, so nothing removes from the middle and flows keep no index.
 
-func fless(a, b *Flow) bool {
+func fless(a, b *flow) bool {
 	if a.vEnd != b.vEnd {
 		return a.vEnd < b.vEnd
 	}
 	return a.seq < b.seq
 }
 
-func (f *FairShare) heapPush(fl *Flow) {
+func (f *FairShare) heapPush(fl flow) {
 	f.flows = append(f.flows, fl)
 	i := len(f.flows) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !fless(f.flows[i], f.flows[parent]) {
+		if !fless(&f.flows[i], &f.flows[parent]) {
 			break
 		}
 		f.flows[i], f.flows[parent] = f.flows[parent], f.flows[i]
@@ -198,11 +191,11 @@ func (f *FairShare) heapPush(fl *Flow) {
 	}
 }
 
-func (f *FairShare) heapPop() *Flow {
+func (f *FairShare) heapPop() flow {
 	fl := f.flows[0]
 	last := len(f.flows) - 1
 	f.flows[0] = f.flows[last]
-	f.flows[last] = nil
+	f.flows[last] = flow{}
 	f.flows = f.flows[:last]
 	n := last
 	i := 0
@@ -211,10 +204,10 @@ func (f *FairShare) heapPop() *Flow {
 		if c >= n {
 			break
 		}
-		if r := c + 1; r < n && fless(f.flows[r], f.flows[c]) {
+		if r := c + 1; r < n && fless(&f.flows[r], &f.flows[c]) {
 			c = r
 		}
-		if !fless(f.flows[c], f.flows[i]) {
+		if !fless(&f.flows[c], &f.flows[i]) {
 			break
 		}
 		f.flows[i], f.flows[c] = f.flows[c], f.flows[i]

@@ -70,6 +70,3 @@ func (g *RNG) Pareto(alpha, lo, hi float64) float64 {
 	ha := math.Pow(hi, alpha)
 	return math.Pow(-(u*ha-u*la-ha)/(ha*la), -1/alpha)
 }
-
-// Perm returns a deterministic pseudo-random permutation of [0,n).
-func (g *RNG) Perm(n int) []int { return g.r.Perm(n) }

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"cmp"
 	"container/heap"
 	"fmt"
 	"slices"
@@ -255,62 +256,101 @@ func (b Bucket) Total() sim.Time {
 
 // Bottlenecks aggregates attempt time per group: by task category when
 // byWorker is false, by executing worker when true. Buckets are sorted by
-// descending total time.
+// descending total time. It reads the records and builds no Span: the
+// phase spans of productive attempts are keyed by their parent attempt,
+// so each bucket adds them up attempt by attempt, in creation order.
 func (s *Store) Bottlenecks(byWorker bool) []Bucket {
 	if s == nil {
 		return nil
 	}
-	ix := s.index()
 	end := s.EndTime()
-	buckets := make(map[string]*Bucket)
-	get := func(group string) *Bucket {
-		b := buckets[group]
+	type groupKey struct {
+		category string
+		worker   int
+	}
+	buckets := make(map[groupKey]*Bucket)
+	// bucket is the bucket span id falls in, nil for a worker-less span
+	// when grouping by worker.
+	bucket := func(id SpanID, r *record) *Bucket {
+		var k groupKey
+		if byWorker {
+			if k.worker = s.widen(id, fieldWorker, r.worker); k.worker < 0 {
+				return nil
+			}
+		} else {
+			k.category = s.strs.str(r.category)
+		}
+		b := buckets[k]
 		if b == nil {
-			b = &Bucket{Group: group}
-			buckets[group] = b
+			b = &Bucket{Group: k.category}
+			if byWorker {
+				b.Group = fmt.Sprintf("worker %d", k.worker)
+			}
+			buckets[k] = b
 		}
 		return b
 	}
-	groupOf := func(sp Span) (string, bool) {
-		if byWorker {
-			if sp.Worker < 0 {
-				return "", false
-			}
-			return fmt.Sprintf("worker %d", sp.Worker), true
-		}
-		return sp.Category, true
+	kindOf := func(r *record) Kind { return Kind(s.strs.str(r.kind)) }
+	productive := func(r *record) bool {
+		o := s.strs.str(r.outcome)
+		return kindOf(r) == KindAttempt && o != OutcomeExhausted && o != OutcomeLost
 	}
-	for _, sp := range ix.spans {
-		switch sp.Kind {
-		case KindDepWait:
-			if g, ok := groupOf(sp); ok {
-				get(g).DepWait += sp.Duration(end)
+	isPhase := func(k Kind) bool {
+		return k == KindReadyQueue || k == KindStage || k == KindExecute || k == KindOutput
+	}
+	n := 0
+	for _, c := range s.chunks {
+		for i := range c {
+			if isPhase(kindOf(&c[i])) {
+				n++
 			}
-		case KindAttempt:
-			g, ok := groupOf(sp)
-			if !ok {
-				continue
-			}
-			b := get(g)
-			b.Attempts++
-			if sp.Outcome == OutcomeExhausted || sp.Outcome == OutcomeLost {
-				b.Wasted++
-				b.Waste += sp.Duration(end)
-				continue
-			}
-			for _, p := range ix.children[sp.ID] {
-				d := p.Duration(end)
-				switch p.Kind {
-				case KindReadyQueue:
-					b.Queue += d
-				case KindStage:
-					b.Stage += d
-				case KindExecute:
-					b.Exec += d
-				case KindOutput:
-					b.Output += d
+		}
+	}
+	type phaseRef struct{ attempt, phase SpanID }
+	phases := make([]phaseRef, 0, n)
+	id := SpanID(0)
+	for _, c := range s.chunks {
+		for i := range c {
+			id++
+			r := &c[i]
+			switch k := kindOf(r); {
+			case k == KindDepWait:
+				if b := bucket(id, r); b != nil {
+					b.DepWait += duration(r.start, r.end, end)
+				}
+			case k == KindAttempt:
+				if b := bucket(id, r); b != nil {
+					b.Attempts++
+					if !productive(r) {
+						b.Wasted++
+						b.Waste += duration(r.start, r.end, end)
+					}
+				}
+			case isPhase(k):
+				parent := SpanID(s.widen(id, fieldParent, r.parent))
+				if p := s.at(parent); p != nil && productive(p) {
+					phases = append(phases, phaseRef{parent, id})
 				}
 			}
+		}
+	}
+	slices.SortStableFunc(phases, func(a, b phaseRef) int { return cmp.Compare(a.attempt, b.attempt) })
+	for _, ph := range phases {
+		b := bucket(ph.attempt, s.at(ph.attempt))
+		if b == nil {
+			continue
+		}
+		r := s.at(ph.phase)
+		d := duration(r.start, r.end, end)
+		switch kindOf(r) {
+		case KindReadyQueue:
+			b.Queue += d
+		case KindStage:
+			b.Stage += d
+		case KindExecute:
+			b.Exec += d
+		case KindOutput:
+			b.Output += d
 		}
 	}
 	out := make([]Bucket, 0, len(buckets))

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"runtime"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"unsafe"
@@ -203,6 +204,159 @@ func TestSlowestAndChildrenMatchSpans(t *testing.T) {
 	spansCopy := uint64(len(all)) * uint64(unsafe.Sizeof(Span{}))
 	if got := after.TotalAlloc - before.TotalAlloc; got > spansCopy/20 {
 		t.Fatalf("Slowest(5) allocated %d B on %d spans, want at most 1/20 of one Spans() copy (%d B)", got, len(all), spansCopy)
+	}
+}
+
+// TestBottlenecksMatchSpans checks Bottlenecks, which reads the records,
+// against the computation it replaced, which walked a full Spans() copy:
+// per group, dependency waits in creation order and, attempt by attempt in
+// creation order, each productive attempt's phases. On 20k spans whose
+// phases open in a different order from their attempts, with wasted, open
+// and worker-less attempts, the buckets must be equal to the last bit in
+// both groupings, and building them may allocate at most 1/20 of one
+// Spans() copy.
+func TestBottlenecksMatchSpans(t *testing.T) {
+	s := NewStore()
+	cats := []string{"sim", "reco", "merge"}
+	dur := func(i int) sim.Time { return sim.Time(i*7919%1000) / 7 }
+	var clock sim.Time
+	for task := 0; s.Len() < 20000; task += 40 {
+		attempts := make([]SpanID, 40)
+		phases := make([]SpanID, 40)
+		for i := range attempts {
+			id := task + i
+			cat := cats[id%len(cats)]
+			root := s.Begin(Span{Kind: KindTask, Task: id, Category: cat, Worker: -1, Start: clock})
+			dw := s.Begin(Span{Kind: KindDepWait, Parent: root, Task: id, Category: cat, Worker: -1, Start: clock})
+			s.End(dw, clock+dur(id), OutcomeOK, "")
+			worker := id % 6
+			if id%19 == 0 {
+				worker = -1 // never placed
+			}
+			attempts[i] = s.Begin(Span{Kind: KindAttempt, Parent: root, Task: id, Category: cat, Worker: worker, Start: clock})
+			if id%23 != 0 { // a speculative copy opens no ready-queue phase
+				phases[i] = s.Begin(Span{Kind: KindReadyQueue, Parent: attempts[i], Task: id, Category: cat, Worker: -1, Start: clock})
+			}
+		}
+		// Each later phase opens in a different order across the batch, as
+		// placements and reports do.
+		for step, kind := range []Kind{KindStage, KindExecute, KindOutput} {
+			for j := range attempts {
+				i := (j*(7+2*step) + step) % len(attempts)
+				id := task + i
+				if id%19 == 0 {
+					continue
+				}
+				clock += dur(id*3+step) / 50
+				s.End(phases[i], clock, OutcomeOK, "")
+				phases[i] = s.Begin(Span{Kind: kind, Parent: attempts[i], Task: id, Category: cats[id%len(cats)], Worker: id % 6, Start: clock})
+				switch kind {
+				case KindStage:
+					in := s.Begin(Span{Kind: KindStageInput, Parent: phases[i], Task: id, Worker: id % 6, Start: clock})
+					s.End(in, clock+dur(id+1)/9, OutcomeOK, "")
+				case KindExecute:
+					for k := range 8 {
+						s.Instant(Span{Kind: KindPoll, Parent: phases[i], Task: id, Worker: id % 6}, clock+sim.Time(k))
+					}
+				}
+			}
+		}
+		for i, a := range attempts {
+			id := task + i
+			clock += dur(id*5) / 60
+			outcome := OutcomeOK
+			switch {
+			case id%17 == 0:
+				continue // still open at the end of the trace
+			case id%7 == 0:
+				outcome = OutcomeExhausted
+			case id%11 == 0:
+				outcome = OutcomeLost
+			case id%13 == 0:
+				outcome = OutcomeCancelled
+			}
+			s.End(phases[i], clock, outcome, "")
+			s.End(a, clock, outcome, "")
+		}
+	}
+	all := s.Spans()
+	end := s.EndTime()
+	reference := func(byWorker bool) []Bucket {
+		children := make(map[SpanID][]Span)
+		for _, sp := range all {
+			children[sp.Parent] = append(children[sp.Parent], sp)
+		}
+		buckets := map[string]*Bucket{}
+		get := func(sp Span) *Bucket {
+			g := sp.Category
+			if byWorker {
+				if sp.Worker < 0 {
+					return nil
+				}
+				g = "worker " + strconv.Itoa(sp.Worker)
+			}
+			if buckets[g] == nil {
+				buckets[g] = &Bucket{Group: g}
+			}
+			return buckets[g]
+		}
+		for _, sp := range all {
+			if sp.Kind != KindDepWait && sp.Kind != KindAttempt {
+				continue
+			}
+			b := get(sp)
+			switch {
+			case b == nil:
+			case sp.Kind == KindDepWait:
+				b.DepWait += sp.Duration(end)
+			default:
+				b.Attempts++
+				if sp.Outcome == OutcomeExhausted || sp.Outcome == OutcomeLost {
+					b.Wasted++
+					b.Waste += sp.Duration(end)
+					continue
+				}
+				for _, p := range children[sp.ID] {
+					switch p.Kind {
+					case KindReadyQueue:
+						b.Queue += p.Duration(end)
+					case KindStage:
+						b.Stage += p.Duration(end)
+					case KindExecute:
+						b.Exec += p.Duration(end)
+					case KindOutput:
+						b.Output += p.Duration(end)
+					}
+				}
+			}
+		}
+		var out []Bucket
+		for _, b := range buckets {
+			out = append(out, *b)
+		}
+		slices.SortFunc(out, func(a, b Bucket) int {
+			if c := cmp.Compare(b.Total(), a.Total()); c != 0 {
+				return c
+			}
+			return strings.Compare(a.Group, b.Group)
+		})
+		return out
+	}
+	for _, byWorker := range []bool{false, true} {
+		if got, want := s.Bottlenecks(byWorker), reference(byWorker); !reflect.DeepEqual(got, want) {
+			t.Fatalf("Bottlenecks(%v) differs from the walk over Spans():\n%+v\nwant\n%+v", byWorker, got, want)
+		}
+	}
+
+	spansCopy := uint64(len(all)) * uint64(unsafe.Sizeof(Span{}))
+	for _, byWorker := range []bool{false, true} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		s.Bottlenecks(byWorker)
+		runtime.ReadMemStats(&after)
+		if got := after.TotalAlloc - before.TotalAlloc; got > spansCopy/20 {
+			t.Fatalf("Bottlenecks(%v) allocated %d B on %d spans, want at most 1/20 of one Spans() copy (%d B)", byWorker, got, len(all), spansCopy)
+		}
 	}
 }
 

@@ -41,7 +41,7 @@ type categoryTracker struct {
 	byCat map[string]*CategorySummary
 }
 
-func (ct *categoryTracker) observe(category string, rep monitor.Report) {
+func (ct *categoryTracker) observe(category string, rep *monitor.Report) {
 	if ct.byCat == nil {
 		ct.byCat = make(map[string]*CategorySummary)
 	}

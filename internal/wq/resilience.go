@@ -151,26 +151,13 @@ func (m *Master) SetKillDelay(fn func() sim.Time) { m.lfm.SetKillDelay(fn) }
 // retryStaging handles a failed staging transfer: retry under backoff while
 // budget remains, otherwise fail this attempt and everyone piggybacking on
 // the same transfer, charging the worker's circuit breaker.
-func (m *Master) retryStaging(a *attempt, f *File, try int, cont func()) {
+func (m *Master) retryStaging(a *attempt, f *File) {
 	r := m.Cfg.Resilience
 	rs := m.stats.resilience()
-	if try < r.StagingRetries {
+	if a.try < r.StagingRetries {
 		rs.StagingRetries++
 		m.emit(event{kind: evStagingRetry, a: a, f: f})
-		m.Eng.After(r.StagingBackoff.Delay(try, m.resRNG), func() {
-			if a.done {
-				return
-			}
-			if !a.w.alive {
-				m.loseAttempt(a)
-				return
-			}
-			if a.w.dead {
-				a.stranded = true
-				return
-			}
-			m.transferFile(a, f, try+1, cont)
-		})
+		m.Eng.After(r.StagingBackoff.Delay(a.try, m.resRNG), m.resume(a, (*Master).retransfer))
 		return
 	}
 	w := a.w
@@ -194,7 +181,7 @@ func (m *Master) failStaging(a *attempt, f *File) {
 	}
 	m.endAttempt(a)
 	t := a.t
-	m.releaseAttempt(a)
+	m.releaseCapacity(a.w, a.req)
 	rs := m.stats.resilience()
 	rs.StagingFailures++
 	if a.speculative {
@@ -250,7 +237,7 @@ func (m *Master) cancelAttempt(a *attempt) {
 	if a.exec != nil {
 		a.exec.Abort()
 	}
-	m.releaseAttempt(a)
+	m.releaseCapacity(a.w, a.req)
 	rs := m.stats.resilience()
 	if a.speculative {
 		rs.SpecCancelled++
@@ -273,11 +260,6 @@ func (m *Master) endAttempt(a *attempt) {
 	} else {
 		m.running--
 	}
-}
-
-// releaseAttempt frees an attempt's allocation on its (still-live) worker.
-func (m *Master) releaseAttempt(a *attempt) {
-	m.releaseCapacity(a.w, a.req)
 }
 
 // workerAttemptFailed advances the quarantine circuit breaker after a
@@ -381,14 +363,7 @@ func (m *Master) speculate(a *attempt) {
 	if m.sched != nil {
 		best, _ = m.sched.selectWorker(t, a.dec, a.w)
 	} else {
-		var candidates []*Worker
-		for _, w := range m.workers {
-			if w == a.w || !w.alive || w.quarantined || !m.fitsOn(w, a.dec) {
-				continue
-			}
-			candidates = append(candidates, w)
-		}
-		best = m.pick(t, candidates)
+		best = m.scanPick(t, a.dec, a.w)
 	}
 	if best == nil {
 		return

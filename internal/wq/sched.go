@@ -206,6 +206,13 @@ type blockedEntry struct {
 	pinned bool
 }
 
+// blockedNode is a blocked entry with the treap node that indexes it,
+// allocated together.
+type blockedNode struct {
+	n  tnode
+	be blockedEntry
+}
+
 // catBlocked holds one category's blocked tasks. Unpinned entries share one
 // allocation decision (Next is a pure function of per-category state), so a
 // strategy update re-checks one decision instead of every task; pinned
@@ -255,6 +262,9 @@ type schedState struct {
 	// schedulePassIndexed empties it at the end of every round, so no node
 	// outlives a pass.
 	spare []*tnode
+	// blockedSlab is a chunked arena of node-and-entry pairs that block
+	// carves from when spare is empty.
+	blockedSlab []blockedNode
 
 	// sets interns cache sets (see cacheSetOf) under a key of their sorted
 	// names and summed sizes; setKey and setInputs are the lookup's reused
@@ -581,7 +591,13 @@ func (s *schedState) block(t *Task, dec alloc.Decision) {
 		s.spare = s.spare[:k]
 		*n = tnode{be: n.be}
 	} else {
-		n = &tnode{be: new(blockedEntry)}
+		if len(s.blockedSlab) == 0 {
+			s.blockedSlab = make([]blockedNode, 64)
+		}
+		bn := &s.blockedSlab[0]
+		s.blockedSlab = s.blockedSlab[1:]
+		n = &bn.n
+		n.be = &bn.be
 	}
 	e := n.be
 	*e = blockedEntry{t: t, dec: dec, pinned: t.retryNext != nil}
@@ -597,10 +613,7 @@ func (s *schedState) block(t *Task, dec alloc.Decision) {
 			// keep it from weakening the resource prune for its subtree.
 			n.v1, n.v2, n.v3 = math.Inf(-1), math.Inf(-1), math.Inf(-1)
 		} else {
-			req := dec.Request
-			if req.Cores <= 0 {
-				req.Cores = 1 // mirror fitsOn's default
-			}
+			req := minRequest(dec)
 			n.v1, n.v2, n.v3 = -req.Cores, -req.MemoryMB, -req.DiskMB
 			n.vi = 1
 		}
@@ -636,23 +649,23 @@ func (s *schedState) decFitsDirty(dec alloc.Decision) bool {
 	if s.dirtyIx.root == nil {
 		return false
 	}
-	var may func(*tnode) bool
-	if dec.WholeNode {
-		may = func(n *tnode) bool { return n.minVi == 0 }
-	} else {
-		req := dec.Request
-		if req.Cores <= 0 {
-			req.Cores = 1
-		}
-		// Mirror Resources.Fits' epsilon so pruning never rejects a worker
-		// the scan would accept.
-		may = func(n *tnode) bool {
-			return req.Cores <= n.maxV1+1e-9 && req.MemoryMB <= n.maxV2+1e-9 && req.DiskMB <= n.maxV3+1e-9
-		}
-	}
 	m := s.m
 	visits := 0
-	return s.dirtyIx.findFit(may, func(n *tnode) bool { return m.fitsOn(n.w, dec) }, &visits) != nil
+	return s.dirtyIx.findFit(func(n *tnode) bool { return mayFit(n, dec) },
+		func(n *tnode) bool { return m.fitsOn(n.w, dec) }, &visits) != nil
+}
+
+// mayFit reports whether a worker in n's subtree may fit dec, from the
+// subtree's aggregates. A whole-node placement needs an idle worker, and
+// running counts are integers, so that test is exact; the others mirror
+// Resources.Fits' epsilon, so pruning never rejects a worker the scan
+// would accept.
+func mayFit(n *tnode, dec alloc.Decision) bool {
+	if dec.WholeNode {
+		return n.minVi == 0
+	}
+	req := minRequest(dec)
+	return req.Cores <= n.maxV1+1e-9 && req.MemoryMB <= n.maxV2+1e-9 && req.DiskMB <= n.maxV3+1e-9
 }
 
 // bestBlockedCandidate returns the scheduling-order-first blocked entry
@@ -707,27 +720,10 @@ func (s *schedState) bestBlockedCandidate() (cb *catBlocked, best *tnode, wake b
 // straggler's own host). It returns the worker (nil if none fits) and the
 // number of candidates tested for fit.
 func (s *schedState) selectWorker(t *Task, dec alloc.Decision, exclude *Worker) (*Worker, int) {
-	ix := &s.affinityFor(t).tr
-	var may func(*tnode) bool
-	if dec.WholeNode {
-		// A whole-node placement needs an idle worker; running counts are
-		// integers, so the aggregate test is exact.
-		may = func(n *tnode) bool { return n.minVi == 0 }
-	} else {
-		req := dec.Request
-		if req.Cores <= 0 {
-			req.Cores = 1
-		}
-		// Mirror Resources.Fits' epsilon so pruning never rejects a subtree
-		// the scan would accept.
-		may = func(n *tnode) bool {
-			return req.Cores <= n.maxV1+1e-9 && req.MemoryMB <= n.maxV2+1e-9 && req.DiskMB <= n.maxV3+1e-9
-		}
-	}
 	m := s.m
-	ok := func(n *tnode) bool { return n.w != exclude && m.fitsOn(n.w, dec) }
 	visits := 0
-	found := ix.findFit(may, ok, &visits)
+	found := s.affinityFor(t).tr.findFit(func(n *tnode) bool { return mayFit(n, dec) },
+		func(n *tnode) bool { return n.w != exclude && m.fitsOn(n.w, dec) }, &visits)
 	if found == nil {
 		return nil, visits
 	}
@@ -920,10 +916,7 @@ func (s *schedState) check() error {
 						}
 						return
 					}
-					req := e.dec.Request
-					if req.Cores <= 0 {
-						req.Cores = 1
-					}
+					req := minRequest(e.dec)
 					if n.v1 != -req.Cores || n.v2 != -req.MemoryMB || n.v3 != -req.DiskMB || n.vi != 1 {
 						err = fmt.Errorf("wq: blocked task %d prune values stale", e.t.ID)
 					}

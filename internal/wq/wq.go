@@ -101,11 +101,11 @@ type Task struct {
 }
 
 func (t *Task) dropActive(a *attempt) {
-	for i, o := range t.active {
-		if o == a {
-			t.active = slices.Delete(t.active, i, i+1)
-			return
-		}
+	if i := slices.Index(t.active, a); i >= 0 {
+		t.active = slices.Delete(t.active, i, i+1)
+	}
+	if len(t.active) == 0 {
+		t.active = nil // a finished task keeps no backing array
 	}
 }
 
@@ -142,6 +142,14 @@ type attempt struct {
 	// span/phase are this attempt's trace spans (NoSpan when untraced).
 	span  trace.SpanID
 	phase trace.SpanID
+
+	// stage indexes the input being staged, try counts its failed
+	// transfers and fsp is its transfer span. step is the attempt's one
+	// continuation, which runs next (see resume).
+	stage, try int
+	fsp        trace.SpanID
+	step       func()
+	next       func(*Master, *attempt)
 }
 
 // Config parameterizes a master.
@@ -235,11 +243,9 @@ func (s *Stats) resilience() *ResilienceStats {
 }
 
 // stagingWaiter is one attempt piggybacking on another attempt's in-flight
-// transfer of a cacheable file: cont resumes it when the transfer lands,
-// and span is its shared-transfer trace span.
+// transfer of a cacheable file; span is its shared-transfer trace span.
 type stagingWaiter struct {
 	a    *attempt
-	cont func()
 	span trace.SpanID
 }
 
@@ -286,11 +292,8 @@ type Worker struct {
 func (w *Worker) Quarantined() bool { return w.quarantined }
 
 func (w *Worker) dropAttempt(a *attempt) {
-	for i, o := range w.attempts {
-		if o == a {
-			w.attempts = slices.Delete(w.attempts, i, i+1)
-			return
-		}
+	if i := slices.Index(w.attempts, a); i >= 0 {
+		w.attempts = slices.Delete(w.attempts, i, i+1)
 	}
 }
 
@@ -632,20 +635,25 @@ func (m *Master) place(t *Task) bool {
 	st.ScanTasksExamined++
 	st.CandidatesExamined += int64(len(m.workers))
 	st.ScanCandidatesExamined += int64(len(m.workers))
-	var candidates []*Worker
-	for _, w := range m.workers {
-		if !w.alive || w.quarantined || !m.fitsOn(w, dec) {
-			continue
-		}
-		candidates = append(candidates, w)
-	}
-	best := m.pick(t, candidates)
+	best := m.scanPick(t, dec, nil)
 	if best == nil {
 		return false
 	}
 	m.issue(t, dec)
 	m.startAttempt(t, best, dec, false)
 	return true
+}
+
+// scanPick is the scan matcher's choice for t under dec among the live,
+// unquarantined workers it fits, bar exclude.
+func (m *Master) scanPick(t *Task, dec alloc.Decision, exclude *Worker) *Worker {
+	var candidates []*Worker
+	for _, w := range m.workers {
+		if w != exclude && w.alive && !w.quarantined && m.fitsOn(w, dec) {
+			candidates = append(candidates, w)
+		}
+	}
+	return m.pick(t, candidates)
 }
 
 // decide returns the allocation a ready task is examined under: its pinned
@@ -707,11 +715,7 @@ func (m *Master) fitsOn(w *Worker, dec alloc.Decision) bool {
 	if dec.WholeNode {
 		return w.running == 0
 	}
-	req := dec.Request
-	if req.Cores <= 0 {
-		req.Cores = 1
-	}
-	return req.Fits(w.free())
+	return minRequest(dec).Fits(w.free())
 }
 
 // effectiveRequest is what the task occupies on the worker.
@@ -719,6 +723,12 @@ func effectiveRequest(w *Worker, dec alloc.Decision) monitor.Resources {
 	if dec.WholeNode {
 		return monitor.Resources{Cores: w.Node.Cores, MemoryMB: w.Node.MemoryMB, DiskMB: w.Node.DiskMB}
 	}
+	return minRequest(dec)
+}
+
+// minRequest is what a decision short of a whole node occupies: its
+// request, with at least one core.
+func minRequest(dec alloc.Decision) monitor.Resources {
 	req := dec.Request
 	if req.Cores <= 0 {
 		req.Cores = 1
@@ -757,9 +767,8 @@ func (m *Master) startAttempt(t *Task, w *Worker, dec alloc.Decision, speculativ
 		t.State = TaskRunning
 		t.Attempts++
 	}
-	req := effectiveRequest(w, dec)
-	a.req = req
-	m.allocCapacity(w, req)
+	a.req = effectiveRequest(w, dec)
+	m.allocCapacity(w, a.req)
 	w.attempts = append(w.attempts, a)
 	t.active = append(t.active, a)
 	if w.usedCores > m.stats.PeakCoresUsed {
@@ -767,168 +776,204 @@ func (m *Master) startAttempt(t *Task, w *Worker, dec alloc.Decision, speculativ
 	}
 
 	m.emit(event{kind: evPlaced, a: a})
-	m.stageInputs(a, 0, func() {
-		if a.done {
-			return // cancelled or failed while inputs were in flight
-		}
-		if !w.alive {
-			// The worker vanished while inputs were in flight.
-			m.loseAttempt(a)
-			return
-		}
-		if w.dead {
-			// The worker crashed but the master has not suspected it yet:
-			// the attempt strands until heartbeat suspicion recovers it.
-			a.stranded = true
-			return
-		}
-		a.started = true
-		a.execStart = m.Eng.Now()
-		if !speculative {
-			t.StartedAt = a.execStart
-			m.stats.WaitTimes.Add(float64(t.StartedAt - t.SubmittedAt))
-		}
-		limits := monitor.Resources{}
-		if !dec.Monitorless {
-			limits = req
-		}
-		spec := t.Spec
-		if w.slow > 1 {
-			spec = t.Spec.ScaleTime(w.slow)
-		}
-		m.emit(event{kind: evExecStart, a: a})
-		// The monitor records its polls under the execute phase.
-		var tst *trace.Store
-		if a.span != trace.NoSpan {
-			tst = m.st()
-		}
-		var obs monitor.Observer
-		if m.telem != nil {
-			a.rec = m.telem.StartAttempt(t.ID, t.Attempts, speculative, t.Category, w.Node.ID, req)
-			obs = a.rec.Observe
-		}
-		a.exec = m.lfm.RunObserved(spec, limits, tst, a.phase, obs, func(rep monitor.Report) {
-			m.endAttempt(a)
-			t.Report = rep
-			m.Cfg.Strategy.Observe(t.Category, rep)
-			if m.sched != nil {
-				m.sched.strategyObserved(t.Category)
-			}
-			m.categories.observe(t.Category, rep)
-			m.emit(event{kind: evReport, a: a, rep: &rep})
-			if rep.Completed {
-				// First result wins: cancel the losing copies.
-				t.StartedAt = a.execStart
-				w.consecFails, w.probationRound = 0, 0
-				if a.speculative {
-					m.stats.resilience().SpecWins++
-				}
-				for _, o := range append([]*attempt(nil), t.active...) {
-					m.cancelAttempt(o)
-				}
-			}
-			m.sendOutputs(t, rep.Completed, func() {
-				if rep.Completed {
-					m.stats.UsedCoreSeconds.Add(rep.Peak.Cores * float64(rep.WallTime))
-				}
-				m.releaseCapacity(w, req)
-				m.emit(event{kind: evAttemptDone, a: a, rep: &rep})
-				if rep.Completed || len(t.active) == 0 {
-					m.finishAttempt(t, rep)
-				}
-				// Otherwise this attempt exhausted its allocation while a
-				// copy still races; drop it and let the copy decide.
-				m.schedule()
-			})
-		})
-	})
+	m.stageInputs(a)
 }
 
-// stageInputs transfers (and unpacks) each input not already cached.
-func (m *Master) stageInputs(a *attempt, i int, done func()) {
+// resume points a's one continuation at next and returns it. An attempt
+// waits on one transfer or timer at a time, so it binds one closure.
+func (m *Master) resume(a *attempt, next func(*Master, *attempt)) func() {
+	if a.next = next; a.step == nil {
+		a.step = func() { a.next(m, a) }
+	}
+	return a.step
+}
+
+// linked writes a's input to the worker's disk once it crossed the link.
+func (m *Master) linked(a *attempt) {
+	a.w.Node.Disk.Write(a.t.Inputs[a.stage].SizeBytes, m.resume(a, (*Master).written))
+}
+
+// written fails a's input by injected fault, or unpacks it and lands it.
+func (m *Master) written(a *attempt) {
+	f, w := a.t.Inputs[a.stage], a.w
+	switch {
+	case m.stageFault != nil && w.alive && !w.dead && m.stageFault(w, f):
+		m.st().End(a.fsp, m.Eng.Now(), trace.OutcomeFailed, "transfer failed")
+		m.retryStaging(a, f)
+	case f.UnpackTime > 0:
+		m.Eng.After(f.UnpackTime, m.resume(a, (*Master).landed))
+	default:
+		m.landed(a)
+	}
+}
+
+// retransfer sends a's input again once a retry's backoff elapsed.
+func (m *Master) retransfer(a *attempt) {
+	if m.proceed(a) {
+		a.try++
+		m.transferFile(a, a.t.Inputs[a.stage])
+	}
+}
+
+// proceed reports whether a staged attempt goes on: not if it ended, lost
+// if its worker vanished, stranded if its worker crashed unsuspected.
+func (m *Master) proceed(a *attempt) bool {
+	switch {
+	case !a.done && !a.w.alive:
+		m.loseAttempt(a)
+	case !a.done && a.w.dead:
+		a.stranded = true
+	}
+	return !a.done && !a.stranded
+}
+
+// stageInputs stages a's inputs from a.stage on, then executes a. A cached
+// input is a hit, and a cacheable one already in flight is waited on.
+func (m *Master) stageInputs(a *attempt) {
 	t, w := a.t, a.w
-	if i >= len(t.Inputs) {
-		done()
-		return
-	}
-	f := t.Inputs[i]
-	cont := func() { m.stageInputs(a, i+1, done) }
-	if w.cache[f.Name] {
-		m.stats.CacheHits++
-		m.emit(event{kind: evCacheHit, a: a, f: f})
-		m.st().End(m.stageSpan(a, f), m.Eng.Now(), trace.OutcomeCacheHit, "")
-		cont()
-		return
-	}
-	if f.Cacheable {
-		if waiters, inflight := w.staging[f.Name]; inflight {
-			// Another task is already pulling this file to the worker;
-			// piggyback on its transfer.
+	for ; a.stage < len(t.Inputs); a.stage++ {
+		f := t.Inputs[a.stage]
+		if w.cache[f.Name] {
 			m.stats.CacheHits++
 			m.emit(event{kind: evCacheHit, a: a, f: f})
-			w.staging[f.Name] = append(waiters, stagingWaiter{a: a, cont: cont, span: m.stageSpan(a, f)})
-			return
+			m.st().End(m.stageSpan(a, f), m.Eng.Now(), trace.OutcomeCacheHit, "")
+			continue
 		}
-		w.staging[f.Name] = nil
+		if f.Cacheable {
+			if waiters, inflight := w.staging[f.Name]; inflight {
+				m.stats.CacheHits++
+				m.emit(event{kind: evCacheHit, a: a, f: f})
+				w.staging[f.Name] = append(waiters, stagingWaiter{a: a, span: m.stageSpan(a, f)})
+				return
+			}
+			w.staging[f.Name] = nil
+		}
+		a.try = 0
+		m.transferFile(a, f)
+		return
 	}
-	m.transferFile(a, f, 0, cont)
+	m.execute(a)
 }
 
-// transferFile moves one input over the master link onto the worker's disk,
-// retrying injected transfer failures under exponential backoff and failing
-// the attempt (plus any piggybacked waiters) once retries are exhausted.
-func (m *Master) transferFile(a *attempt, f *File, try int, cont func()) {
-	w := a.w
-	st := m.st()
+// transferFile moves one input over the master link onto the worker's disk;
+// see retryStaging for injected transfer failures.
+func (m *Master) transferFile(a *attempt, f *File) {
 	m.stats.CacheMisses++
 	m.stats.BytesIn += f.SizeBytes
 	m.emit(event{kind: evTransferIn, a: a, f: f})
-	fsp := m.stageSpan(a, f)
-	m.link.Transfer(float64(f.SizeBytes), func() {
-		w.Node.Disk.Write(f.SizeBytes, func() {
-			if m.stageFault != nil && w.alive && !w.dead && m.stageFault(w, f) {
-				st.End(fsp, m.Eng.Now(), trace.OutcomeFailed, "transfer failed")
-				m.retryStaging(a, f, try, cont)
-				return
-			}
-			after := func() {
-				st.End(fsp, m.Eng.Now(), trace.OutcomeOK, "")
-				if f.Cacheable {
-					w.cache[f.Name] = true
-					w.cacheBytes += f.SizeBytes
-					if m.sched != nil {
-						m.sched.cacheAdded(w, f)
-					}
-					waiters := w.staging[f.Name]
-					delete(w.staging, f.Name)
-					for _, wt := range waiters {
-						st.End(wt.span, m.Eng.Now(), trace.OutcomeShared, "")
-						wt.cont()
-					}
-				}
-				cont()
-			}
-			if f.UnpackTime > 0 {
-				m.Eng.After(f.UnpackTime, after)
-			} else {
-				after()
-			}
-		})
+	a.fsp = m.stageSpan(a, f)
+	m.link.Transfer(float64(f.SizeBytes), m.resume(a, (*Master).linked))
+}
+
+// landed caches a cacheable input and resumes its waiters, even if a ended
+// meanwhile; then a stages its next input.
+func (m *Master) landed(a *attempt) {
+	f, w, st := a.t.Inputs[a.stage], a.w, m.st()
+	st.End(a.fsp, m.Eng.Now(), trace.OutcomeOK, "")
+	if f.Cacheable {
+		w.cache[f.Name] = true
+		w.cacheBytes += f.SizeBytes
+		if m.sched != nil {
+			m.sched.cacheAdded(w, f)
+		}
+		waiters := w.staging[f.Name]
+		delete(w.staging, f.Name)
+		for _, wt := range waiters {
+			st.End(wt.span, m.Eng.Now(), trace.OutcomeShared, "")
+			wt.a.stage++
+			m.stageInputs(wt.a)
+		}
+	}
+	a.stage++
+	m.stageInputs(a)
+}
+
+// execute runs a's task under the LFM once its inputs are staged.
+func (m *Master) execute(a *attempt) {
+	if !m.proceed(a) {
+		return
+	}
+	t, w := a.t, a.w
+	a.started = true
+	a.execStart = m.Eng.Now()
+	if !a.speculative {
+		t.StartedAt = a.execStart
+		m.stats.WaitTimes.Add(float64(t.StartedAt - t.SubmittedAt))
+	}
+	limits := monitor.Resources{}
+	if !a.dec.Monitorless {
+		limits = a.req
+	}
+	spec := t.Spec
+	if w.slow > 1 {
+		spec = t.Spec.ScaleTime(w.slow)
+	}
+	m.emit(event{kind: evExecStart, a: a})
+	// The monitor records its polls under the execute phase.
+	var tst *trace.Store
+	if a.span != trace.NoSpan {
+		tst = m.st()
+	}
+	var obs monitor.Observer
+	if m.telem != nil {
+		a.rec = m.telem.StartAttempt(t.ID, t.Attempts, a.speculative, t.Category, w.Node.ID, a.req)
+		obs = a.rec.Observe
+	}
+	a.exec = m.lfm.RunObserved(spec, limits, tst, a.phase, obs, func(rep monitor.Report) {
+		t.Report = rep
+		m.reported(a)
 	})
 }
 
-func (m *Master) sendOutputs(t *Task, completed bool, done func()) {
-	if !completed || t.OutputBytes == 0 {
-		done()
-		return
+// reported takes a's report, which stays in its task's Report until a
+// returns: a completed attempt cancels every copy that could report, and
+// an exhausted one returns at once.
+func (m *Master) reported(a *attempt) {
+	t, w, rep := a.t, a.w, &a.t.Report
+	m.endAttempt(a)
+	m.Cfg.Strategy.Observe(t.Category, *rep)
+	if m.sched != nil {
+		m.sched.strategyObserved(t.Category)
 	}
-	m.stats.BytesOut += t.OutputBytes
-	m.emit(event{kind: evTransferOut, t: t})
-	m.link.Transfer(float64(t.OutputBytes), done)
+	m.categories.observe(t.Category, rep)
+	m.emit(event{kind: evReport, a: a, rep: rep})
+	if rep.Completed {
+		// First result wins: cancel the losing copies.
+		t.StartedAt = a.execStart
+		w.consecFails, w.probationRound = 0, 0
+		if a.speculative {
+			m.stats.resilience().SpecWins++
+		}
+		for _, o := range append([]*attempt(nil), t.active...) {
+			m.cancelAttempt(o)
+		}
+		if t.OutputBytes > 0 {
+			m.stats.BytesOut += t.OutputBytes
+			m.emit(event{kind: evTransferOut, t: t})
+			m.link.Transfer(float64(t.OutputBytes), m.resume(a, (*Master).returned))
+			return
+		}
+	}
+	m.returned(a)
+}
+
+// returned releases a's allocation once its outputs are back and settles
+// its task, unless a exhausted its allocation while a copy still races.
+func (m *Master) returned(a *attempt) {
+	t, rep := a.t, &a.t.Report
+	if rep.Completed {
+		m.stats.UsedCoreSeconds.Add(rep.Peak.Cores * float64(rep.WallTime))
+	}
+	m.releaseCapacity(a.w, a.req)
+	m.emit(event{kind: evAttemptDone, a: a, rep: rep})
+	if rep.Completed || len(t.active) == 0 {
+		m.finishAttempt(t, rep)
+	}
+	m.schedule()
 }
 
 // finishAttempt decides between completion, retry, and failure.
-func (m *Master) finishAttempt(t *Task, rep monitor.Report) {
+func (m *Master) finishAttempt(t *Task, rep *monitor.Report) {
 	if rep.Completed {
 		m.stats.ExecTimes.Add(float64(rep.WallTime))
 		m.complete(t, TaskDone)
