@@ -25,12 +25,14 @@ test-race:
 
 # Allocation budgets, counted plain: make check runs the suite only under
 # -race, whose instrumentation changes the counts, so the four
-# *AllocBudget tests run here again without it. Then ALLOCS.pprof records
+# *AllocBudget tests run here again without it, with TestSinkRetainedBudget
+# (its -v line prints the retained bytes per task) and TestEngineEventBudget
+# (the bare, all-sinks and per-poll-wake event counts). Then ALLOCS.pprof records
 # where the scale-batch-shaped run of TestScaleAllocBudget allocates (one
 # sample per 512 B; read it with `go tool pprof -sample_index=alloc_objects
 # ALLOCS.pprof`). CI uploads the profile as an artifact.
 allocs:
-	$(GO) test -count=1 -run 'AllocBudget$$' -v ./internal/core
+	$(GO) test -count=1 -run 'AllocBudget$$|^TestSinkRetainedBudget$$|^TestEngineEventBudget$$' -v ./internal/core
 	$(GO) test -count=1 -run '^TestScaleAllocBudget$$' -memprofile ALLOCS.pprof -memprofilerate 512 ./internal/core
 	rm -f core.test
 

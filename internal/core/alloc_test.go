@@ -2,6 +2,7 @@ package core
 
 import (
 	"runtime"
+	"runtime/debug"
 	rtmetrics "runtime/metrics"
 	"testing"
 
@@ -17,6 +18,9 @@ import (
 // allocated per terminal task (from runtime/metrics, which counts every
 // goroutine's allocations; the run is single-threaded). Terminal means
 // completed or failed, and on a serving run also turned away at admission.
+// Collection is held off during the run: a collection empties the
+// sync.Pools that encoding/json and fmt draw their buffers from, so where
+// one lands would move the count.
 func objectsPerTask(t *testing.T, w *workloads.Workload, cfg RunConfig) float64 {
 	t.Helper()
 	// A GC flushes the per-P allocation caches, whose counts the runtime
@@ -25,7 +29,9 @@ func objectsPerTask(t *testing.T, w *workloads.Workload, cfg RunConfig) float64 
 	runtime.GC()
 	rtmetrics.Read(sample)
 	before := sample[0].Value.Uint64()
+	gcPercent := debug.SetGCPercent(-1)
 	out, err := Run(w, cfg)
+	debug.SetGCPercent(gcPercent)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -74,9 +74,12 @@ type RunConfig struct {
 	// cluster, filesystem, and — for Auto — the allocation strategy) on the
 	// registry, and a passive sampler records counter/gauge timelines at
 	// MetricsResolution on the engine's clock boundaries, plus one sample
-	// at the makespan. The sampler schedules no events and the monitor's
-	// per-poll wakes (for lfm_polls_total) change no outcome, so the run's
-	// outcome and trace are byte-identical with Metrics on or off.
+	// at the makespan. The sampler schedules no events; before each sample
+	// it folds the monitors' polls up to the boundary, so lfm_polls_total
+	// reads as if every poll were an event. The run's outcome, trace and
+	// engine events are the same with Metrics on or off. When the run ends,
+	// every gauge is held at its final value (Registry.FreezeGauges), so the
+	// registry does not keep the finished run's master alive.
 	Metrics *metrics.Registry
 	// MetricsResolution is the sampling period (default 1s).
 	MetricsResolution sim.Time
@@ -111,10 +114,10 @@ type RunConfig struct {
 	// differential tests set it, to run the linear scan the indexed
 	// matcher is checked against.
 	matcher wq.Matcher
-	// pollWakes attaches a no-op per-poll monitor callback. A live per-poll
-	// consumer makes every monitored run wake the engine at each poll grid
-	// point, as eager polling did; only the poll differential and
-	// event-count tests set it.
+	// pollWakes attaches a no-op per-poll monitor callback. A callback is
+	// the live per-poll consumer: it makes every monitored run wake the
+	// engine at each poll grid point, as eager polling did; only the poll
+	// differential and event-count tests set it.
 	pollWakes bool
 }
 
@@ -281,6 +284,7 @@ func Run(w *workloads.Workload, cfg RunConfig) (*Outcome, error) {
 			auto.SetMetrics(cfg.Metrics)
 		}
 		sampler = metrics.NewSampler(eng, cfg.Metrics, cfg.MetricsResolution)
+		sampler.SetSync(master.SyncPolls)
 	}
 
 	var workers []*wq.Worker
@@ -426,6 +430,9 @@ func Run(w *workloads.Workload, cfg RunConfig) (*Outcome, error) {
 		}
 	})
 	makespan := eng.Run()
+	if cfg.Metrics != nil {
+		cfg.Metrics.FreezeGauges()
+	}
 	if scaler != nil && scaler.Err() != nil {
 		return nil, scaler.Err()
 	}

@@ -4,14 +4,18 @@ import (
 	"testing"
 
 	"lfm/internal/cluster"
+	"lfm/internal/metrics"
+	"lfm/internal/obs"
 	"lfm/internal/sim"
+	"lfm/internal/tseries"
 	"lfm/internal/workloads"
+	"lfm/internal/wq"
 )
 
 // scaleEvents runs a fixed small Scale configuration (2,000 one-core tasks
-// on 100 four-core workers, seed 7, as the bench's scale-batch model) and
-// returns the engine's dispatch count.
-func scaleEvents(t *testing.T, pollWakes bool) uint64 {
+// on 100 four-core workers, seed 7, as the bench's scale-batch model), with
+// attach applied to its config, and returns the engine's dispatch count.
+func scaleEvents(t *testing.T, attach func(*RunConfig)) uint64 {
 	t.Helper()
 	w := workloads.Scale(sim.NewRNG(7), 2000, 8)
 	s, err := StrategyFor("guess", w)
@@ -20,11 +24,13 @@ func scaleEvents(t *testing.T, pollWakes bool) uint64 {
 	}
 	site := cluster.Sites()["ndcrc"]
 	site.Nodes = 100
-	out, err := Run(w, RunConfig{
+	cfg := RunConfig{
 		Site: &site, Workers: 100,
 		WorkerCores: 4, WorkerMemoryMB: 4 * 1024, WorkerDiskMB: 8 * 1024,
-		Strategy: s, Seed: 7, NoBatchLatency: true, pollWakes: pollWakes,
-	})
+		Strategy: s, Seed: 7, NoBatchLatency: true,
+	}
+	attach(&cfg)
+	out, err := Run(w, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,16 +42,28 @@ func scaleEvents(t *testing.T, pollWakes bool) uint64 {
 
 // TestEngineEventBudget gates the engine's event count exactly: a change
 // that adds or removes events on the scale model must update the pin
-// knowingly. Bare monitored runs fold their polls without events, so the
-// run must also dispatch at most 40% of the events it dispatches when
-// every poll grid point wakes the engine (51,654, the count of the eager
-// poller this replaced).
+// knowingly. Monitored runs fold their polls without events, and the
+// sinks take them from the fold, so the run must dispatch exactly as many
+// events with the trace store, metrics registry, telemetry and obs bus
+// all attached as bare (their tickers draw no events), and at most 40% of
+// the events it dispatches when every poll grid point wakes the engine
+// (51,654, the count of the eager poller this replaced).
 func TestEngineEventBudget(t *testing.T) {
 	const want = 12548
-	lazy, eager := scaleEvents(t, false), scaleEvents(t, true)
-	t.Logf("events: %d bare, %d with per-poll wakes", lazy, eager)
+	lazy := scaleEvents(t, func(*RunConfig) {})
+	sinks := scaleEvents(t, func(cfg *RunConfig) {
+		cfg.Trace = &wq.Trace{}
+		cfg.Metrics = metrics.NewRegistry()
+		cfg.Telemetry = tseries.DefaultConfig()
+		cfg.Obs = &obs.Config{}
+	})
+	eager := scaleEvents(t, func(cfg *RunConfig) { cfg.pollWakes = true })
+	t.Logf("events: %d bare, %d with every sink, %d with per-poll wakes", lazy, sinks, eager)
 	if lazy != want {
 		t.Errorf("engine dispatched %d events, want exactly %d", lazy, want)
+	}
+	if sinks != want {
+		t.Errorf("engine dispatched %d events with every sink attached, want exactly %d", sinks, want)
 	}
 	if 10*lazy > 4*eager {
 		t.Errorf("engine dispatched %d events, more than 40%% of the %d with per-poll wakes", lazy, eager)

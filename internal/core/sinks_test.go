@@ -100,11 +100,11 @@ func TestSinkExportsGolden(t *testing.T) {
 		data []byte
 		want string
 	}{
-		{"trace.json", ex.traceJSON, "52d98ab5c59e3e3a4c314a1c04c45168df0260fb6cf66c5a86e24cf24353008f"},
-		{"perfetto.json", ex.perfetto, "72505a2eaa2af21412f5f90e712d68c7bb34a4936f75a78e0cccbe5377014960"},
+		{"trace.json", ex.traceJSON, "6fe2b70f2205db91b1bfe953514fc701ea3e7963cc2cd760dc43011a76cded08"},
+		{"perfetto.json", ex.perfetto, "a4cc5689165e206d832fb45139e52f5b2b69beac558bed9e60d61ca547a3cd93"},
 		{"metrics.prom", maskWallClock(ex.prometheus), "c443ffc53d398d5053d32d9f6ea83bd93ec0cb17a2b84ff9cc3a09b0ebc6f748"},
 		{"timeline.json", ex.timeline, "341f59a6603c6a2f237dc9dbe5ece46aa31f4929b7021254a9f6d8c77eb6c1bc"},
-		{"telemetry.jsonl", ex.telemetry, "53b82f10c4193c7788563296360ae30860734f3ebc14016e7412e743335b8822"},
+		{"telemetry.jsonl", ex.telemetry, "35861231d0570cb90adb9367ce3d0da5418ddc05d5cdfec93068552e3bafcc00"},
 		{"obs.jsonl", ex.stream, "00ee9e75d7fa83f7daf90f792115df0f2f787e2bf8104807e764dcefbc1252a3"},
 	} {
 		sum := sha256.Sum256(c.data)
@@ -118,10 +118,11 @@ func TestSinkExportsGolden(t *testing.T) {
 // the all-sinks run of TestSinkExportsGolden must allocate at most
 // sinkAllocBudget heap objects per task (see objectsPerTask).
 func TestSinkAllocBudget(t *testing.T) {
-	// Measured at 21.6 objects per task (go1.24, linux/amd64; up to 22.4
-	// when a collection lands mid-run) and 23.5-24.6 under -race. See
-	// allocBudget.
-	sinkAllocBudget := allocBudget(23.7, 27.1)
+	// Measured at 21.41-21.50 objects per task (go1.24, linux/amd64) and
+	// 23.27-23.76 under -race, with collection held off during the run
+	// (see objectsPerTask); what spread is left comes from map growth,
+	// which depends on the maps' hash seeds. See allocBudget.
+	sinkAllocBudget := allocBudget(23.6, 26.1)
 	w, cfg, _ := allSinksRun(t)
 	if perTask := objectsPerTask(t, w, cfg); perTask > sinkAllocBudget {
 		t.Fatalf("all-sinks run allocates %.2f objects per task, budget %.1f", perTask, sinkAllocBudget)
@@ -137,14 +138,13 @@ func TestSinkAllocBudget(t *testing.T) {
 // there after the trace is exported too, so an exporter may not leave a
 // second copy of the spans behind.
 func TestSinkRetainedBudget(t *testing.T) {
-	// Measured at 7,038 bytes per task after the run and 7,064-7,074 after
-	// the exports (go1.24, linux/amd64; 10,527 after the run before spans
-	// were stored as pointer-free records and node series handed to their
-	// summaries, and 10,765 after the exports while the store kept a
-	// []Span of every span beside its records), about the same under
-	// -race; the bound is 9% above the plain count, so make check (which
-	// runs the suite only with -race) catches a creep.
-	const sinkRetainedBudget = 7680
+	// Measured at 6,111-6,112 bytes per task after the run and
+	// 6,136-6,147 after the exports (go1.24, linux/amd64; 7,038 and 7,074
+	// while polls were stored as spans and the metrics registry kept the
+	// master alive), 6,062 and 6,090 under -race; the bound is 10% above
+	// the plain count, so make check (which runs the suite only with
+	// -race) catches a creep.
+	const sinkRetainedBudget = 6760
 	w, cfg, _ := allSinksRun(t)
 	liveBytes := func() float64 {
 		// encoding/json pools its encoder buffer, which can hold a whole

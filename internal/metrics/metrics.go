@@ -362,6 +362,18 @@ func (r *Registry) GaugeFunc(name string, fn func() float64, labels ...Label) {
 	ins.gauge = &Gauge{fn: fn}
 }
 
+// FreezeGauges holds every gauge at its current value: a gauge backed by a
+// function reads it once more and drops it, so the registry no longer keeps
+// alive what the function refers to (a finished run's master, workers and
+// cluster). Call it once the instrumented system has stopped changing.
+func (r *Registry) FreezeGauges() {
+	for _, ins := range r.order {
+		if g := ins.gauge; g != nil {
+			g.v, g.fn = g.Value(), nil
+		}
+	}
+}
+
 // Histogram returns the histogram for name+labels, creating it with the
 // given bucket bounds on first use (DefTimeBuckets when nil). Bounds are
 // fixed at creation; later calls return the existing instrument unchanged.

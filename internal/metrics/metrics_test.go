@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"bytes"
 	"math"
 	"testing"
 )
@@ -54,6 +55,39 @@ func TestGauge(t *testing.T) {
 	n = 9
 	if got := r.Gauge("derived").Value(); got != 9 {
 		t.Fatalf("gauge func not re-evaluated: %v", got)
+	}
+}
+
+// TestFreezeGaugesReleasesFunctions checks that FreezeGauges keeps every
+// gauge's last value and drops every gauge function, unregistered ones'
+// included, so nothing they refer to stays alive through the registry.
+func TestFreezeGaugesReleasesFunctions(t *testing.T) {
+	r := NewRegistry()
+	cores := 6.0
+	r.GaugeFunc("pool_cores", func() float64 { return cores })
+	r.GaugeFunc("worker_cores", func() float64 { return cores / 2 }, L("worker", "0"))
+	r.Unregister("worker_cores", L("worker", "0"))
+	r.Gauge("plain").Set(3)
+	var before bytes.Buffer
+	if err := r.WritePrometheus(&before); err != nil {
+		t.Fatal(err)
+	}
+	r.FreezeGauges()
+	cores = 8
+	for _, ins := range r.order {
+		if ins.gauge.fn != nil {
+			t.Fatalf("%s keeps its function after FreezeGauges", ins.id)
+		}
+	}
+	var after bytes.Buffer
+	if err := r.WritePrometheus(&after); err != nil {
+		t.Fatal(err)
+	}
+	if after.String() != before.String() {
+		t.Fatalf("export after freezing:\n%s\nwant\n%s", after.String(), before.String())
+	}
+	if got := r.Gauge("pool_cores").Value(); got != 6 {
+		t.Fatalf("frozen pool_cores = %v, want 6", got)
 	}
 }
 

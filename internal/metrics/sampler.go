@@ -56,6 +56,8 @@ type Sampler struct {
 	byPos  []*TimeSeries
 	ticker *sim.Ticker // nil while stopped
 	last   sim.Time    // time of the latest sample
+	// sync, if set, runs before each boundary sample (see SetSync).
+	sync func(at sim.Time)
 
 	// Samples counts completed sampling sweeps.
 	Samples int
@@ -85,6 +87,12 @@ func (s *Sampler) Start() {
 	s.ticker = s.eng.Every(s.res, s.boundary)
 }
 
+// SetSync installs fn to run at each clock-boundary sample, before the
+// sweep, with the boundary's time: the place to fold counts that are
+// kept lazily, such as the monitor's polls (monitor.LFM.Sync). fn runs
+// inside the engine's ticker, so it may not schedule events either.
+func (s *Sampler) SetSync(fn func(at sim.Time)) { s.sync = fn }
+
 // Stop detaches periodic collection; Start resumes it.
 func (s *Sampler) Stop() {
 	if s.ticker != nil {
@@ -97,12 +105,17 @@ func (s *Sampler) Stop() {
 // sampled (Start's own sample, taken mid-round, keeps its place).
 func (s *Sampler) boundary(at sim.Time) {
 	if at > s.last {
+		if s.sync != nil {
+			s.sync(at)
+		}
 		s.sampleAt(at)
 	}
 }
 
 // Sample takes one sweep over the registry's counters and gauges now. It can
-// also be called manually (e.g. to snapshot at a known interesting instant).
+// also be called manually (e.g. to snapshot at a known interesting instant);
+// a manual sample does not run the SetSync hook, so a lazily kept count
+// reads what has been folded so far.
 func (s *Sampler) Sample() { s.sampleAt(s.eng.Now()) }
 
 // sampleAt sweeps the registry, stamping every point with `at`.

@@ -42,7 +42,8 @@ type pollCase struct {
 	// the execution is aborted. The abort event is pushed first, so it
 	// dispatches before any event of the run at the same instant.
 	startAt, abortAt sim.Time
-	// observe attaches a measurement observer, which makes the run live.
+	// observe attaches a measurement observer, which the run feeds from
+	// its fold, or at every grid point under cfg.LiveObserver.
 	observe bool
 }
 

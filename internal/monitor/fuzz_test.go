@@ -50,8 +50,8 @@ func (b *fuzzBytes) spec(budget *int) ProcSpec {
 }
 
 // decodePollCase builds a pollCase from a fuzz input: the process tree,
-// then the poll interval, start time, limits, flags, kill delay and abort
-// time.
+// then the poll interval, start time, limits, flags (event tracking,
+// observer, overhead, abort, live observer), kill delay and abort time.
 func decodePollCase(data []byte) pollCase {
 	b := fuzzBytes(data)
 	budget := 3
@@ -64,6 +64,7 @@ func decodePollCase(data []byte) pollCase {
 	flags := b.next()
 	c.cfg.TrackProcessEvents = flags&1 != 0
 	c.observe = flags&2 != 0
+	c.cfg.LiveObserver = flags&16 != 0
 	if flags&4 != 0 {
 		c.cfg.Overhead = 20 * sim.Millisecond
 	}
@@ -102,8 +103,10 @@ func FuzzLazyPolls(f *testing.F) {
 		// A 0.2 s child spike at 2.5 s trips; the 0.5 s kill delay lands
 		// on grid point 3.
 		{0, 201, 5, 1, 51, 0, 5, 29, 0, 0, 0, 20, 1, 11},
-		// Observed runs aborted on grid point 3 and at 2.5 s.
+		// Observed runs aborted on grid point 3 and at 2.5 s, the first
+		// also with a live observer (flag 16).
 		{0, 201, 5, 0, 0, 0, 0, 10, 0, 6},
+		{0, 201, 5, 0, 0, 0, 0, 26, 0, 6},
 		{0, 201, 5, 0, 0, 0, 0, 10, 0, 51},
 	} {
 		f.Add(seed)

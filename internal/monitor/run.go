@@ -3,6 +3,7 @@ package monitor
 import (
 	"fmt"
 	"math"
+	"testing"
 
 	"lfm/internal/metrics"
 	"lfm/internal/sim"
@@ -103,9 +104,18 @@ type Config struct {
 	// Callback, if set, runs at the end of each polling interval with the
 	// current measurement — the decorator callback of §VI-B1. It is a live
 	// per-poll consumer: a run with a Callback wakes the engine at every
-	// grid point so the callback sees each poll as it happens, where a bare
-	// run folds its polls arithmetically (see run.catchUp).
+	// grid point so the callback sees each poll at its own instant, where
+	// every other run folds its polls arithmetically (see run.catchUp) and
+	// wakes only to kill.
 	Callback func(at sim.Time, current Resources)
+	// LiveObserver, when set, makes a run with a measurement observer wake
+	// at every grid point too, so the observer has seen every poll up to
+	// the engine's clock whenever model code reads its state. Set it only
+	// for a reader that steers the run: the master does when speculation
+	// may ask a telemetry recorder whether usage has flatlined. Sinks that
+	// only record take their polls from the fold, and tickers that read
+	// them call LFM.Sync first.
+	LiveObserver bool
 	// RecordSeries, when true, retains every measurement in the report's
 	// Series for post-hoc inspection (usage timelines).
 	RecordSeries bool
@@ -136,6 +146,8 @@ type LFM struct {
 	Cfg Config
 
 	met lfmMetrics
+	// runs holds the runs being monitored, each at its slot, for Sync.
+	runs []*run
 	// armPolls, when set, replaces the grid walker as the way a run's polls
 	// are scheduled. Only tests set it, to run the eager reference poller
 	// the walker is checked against.
@@ -199,10 +211,12 @@ type run struct {
 
 	finished bool
 	zombie   bool
-	// preArm marks a bare run's wake at grid point k-1 (see armWalker).
+	// preArm marks a folding run's wake at grid point k-1 (see armWalker).
 	preArm bool
 	// haveU is set once a measurement backs lastU (see obs below).
-	haveU    bool
+	haveU bool
+	// slot is the run's index in LFM.runs while monitoring, -1 otherwise.
+	slot     int32
 	endEv    sim.Event
 	zombieEv sim.Event
 	procEvs  []sim.Event
@@ -226,7 +240,8 @@ type run struct {
 	integral Resources // componentwise usage integral (unit-seconds)
 
 	// Span recording (nil/NoSpan when the run is untraced): parent is the
-	// caller's execute span; ovSpan covers the monitor's setup overhead.
+	// caller's execute span, which gets the poll count when the run ends;
+	// ovSpan covers the monitor's setup overhead.
 	tr       *trace.Store
 	parent   trace.SpanID
 	ovSpan   trace.SpanID
@@ -281,18 +296,20 @@ func (m *LFM) Run(spec ProcSpec, limits Resources, done func(Report)) *Execution
 
 // RunObserved is Run with span recording and a measurement observer. With
 // a trace store the monitor's setup overhead becomes an lfm-overhead child
-// of parent, and every poll, fork/exit measurement and kill an instant
-// under it. obs receives every measurement the monitor takes (polls,
-// fork/exit events, the final one), in time order, after the peak is
-// updated and before any kill decision. Both are passive. The
-// observer, a trace store, a Config.Callback and a metrics registry are
-// live per-poll consumers: a run with any of them wakes the engine at every
-// poll grid point and delivers each poll at its own instant. A bare run
-// computes its polls arithmetically and wakes only where a limit can trip.
+// of parent, every fork/exit measurement and kill an instant under parent,
+// and parent gets the run's poll count (Span.Polls) when the run ends;
+// polls are not spans. obs receives every measurement the monitor takes
+// (polls, fork/exit events, the final one) with its own timestamp, in time
+// order, after the peak is updated and before any kill decision. Both are
+// passive. The run folds its polls arithmetically: each reaches the
+// observer, the poll counter and the report when the run's next
+// measurement, kill wake, abort or a Sync folds it, and the engine wakes
+// only where a limit can trip. Only a Config.Callback, or an observer under
+// Config.LiveObserver, makes the run wake at every poll grid point instead.
 // Either way the report, the kill time and every other engine event are the
 // same.
 func (m *LFM) RunObserved(spec ProcSpec, limits Resources, tr *trace.Store, parent trace.SpanID, obs Observer, done func(Report)) *Execution {
-	ex := &Execution{r: run{m: m, spec: spec, limits: limits, done: done, obs: obs,
+	ex := &Execution{r: run{m: m, spec: spec, limits: limits, done: done, obs: obs, slot: -1,
 		tr: tr, parent: parent, ovSpan: trace.NoSpan, trTask: -1, trWorker: -1}}
 	r := &ex.r
 	if tr != nil {
@@ -328,6 +345,8 @@ func (r *run) step() {
 		return
 	}
 	r.next, r.nextAt = 1, r.start+m.Cfg.PollInterval
+	r.slot = int32(len(m.runs))
+	m.runs = append(m.runs, r)
 	if m.armPolls != nil {
 		m.armPolls(r)
 	} else {
@@ -361,7 +380,6 @@ func (r *run) measureAt(src measureSource, now sim.Time) {
 	case byPoll:
 		r.rep.Polls++
 		inc(r.m.met.polls)
-		r.traceInstant(trace.KindPoll, "", now)
 		if cb := r.m.Cfg.Callback; cb != nil {
 			cb(now, u)
 		}
@@ -449,14 +467,35 @@ func (r *run) catchUp(now sim.Time, last int) {
 	}
 }
 
-// live reports whether some consumer must see each poll as it happens: the
-// decorator callback, a measurement observer, span recording, or metrics.
+// live reports whether some consumer must see each poll at its own
+// instant: the decorator callback, or an observer under LiveObserver.
 func (r *run) live() bool {
-	return r.m.Cfg.Callback != nil || r.obs != nil || r.tr != nil || r.m.met.runs != nil
+	return r.m.Cfg.Callback != nil || r.m.Cfg.LiveObserver && r.obs != nil
+}
+
+// Sync folds every monitored run's grid points at or before at, ties
+// included, so the poll counter and every observer are as eager per-poll
+// events would have left them once the clock has passed at. Tickers
+// (sim.Engine.Every) that read poll-fed state call it first: a ticker at B
+// fires after every event at or before B, and a grid point that kills has
+// its own wake, which fires before any ticker at or after it, so the fold
+// never reaches a kill decision (a zombie's later polls return from kill
+// at once) and schedules nothing.
+func (m *LFM) Sync(at sim.Time) {
+	for i := 0; i < len(m.runs); i++ {
+		r := m.runs[i]
+		r.catchUp(at, allTies)
+		if r.finished {
+			if testing.Testing() {
+				panic(fmt.Sprintf("monitor: Sync(%v) finished a run", float64(at)))
+			}
+			i-- // finish moved the last run into this slot
+		}
+	}
 }
 
 // armWalker schedules the run's polling wakes. A live run wakes at every
-// grid point, exactly the eager poll event pattern. A bare run needs the
+// grid point, exactly the eager poll event pattern. Any other run needs the
 // engine only where a poll decides a kill: it walks the grid to the first
 // point whose sample exceeds the limits before the task ends and wakes
 // there. For k >= 2 the wake is armed at grid point k-1 and pushes the
@@ -595,6 +634,15 @@ func (r *run) finish(completed bool) {
 		return
 	}
 	r.finished = true
+	if r.slot >= 0 {
+		runs := r.m.runs
+		last := runs[len(runs)-1]
+		runs[r.slot], last.slot = last, r.slot
+		runs[len(runs)-1] = nil
+		r.m.runs = runs[:len(runs)-1]
+		r.slot = -1
+	}
+	r.tr.SetPolls(r.parent, r.rep.Polls)
 	r.rep.Completed = completed
 	r.rep.End = r.m.Eng.Now()
 	r.rep.WallTime = r.rep.End - r.rep.Start

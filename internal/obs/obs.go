@@ -169,6 +169,7 @@ type Bus struct {
 	final      *Snapshot
 	truth      func() Truth
 	serveTruth func() ServeTruth
+	sync       func(at sim.Time)
 }
 
 // NewBus returns a bus sealing snapshots of eng's simulation at cfg's
@@ -213,6 +214,17 @@ func (b *Bus) SetTruth(fn func() Truth) {
 		return
 	}
 	b.truth = fn
+}
+
+// SetSync installs fn to run before each snapshot reads the truth
+// sources, with the snapshot's time: the master folds its monitors' polls
+// there (monitor.LFM.Sync), so counts fed by them are exact at the
+// boundary. Like the bus itself, fn may not schedule events.
+func (b *Bus) SetSync(fn func(at sim.Time)) {
+	if b == nil {
+		return
+	}
+	b.sync = fn
 }
 
 // SetServeTruth installs the serving frontend's count source; the
@@ -266,6 +278,9 @@ func (b *Bus) seal(at sim.Time) {
 // build assembles the snapshot for one boundary from the truth sources and
 // the pushed observations.
 func (b *Bus) build(at sim.Time, seq int) *Snapshot {
+	if b.sync != nil {
+		b.sync(at)
+	}
 	var t Truth
 	if b.truth != nil {
 		t = b.truth()

@@ -280,6 +280,8 @@ type Ticker struct {
 // and deferred procedure at or before B and before the first event after B.
 // When Run drains, fn fires once more at the final time, which consumes a
 // grid point the run ends exactly on. Points before Now are never fired.
+// Several tickers fire in time order, those due at one instant in
+// registration order.
 //
 // A registration is invisible to the simulation: it schedules no event,
 // draws no sequence number, does not count in Pending or Processed, and
@@ -307,15 +309,20 @@ func (t *Ticker) Stop() {
 	}
 }
 
-// cross fires every registered grid point before the next event time at.
+// cross fires every registered grid point before the next event time at,
+// in time order across tickers, so a ticker that reads state another one
+// brings up to date sees it as of its own grid point.
 func (e *Engine) cross(at Time) {
-	for _, t := range e.tickers {
-		for t.next < at {
-			t.fn(t.next)
-			t.next += t.period
+	for e.nextTick < at {
+		b := e.nextTick
+		for _, t := range e.tickers {
+			if t.next == b {
+				t.fn(b)
+				t.next += t.period
+			}
 		}
+		e.retick()
 	}
-	e.retick()
 }
 
 // drained fires every ticker at the final time of a drained run.

@@ -232,9 +232,10 @@ func isNonDecreasing(ts []Time) bool {
 
 // TestEngineEvery pins the clock-boundary contract: each grid point the
 // clock moves past fires once, in order, after that round's deferred
-// procedures and before any later event; a drained run fires once more at
-// its final time, which is the only firing of a grid point it ends on; and
-// a registration changes neither Pending, Processed nor Run's end time.
+// procedures and before any later event; several tickers interleave in
+// time order; a drained run fires once more at its final time, which is
+// the only firing of a grid point it ends on; and a registration changes
+// neither Pending, Processed nor Run's end time.
 func TestEngineEvery(t *testing.T) {
 	build := func(log *[]string) *Engine {
 		e := NewEngine(1)
@@ -263,6 +264,19 @@ func TestEngineEvery(t *testing.T) {
 	want := []string{"tick0", "ev0.5", "def0.5", "tick1", "tick2", "ev2.5", "tick3", "ev4", "tick4"}
 	if !slices.Equal(log, want) {
 		t.Fatalf("order = %v, want %v", log, want)
+	}
+
+	// Two tickers crossed by one gap fire in time order, interleaved, and
+	// at a shared instant in registration order.
+	e = NewEngine(1)
+	log = nil
+	e.Every(1, func(at Time) { log = append(log, fmt.Sprintf("a%v", float64(at))) })
+	e.Every(1.5, func(at Time) { log = append(log, fmt.Sprintf("b%v", float64(at))) })
+	e.At(3.5, func() { log = append(log, "ev3.5") })
+	e.Run()
+	want = []string{"a0", "b0", "a1", "b1.5", "a2", "a3", "b3", "ev3.5", "a3.5", "b3.5"}
+	if !slices.Equal(log, want) {
+		t.Fatalf("two-ticker order = %v, want %v", log, want)
 	}
 
 	// A drain off the grid fires at the final time; a stopped ticker is

@@ -49,18 +49,14 @@ func (cp *CriticalPath) Sum() sim.Time {
 	return d
 }
 
-// index holds the lookups a path walk needs.
+// index holds the spans and their children for the Perfetto export.
 type index struct {
 	spans    []Span            // every span, from one Spans call
 	children map[SpanID][]Span // parent -> children, creation order
-	depsInto map[SpanID][]Span // dependent task span -> dependency task spans
 }
 
 func (s *Store) index() *index {
-	ix := &index{
-		children: make(map[SpanID][]Span),
-		depsInto: make(map[SpanID][]Span),
-	}
+	ix := &index{children: make(map[SpanID][]Span)}
 	if s == nil {
 		return ix
 	}
@@ -68,11 +64,6 @@ func (s *Store) index() *index {
 	for _, sp := range ix.spans {
 		if sp.Parent != NoSpan {
 			ix.children[sp.Parent] = append(ix.children[sp.Parent], sp)
-		}
-	}
-	for _, l := range s.links {
-		if l.Kind == "dep" {
-			ix.depsInto[l.To] = append(ix.depsInto[l.To], s.Span(l.From))
 		}
 	}
 	return ix
@@ -89,34 +80,114 @@ func isPhaseKind(k Kind) bool {
 	return false
 }
 
-// phases collects one task's phase spans in time order: the dep-wait span,
-// then each attempt's ready-queue / stage / execute / output children.
-func (ix *index) phases(task SpanID) []Span {
-	var out []Span
-	for _, c := range ix.children[task] {
-		switch {
-		case c.Kind == KindDepWait:
-			out = append(out, c)
-		case c.Kind == KindAttempt:
-			for _, p := range ix.children[c.ID] {
-				if isPhaseKind(p.Kind) {
-					out = append(out, p)
+// walkRef is one entry of the critical path's phase index: a span that
+// owner's phase walk reaches. ref > 0 is a dep-wait child of owner, reached
+// as itself; ref < 0 is span -ref, a phase reached through its parent
+// attempt, a child of owner. IDs fit int32: at 56 bytes a record, 2^31
+// spans would take 120 GB.
+type walkRef struct{ owner, ref int32 }
+
+// span is the ID of the span the entry reaches.
+func (w walkRef) span() SpanID {
+	if w.ref < 0 {
+		return SpanID(-w.ref)
+	}
+	return SpanID(w.ref)
+}
+
+// phaseIndex lists every span a phase walk reaches, sorted by owner. It
+// reads the records and builds no Span.
+func (s *Store) phaseIndex() []walkRef {
+	kindOf := func(r *record) Kind { return Kind(s.strs.str(r.kind)) }
+	// each calls fn with the owners a span's walk entries have, if any.
+	each := func(fn func(owner SpanID, ref int32)) {
+		id := SpanID(0)
+		for _, c := range s.chunks {
+			for i := range c {
+				id++
+				r := &c[i]
+				k := kindOf(r)
+				if !isPhaseKind(k) {
+					continue
+				}
+				parent := SpanID(s.widen(id, fieldParent, r.parent))
+				if k == KindDepWait {
+					fn(parent, int32(id))
+				}
+				if p := s.at(parent); p != nil && kindOf(p) == KindAttempt {
+					fn(SpanID(s.widen(parent, fieldParent, p.parent)), -int32(id))
 				}
 			}
 		}
+	}
+	inStore := func(owner SpanID) bool { return owner > 0 && int(owner) <= s.n }
+	n := 0
+	each(func(owner SpanID, _ int32) {
+		if inStore(owner) {
+			n++
+		}
+	})
+	refs := make([]walkRef, 0, n)
+	each(func(owner SpanID, ref int32) {
+		if inStore(owner) {
+			refs = append(refs, walkRef{int32(owner), ref})
+		}
+	})
+	slices.SortFunc(refs, func(a, b walkRef) int {
+		return cmp.Or(cmp.Compare(a.owner, b.owner), cmp.Compare(a.ref, b.ref))
+	})
+	return refs
+}
+
+// phases collects one task's phase spans in time order: its dep-wait span,
+// then each attempt's ready-queue / stage / execute / output children,
+// children in creation order before a stable sort by start. It reorders
+// the task's own entries of refs.
+func (s *Store) phases(refs []walkRef, task SpanID) []Span {
+	i, _ := slices.BinarySearchFunc(refs, int32(task), func(r walkRef, t int32) int { return cmp.Compare(r.owner, t) })
+	j := i
+	for j < len(refs) && refs[j].owner == int32(task) {
+		j++
+	}
+	// via is the task's child the walk reaches the entry through.
+	via := func(w walkRef) SpanID {
+		if w.ref > 0 {
+			return w.span()
+		}
+		return SpanID(s.widen(w.span(), fieldParent, s.at(w.span()).parent))
+	}
+	own := refs[i:j]
+	slices.SortFunc(own, func(a, b walkRef) int {
+		return cmp.Or(cmp.Compare(via(a), via(b)), cmp.Compare(a.span(), b.span()))
+	})
+	out := make([]Span, len(own))
+	for k, w := range own {
+		out[k] = s.Span(w.span())
 	}
 	sort.SliceStable(out, func(i, j int) bool { return out[i].Start < out[j].Start })
 	return out
 }
 
+// depsInto returns the dependency task spans of a dependent task span, in
+// link order. into lists the dep links' indexes sorted by their target.
+func (s *Store) depsInto(into []int32, task SpanID) []Span {
+	i, _ := slices.BinarySearchFunc(into, task, func(l int32, t SpanID) int { return cmp.Compare(s.links[l].To, t) })
+	var deps []Span
+	for ; i < len(into) && s.links[into[i]].To == task; i++ {
+		deps = append(deps, s.Span(s.links[into[i]].From))
+	}
+	return deps
+}
+
 // CriticalPath walks the completed DAG backwards from the last-finishing task
 // and returns the span chain that determined the makespan. It returns nil if
-// the store holds no task spans.
+// the store holds no task spans. It reads the records: an index of each
+// task's phase spans and of the dependency links by target lets it build
+// Spans only for the tasks it visits.
 func (s *Store) CriticalPath() *CriticalPath {
 	if s == nil {
 		return nil
 	}
-	ix := s.index()
 	end := s.EndTime()
 
 	// The path terminus: the task span with the latest end (open spans count
@@ -124,26 +195,39 @@ func (s *Store) CriticalPath() *CriticalPath {
 	// keeping the walk deterministic.
 	last := NoSpan
 	lastEnd := sim.Time(-1)
-	for _, sp := range ix.spans {
-		if sp.Kind != KindTask {
-			continue
-		}
-		e := sp.Start + sp.Duration(end)
-		if e > lastEnd+timeEps {
-			lastEnd = e
-			last = sp.ID
+	id := SpanID(0)
+	for _, c := range s.chunks {
+		for i := range c {
+			id++
+			r := &c[i]
+			if Kind(s.strs.str(r.kind)) != KindTask {
+				continue
+			}
+			if e := r.start + duration(r.start, r.end, end); e > lastEnd+timeEps {
+				lastEnd = e
+				last = id
+			}
 		}
 	}
 	if last == NoSpan {
 		return nil
 	}
+	refs := s.phaseIndex()
+	// into holds the dep links' indexes, int32 like walkRef's IDs.
+	var into []int32
+	for i, l := range s.links {
+		if l.Kind == "dep" {
+			into = append(into, int32(i))
+		}
+	}
+	slices.SortStableFunc(into, func(a, b int32) int { return cmp.Compare(s.links[a].To, s.links[b].To) })
 
-	var steps []Span
+	var walked [][]Span // each visited task's phases, last task first
 	visited := make(map[SpanID]bool)
 	cur := last
 	for cur != NoSpan && !visited[cur] {
 		visited[cur] = true
-		phases := ix.phases(cur)
+		phases := s.phases(refs, cur)
 
 		// The predecessor is the dependency whose completion made this task
 		// ready — the one finishing at the dep-wait span's end. A task whose
@@ -157,7 +241,7 @@ func (s *Store) CriticalPath() *CriticalPath {
 				break
 			}
 		}
-		if deps := ix.depsInto[cur]; len(deps) > 0 && depWaitEnd >= 0 {
+		if deps := s.depsInto(into, cur); len(deps) > 0 && depWaitEnd >= 0 {
 			var best Span
 			for _, d := range deps {
 				e := d.Start + d.Duration(end)
@@ -184,34 +268,62 @@ func (s *Store) CriticalPath() *CriticalPath {
 			}
 			phases = trimmed
 		}
-		// Prepend this task's phases (the walk runs backwards).
-		steps = append(phases, steps...)
+		walked = append(walked, phases)
 		cur = pred
+	}
+	n := 0
+	for _, ph := range walked {
+		n += len(ph)
+	}
+	steps := make([]Span, 0, n)
+	for i := len(walked) - 1; i >= 0; i-- {
+		steps = append(steps, walked[i]...)
 	}
 
 	cp := &CriticalPath{Steps: steps, End: lastEnd}
 	if len(steps) > 0 {
 		cp.Start = steps[0].Start
 	}
-	cp.Phases = s.pathPhases(cp, ix)
+	cp.Phases = s.pathPhases(cp)
 	return cp
 }
 
 // pathPhases aggregates the path's spans by kind, splitting stage wrappers
 // into their per-file env-stage / input-stage children (any residue — cache
-// hits, piggybacking — stays under "stage").
-func (s *Store) pathPhases(cp *CriticalPath, ix *index) []PhaseShare {
+// hits, piggybacking — stays under "stage"). One pass over the records
+// finds the path's stage spans' file children, in creation order.
+func (s *Store) pathPhases(cp *CriticalPath) []PhaseShare {
+	files := make(map[SpanID][]Span)
+	for _, sp := range cp.Steps {
+		if sp.Kind == KindStage {
+			files[sp.ID] = nil
+		}
+	}
+	if len(files) > 0 {
+		id := SpanID(0)
+		for _, c := range s.chunks {
+			for i := range c {
+				id++
+				r := &c[i]
+				if k := Kind(s.strs.str(r.kind)); k != KindStageEnv && k != KindStageInput {
+					continue
+				}
+				parent := SpanID(s.widen(id, fieldParent, r.parent))
+				if fs, ok := files[parent]; ok {
+					files[parent] = append(fs, s.span(id, r))
+				}
+			}
+		}
+	}
 	total := cp.Total()
 	acc := make(map[Kind]sim.Time)
 	for _, sp := range cp.Steps {
 		d := sp.Duration(cp.End)
 		if sp.Kind == KindStage {
-			for _, f := range ix.children[sp.ID] {
-				if f.Kind == KindStageEnv || f.Kind == KindStageInput {
-					fd := f.Duration(cp.End)
-					acc[f.Kind] += fd
-					d -= fd
-				}
+			for _, f := range files[sp.ID] {
+				fd := f.Duration(cp.End)
+				acc[f.Kind] += fd
+				d -= fd
 			}
 			if d < 0 {
 				d = 0

@@ -16,7 +16,7 @@ import (
 var (
 	fuzzInts = []int{-1, 0, 1, 2, 7, math.MaxInt32, math.MaxInt32 + 1,
 		math.MinInt32, math.MinInt32 - 1, math.MaxInt64, math.MinInt64}
-	fuzzKinds    = []Kind{"", KindTask, KindPoll, KindExecute, KindAttempt, "ké"}
+	fuzzKinds    = []Kind{"", KindTask, KindProcEvent, KindExecute, KindAttempt, "ké"}
 	fuzzStrings  = []string{"", "a", "b", "category-long", OutcomeOK, OutcomeDone, "f\"1"}
 	fuzzOutcomes = []string{"", OutcomeOK, OutcomeDone, OutcomeFailed}
 )
@@ -152,8 +152,8 @@ func checkLoad(t *testing.T, doc []byte) bool {
 	return true
 }
 
-// FuzzSpanStore runs byte-driven Begin, Instant, End, SetWorker, AddLink and
-// Spans sequences against a plain []Span reference: Span, Spans (also
+// FuzzSpanStore runs byte-driven Begin, Instant, End, SetWorker with
+// SetPolls, AddLink and Spans sequences against a plain []Span reference: Span, Spans (also
 // mid-recording) and WriteJSON must equal the reference. The store's own
 // export, and the doc input, go through ReadJSON: accepted input must
 // re-encode to what a plain decode gives, reach a fixed point, and take
@@ -198,10 +198,11 @@ func FuzzSpanStore(f *testing.F) {
 					}
 				}
 			case 3:
-				id, w := ops.id(len(ref)), ops.int()
+				id, w, n := ops.id(len(ref)), ops.int(), ops.int()
 				s.SetWorker(id, w)
+				s.SetPolls(id, n)
 				if id > 0 && int(id) <= len(ref) {
-					ref[id-1].Worker = w
+					ref[id-1].Worker, ref[id-1].Polls = w, n
 				}
 			case 4:
 				from, to, kind := ops.id(len(ref)), ops.id(len(ref)), ops.str()
@@ -216,7 +217,7 @@ func FuzzSpanStore(f *testing.F) {
 			case 6:
 				// A run of instants; five long ones cross a chunk boundary.
 				for range ops.next() {
-					sp := Span{Kind: KindPoll, Parent: SpanID(len(ref)), Task: len(ref), Worker: -1}
+					sp := Span{Kind: KindProcEvent, Parent: SpanID(len(ref)), Task: len(ref), Worker: -1}
 					sp.ID, sp.Start, sp.End = s.Instant(sp, 3), 3, 3
 					ref = append(ref, sp)
 				}

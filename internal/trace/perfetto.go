@@ -142,11 +142,14 @@ func (s *Store) WritePerfetto(w io.Writer) error {
 		if sp.Attempt > 0 {
 			args["attempt"] = sp.Attempt
 		}
+		if sp.Polls > 0 {
+			args["polls"] = sp.Polls
+		}
 		if sp.Kind == KindTask {
 			taskSlice[sp.ID] = sp
 		}
 		if sp.Start == sp.End && !sp.Open() &&
-			(sp.Kind == KindPoll || sp.Kind == KindProcEvent || sp.Kind == KindKill) {
+			(sp.Kind == KindProcEvent || sp.Kind == KindKill) {
 			evs = append(evs, perfettoEvent{
 				Name: name(sp), Cat: string(sp.Kind), Ph: "i", Scope: "t",
 				Ts: usec(sp.Start), Pid: pid, Tid: tid, Args: args,

@@ -9,8 +9,8 @@
 //	    ├── ready-queue       ready -> placed on a worker
 //	    ├── stage             placement -> inputs staged
 //	    │   └── env-stage / input-stage   per file (or cache-hit instants)
-//	    ├── execute           staging done -> monitor report
-//	    │   └── lfm-overhead, poll/proc-event/kill instants
+//	    ├── execute           staging done -> monitor report (with its poll count)
+//	    │   └── lfm-overhead, proc-event/kill instants
 //	    └── output            execution end -> outputs retrieved
 //
 // and sibling spans record worker lifetimes, pilot-job provisioning, and
@@ -61,7 +61,6 @@ const (
 
 	// Monitor sub-spans, children of an execute span.
 	KindLFMOverhead Kind = "lfm-overhead" // monitor setup before the task runs
-	KindPoll        Kind = "poll"         // instant: one polling measurement
 	KindProcEvent   Kind = "proc-event"   // instant: one fork/exit measurement
 	KindKill        Kind = "kill"         // instant: the monitor killed the task
 
@@ -108,6 +107,9 @@ type Span struct {
 	Worker int `json:"worker"`
 	// Attempt numbers a task's placement attempts from 1.
 	Attempt int `json:"attempt,omitempty"`
+	// Polls counts the polling measurements the monitor took during an
+	// execute span (polls are not spans of their own).
+	Polls int `json:"polls,omitempty"`
 	// Start is when the interval opened.
 	Start sim.Time `json:"start"`
 	// End is -1 while the span is open.
@@ -147,17 +149,17 @@ type Link struct {
 
 // chunkSpans is the number of spans in one storage chunk. Recording fills
 // one chunk at a time, so growing the store never copies or clears the
-// records already held; a chunk is 48 KB.
+// records already held; a chunk is 56 KB.
 const chunkSpans = 1024
 
 // record is a span as a chunk stores it. Its ID is its position in the
 // store, its integers are int32 (see wideInt) and its strings are indexes
-// into the store's string table, so a record holds no pointers: 48 bytes
+// into the store's string table, so a record holds no pointers: 56 bytes
 // that the garbage collector never scans.
 type record struct {
-	parent, task, worker, attempt   int32
-	start, end                      sim.Time
-	kind, category, outcome, detail uint32
+	parent, task, worker, attempt, polls int32
+	start, end                           sim.Time
+	kind, category, outcome, detail      uint32
 }
 
 // wideInt in an integer field of a record marks a value that does not fit
@@ -173,6 +175,7 @@ const (
 	fieldTask
 	fieldWorker
 	fieldAttempt
+	fieldPolls
 )
 
 type wideKey struct {
@@ -282,6 +285,7 @@ func (s *Store) add(sp Span) SpanID {
 		task:     s.narrow(id, fieldTask, sp.Task),
 		worker:   s.narrow(id, fieldWorker, sp.Worker),
 		attempt:  s.narrow(id, fieldAttempt, sp.Attempt),
+		polls:    s.narrow(id, fieldPolls, sp.Polls),
 		start:    sp.Start,
 		end:      sp.End,
 		kind:     s.strs.index(strKind, string(sp.Kind)),
@@ -312,6 +316,7 @@ func (s *Store) span(id SpanID, r *record) Span {
 		Category: s.strs.str(r.category),
 		Worker:   s.widen(id, fieldWorker, r.worker),
 		Attempt:  s.widen(id, fieldAttempt, r.attempt),
+		Polls:    s.widen(id, fieldPolls, r.polls),
 		Start:    r.start,
 		End:      r.end,
 		Outcome:  s.strs.str(r.outcome),
@@ -358,14 +363,25 @@ func (s *Store) Instant(sp Span, at sim.Time) SpanID {
 // SetWorker stamps the executing worker on a recorded span (the worker is
 // unknown when an attempt span opens and learned at placement).
 func (s *Store) SetWorker(id SpanID, worker int) {
-	r := s.at(id)
-	if r == nil {
-		return
+	if r := s.at(id); r != nil {
+		s.reset(id, fieldWorker, &r.worker, worker)
 	}
-	if r.worker == wideInt {
-		delete(s.wide, wideKey{id, fieldWorker})
+}
+
+// SetPolls stamps a monitored run's poll count on its execute span.
+func (s *Store) SetPolls(id SpanID, polls int) {
+	if r := s.at(id); r != nil {
+		s.reset(id, fieldPolls, &r.polls, polls)
 	}
-	r.worker = s.narrow(id, fieldWorker, worker)
+}
+
+// reset stores v in a recorded span's integer field, dropping the wide
+// value the field held before.
+func (s *Store) reset(id SpanID, f intField, field *int32, v int) {
+	if *field == wideInt {
+		delete(s.wide, wideKey{id, f})
+	}
+	*field = s.narrow(id, f, v)
 }
 
 // AddLink records a causal edge between two recorded spans; edges touching

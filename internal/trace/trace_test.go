@@ -147,7 +147,7 @@ func TestSlowest(t *testing.T) {
 // size.
 func TestSlowestAndChildrenMatchSpans(t *testing.T) {
 	s := NewStore()
-	kinds := []Kind{KindTask, KindExecute, KindStage, KindPoll}
+	kinds := []Kind{KindTask, KindExecute, KindStage, KindProcEvent}
 	for i := 0; i < 20000; i++ {
 		parent := SpanID(0)
 		if i > 0 {
@@ -256,7 +256,7 @@ func TestBottlenecksMatchSpans(t *testing.T) {
 					s.End(in, clock+dur(id+1)/9, OutcomeOK, "")
 				case KindExecute:
 					for k := range 8 {
-						s.Instant(Span{Kind: KindPoll, Parent: phases[i], Task: id, Worker: id % 6}, clock+sim.Time(k))
+						s.Instant(Span{Kind: KindProcEvent, Parent: phases[i], Task: id, Worker: id % 6}, clock+sim.Time(k))
 					}
 				}
 			}
@@ -376,7 +376,7 @@ func buildTwoTaskStore() *Store {
 	s.End(af, 3, OutcomeOK, "")
 	s.End(ast, 3, OutcomeOK, "")
 	ax := s.Begin(Span{Kind: KindExecute, Parent: at, Task: 0, Category: "prep", Worker: 1, Start: 3})
-	s.Instant(Span{Kind: KindPoll, Parent: ax, Task: 0, Worker: 1}, 4)
+	s.Instant(Span{Kind: KindProcEvent, Parent: ax, Task: 0, Worker: 1}, 4)
 	s.End(ax, 9, OutcomeOK, "")
 	ao := s.Begin(Span{Kind: KindOutput, Parent: at, Task: 0, Category: "prep", Worker: 1, Start: 9})
 	s.End(ao, 10, OutcomeOK, "")
@@ -474,7 +474,7 @@ func TestSpansMidRecording(t *testing.T) {
 	if sp := s.Span(5); sp.End != 7 {
 		t.Fatalf("End after Spans() not visible: %+v", sp)
 	}
-	id := s.Instant(Span{Kind: KindPoll, Task: 1, Worker: 2}, 3)
+	id := s.Instant(Span{Kind: KindProcEvent, Task: 1, Worker: 2}, 3)
 	if id != chunkSpans+11 {
 		t.Fatalf("span after Spans() got ID %d, want %d", id, chunkSpans+11)
 	}
@@ -531,14 +531,15 @@ func TestJSONRoundTripAcrossChunks(t *testing.T) {
 
 // TestWideIntsReadBackExactly records integers that do not fit a record's
 // int32 fields, among them the value a record uses as its marker, and
-// checks every one reads back exactly, also after SetWorker moves a worker
-// between narrow and wide values and after a JSON round trip.
+// checks every one reads back exactly, also after SetWorker and SetPolls
+// move a worker or a poll count between narrow and wide values and after a
+// JSON round trip.
 func TestWideIntsReadBackExactly(t *testing.T) {
 	s := NewStore()
 	fillStore(s, 3)
 	want := []Span{s.Span(1), s.Span(2), s.Span(3)}
 	for _, v := range []int{math.MaxInt32 + 1, math.MinInt32, math.MinInt32 - 1, math.MaxInt64, math.MinInt64} {
-		sp := Span{Parent: SpanID(v), Kind: KindPoll, Task: v, Worker: v, Attempt: v, Start: 1}
+		sp := Span{Parent: SpanID(v), Kind: KindProcEvent, Task: v, Worker: v, Attempt: v, Polls: v, Start: 1}
 		sp.ID = s.Instant(sp, 1)
 		sp.End = 1
 		want = append(want, sp)
@@ -549,6 +550,10 @@ func TestWideIntsReadBackExactly(t *testing.T) {
 	want[0].Worker = math.MaxInt32 + 1
 	s.SetWorker(5, math.MinInt64)
 	want[4].Worker = math.MinInt64
+	s.SetPolls(4, 7)
+	want[3].Polls = 7
+	s.SetPolls(2, math.MaxInt32+1)
+	want[1].Polls = math.MaxInt32 + 1
 	for i, w := range want {
 		if got := s.Span(SpanID(i + 1)); got != w {
 			t.Fatalf("span %d = %+v, want %+v", i+1, got, w)

@@ -77,6 +77,8 @@ type Anomaly struct {
 	At sim.Time `json:"at"`
 	// Detail is a human-readable account of the evidence.
 	Detail string `json:"detail"`
+
+	seq int // the attempt's start order, for Finalize's sort
 }
 
 // leakState tracks the monotone-growth detector for one attempt.

@@ -46,6 +46,7 @@ type Collector struct {
 	spare     []*Series
 	nextSeq   int
 	attempts  []AttemptSummary
+	placed    []placement // attempts[i] ran on placed[i]'s node timeline
 	anomalies []Anomaly
 
 	// final is what the first Finalize returned.
@@ -67,7 +68,7 @@ func NewCollector(eng *sim.Engine, cfg *Config) *Collector {
 }
 
 // SetTrace routes anomaly findings to the span store as trace.KindAnomaly
-// instants.
+// instants, recorded in time order by Finalize.
 func (c *Collector) SetTrace(tr *trace.Store) {
 	if c != nil {
 		c.tr = tr
@@ -117,7 +118,7 @@ func (c *Collector) NodeJoin(id int, capacity monitor.Resources) {
 	if n := c.current[id]; n != nil && !n.closed {
 		return
 	}
-	n := newNodeTimeline(id, capacity, c.eng.Now(), c.cfg.NodeSeriesCap)
+	n := newNodeTimeline(id, len(c.timelines), capacity, c.eng.Now(), c.cfg.NodeSeriesCap)
 	c.current[id] = n
 	c.timelines = append(c.timelines, n)
 }
@@ -142,9 +143,16 @@ func (c *Collector) NodeAlloc(id int, delta monitor.Resources) {
 	}
 }
 
+// placement ties a closed attempt to the node timeline it ran on (nil when
+// its node had none open) and to its start order.
+type placement struct {
+	tl  *nodeTimeline
+	seq int
+}
+
 // AttemptRecorder streams one monitored attempt's measurements into a
-// bounded series, mirrors them onto the node's used timeline, and runs the
-// online anomaly detectors. A nil recorder discards everything.
+// bounded series, integrates its used core- and MB-seconds from them, and
+// runs the online anomaly detectors. A nil recorder discards everything.
 type AttemptRecorder struct {
 	c           *Collector
 	task        int
@@ -152,6 +160,7 @@ type AttemptRecorder struct {
 	speculative bool
 	category    string
 	node        int
+	tl          *nodeTimeline // the node's timeline at start, nil if none
 	req         monitor.Resources
 	started     sim.Time
 	seq         int // StartAttempt order
@@ -159,7 +168,11 @@ type AttemptRecorder struct {
 
 	series *Series // nil once closed
 	lastU  monitor.Resources
+	lastAt sim.Time
 	haveU  bool
+	// usedCS and usedMemS integrate the measured level, each measurement
+	// held until the next one (or the close), exactly.
+	usedCS, usedMemS float64
 
 	leak        leakState
 	flat        flatState
@@ -177,6 +190,9 @@ func (c *Collector) StartAttempt(task, attempt int, speculative bool, category s
 		category: category, node: node, req: req,
 		started: c.eng.Now(), seq: c.nextSeq, slot: len(c.open),
 	}
+	if tl := c.current[node]; tl != nil && !tl.closed {
+		rec.tl = tl
+	}
 	c.nextSeq++
 	if n := len(c.spare); n > 0 {
 		rec.series = c.spare[n-1]
@@ -188,7 +204,10 @@ func (c *Collector) StartAttempt(task, attempt int, speculative bool, category s
 	return rec
 }
 
-// Observe is the monitor observer hook: one measurement, in time order.
+// Observe is the monitor observer hook: one measurement of the attempt, in
+// the attempt's time order. The monitor folds its polls, so measurements of
+// different attempts arrive interleaved out of time order; nothing here
+// depends on that order.
 func (rec *AttemptRecorder) Observe(at sim.Time, u monitor.Resources, src monitor.Source) {
 	if rec == nil || rec.closed {
 		return
@@ -203,19 +222,10 @@ func (rec *AttemptRecorder) Observe(at sim.Time, u monitor.Resources, src monito
 		flag = SrcPoll
 	}
 	rec.series.Add(at, u, flag)
+	rec.accrue(at)
+	rec.lastU, rec.lastAt, rec.haveU = u, at, true
 
-	// Mirror the measurement onto the node's used timeline as a delta from
-	// this attempt's previous level.
 	c := rec.c
-	if n := c.current[rec.node]; n != nil {
-		delta := u
-		if rec.haveU {
-			delta = addRes(u, negRes(rec.lastU))
-		}
-		n.setUsed(at, delta, flag)
-	}
-	rec.lastU, rec.haveU = u, true
-
 	if !c.cfg.Anomalies.Disable {
 		if fire, detail := rec.leak.observe(&c.cfg.Anomalies, at, u); fire {
 			c.flagAnomaly(AnomalyMemLeak, rec, at, detail)
@@ -224,19 +234,22 @@ func (rec *AttemptRecorder) Observe(at sim.Time, u monitor.Resources, src monito
 	}
 }
 
-// flagAnomaly records a finding and emits it as a trace instant.
+// accrue integrates the last measured level up to at.
+func (rec *AttemptRecorder) accrue(at sim.Time) {
+	if dt := float64(at - rec.lastAt); rec.haveU && dt > 0 {
+		rec.usedCS += rec.lastU.Cores * dt
+		rec.usedMemS += rec.lastU.MemoryMB * dt
+	}
+}
+
+// flagAnomaly records a finding; Finalize puts the findings in time order
+// and emits them as trace instants.
 func (c *Collector) flagAnomaly(kind string, rec *AttemptRecorder, at sim.Time, detail string) {
 	c.anomalies = append(c.anomalies, Anomaly{
 		Kind: kind, Task: rec.task, Attempt: rec.attempt,
 		Category: rec.category, Node: rec.node, At: at, Detail: detail,
+		seq: rec.seq,
 	})
-	if c.tr != nil {
-		c.tr.Instant(trace.Span{
-			Kind: trace.KindAnomaly, Task: rec.task, Category: rec.category,
-			Worker: rec.node, Attempt: rec.attempt,
-			Detail: kind + ": " + detail,
-		}, at)
-	}
 }
 
 // Flatlined reports whether the attempt's usage has been frozen past the
@@ -307,11 +320,10 @@ func (c *Collector) AbortAttempt(rec *AttemptRecorder, outcome string) {
 
 func (c *Collector) closeAttempt(rec *AttemptRecorder, outcome string, end sim.Time) {
 	rec.closed = true
-	// Retire the attempt's contribution to the node's used level.
-	if rec.haveU {
-		if n := c.current[rec.node]; n != nil {
-			n.setUsed(end, negRes(rec.lastU), SrcEvent)
-		}
+	rec.accrue(end)
+	if rec.tl != nil {
+		rec.tl.usedCS += rec.usedCS
+		rec.tl.usedMemS += rec.usedMemS
 	}
 	pts := rec.series.Points()
 	if len(pts) > 0 {
@@ -329,6 +341,7 @@ func (c *Collector) closeAttempt(rec *AttemptRecorder, outcome string, end sim.T
 		Stride:          rec.series.Stride(),
 		Series:          pts,
 	})
+	c.placed = append(c.placed, placement{rec.tl, rec.seq})
 	// Points copied the series out, so its buffer goes to the next
 	// attempt, and the closed recorder leaves the open set.
 	rec.series.reset()
@@ -338,6 +351,32 @@ func (c *Collector) closeAttempt(rec *AttemptRecorder, outcome string, end sim.T
 	c.open[rec.slot], last.slot = last, rec.slot
 	c.open[len(c.open)-1] = nil
 	c.open = c.open[:len(c.open)-1]
+}
+
+// mergeUsed builds every node's used display series from the attempts that
+// ran on it (see nodeTimeline.mergeUsed), visiting them grouped by node in
+// start order, through one scratch buffer.
+func (c *Collector) mergeUsed() {
+	order := make([]int, 0, len(c.attempts))
+	for i, p := range c.placed {
+		if p.tl != nil {
+			order = append(order, i)
+		}
+	}
+	slices.SortFunc(order, func(a, b int) int {
+		pa, pb := c.placed[a], c.placed[b]
+		return cmp.Or(cmp.Compare(pa.tl.idx, pb.tl.idx), cmp.Compare(pa.seq, pb.seq))
+	})
+	var h []usedCursor
+	for _, n := range c.timelines {
+		k := 0
+		for k < len(order) && c.placed[order[k]].tl == n {
+			k++
+		}
+		h = n.mergeUsed(c.attempts, c.placed, order[:k], h)
+		order = order[k:]
+	}
+	c.placed = nil
 }
 
 // Finalize closes the books and renders the run's telemetry. Recorders still
@@ -362,6 +401,20 @@ func (c *Collector) Finalize(meta RunMeta) *RunTelemetry {
 	c.spare = nil
 	for _, n := range c.timelines {
 		n.finalize(now)
+	}
+	c.mergeUsed()
+	// The monitor's fold delivers measurements late, so findings are
+	// flagged out of time order: order them by time, then by attempt start
+	// order, which depends on nothing the fold decides.
+	slices.SortStableFunc(c.anomalies, func(a, b Anomaly) int {
+		return cmp.Or(cmp.Compare(a.At, b.At), cmp.Compare(a.seq, b.seq))
+	})
+	for _, a := range c.anomalies {
+		c.tr.Instant(trace.Span{
+			Kind: trace.KindAnomaly, Task: a.Task, Category: a.Category,
+			Worker: a.Node, Attempt: a.Attempt,
+			Detail: a.Kind + ": " + a.Detail,
+		}, a.At)
 	}
 	rt := &RunTelemetry{
 		Meta:      meta,

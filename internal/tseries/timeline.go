@@ -7,17 +7,21 @@ import (
 
 // nodeTimeline tracks one worker node's allocated-vs-used balance over its
 // connected lifetime: bounded display series for both, plus exact
-// core-second integrals (advanced before every change, so they are
-// independent of the display downsampling).
+// core-second integrals. The allocated side moves live, its integrals
+// advanced before every change, so they are independent of the display
+// downsampling. The used side comes from the node's attempts, whose
+// measurements arrive as the monitor folds them rather than in time order:
+// each attempt adds its own exact integrals when it closes, and Finalize
+// merges the attempts' series into the used display series (mergeUsed).
 type nodeTimeline struct {
 	id       int
+	idx      int // position in Collector.timelines
 	capacity monitor.Resources
 	joined   sim.Time
 	left     sim.Time // -1 while connected
 	closed   bool
 
 	alloc monitor.Resources // currently allocated by the master
-	used  monitor.Resources // sum of live attempts' last measurements
 
 	allocSeries *Series
 	usedSeries  *Series
@@ -30,9 +34,9 @@ type nodeTimeline struct {
 	usedMemS   float64
 }
 
-func newNodeTimeline(id int, capacity monitor.Resources, now sim.Time, cap int) *nodeTimeline {
+func newNodeTimeline(id, idx int, capacity monitor.Resources, now sim.Time, cap int) *nodeTimeline {
 	n := &nodeTimeline{
-		id: id, capacity: capacity, joined: now, left: -1, lastAt: now,
+		id: id, idx: idx, capacity: capacity, joined: now, left: -1, lastAt: now,
 		allocSeries: NewSeries(cap), usedSeries: NewSeries(cap),
 	}
 	n.allocSeries.Add(now, monitor.Resources{}, SrcEvent)
@@ -46,9 +50,7 @@ func (n *nodeTimeline) advance(now sim.Time) {
 	if dt > 0 {
 		n.capCoreSec += n.capacity.Cores * dt
 		n.allocCS += n.alloc.Cores * dt
-		n.usedCS += n.used.Cores * dt
 		n.allocMemS += n.alloc.MemoryMB * dt
-		n.usedMemS += n.used.MemoryMB * dt
 	}
 	n.lastAt = now
 }
@@ -63,18 +65,92 @@ func (n *nodeTimeline) setAlloc(now sim.Time, delta monitor.Resources) {
 	n.allocSeries.Add(now, n.alloc, SrcEvent)
 }
 
-// setUsed moves the measured-used level by delta.
-func (n *nodeTimeline) setUsed(now sim.Time, delta monitor.Resources, src uint8) {
-	if n.closed {
-		return
-	}
-	n.advance(now)
-	n.used = addRes(n.used, delta)
-	n.usedSeries.Add(now, n.used, src)
+// usedCursor walks one attempt's series during mergeUsed: its next step
+// is point k of the series, taken as the attempt's level from its own time
+// on, or, at k == len(Series), the attempt's release at its end.
+type usedCursor struct {
+	a    *AttemptSummary
+	seq  int // the attempt's start order
+	k    int
+	at   sim.Time          // the next step's time
+	prev monitor.Resources // the attempt's level before it
 }
 
-// close ends the node's lifetime; later updates are ignored (attempts on a
-// removed worker report through their own abort paths).
+// before orders cursors by their next step: by time, then start order.
+func (c *usedCursor) before(o *usedCursor) bool {
+	return c.at < o.at || c.at == o.at && c.seq < o.seq
+}
+
+// mergeUsed builds the node's used display series from its attempts'
+// series (attempts[i] for each i in idx, in start order): each point is
+// its attempt's level from its own time on and each attempt's end its
+// release, the steps go in (time, attempt start order) order, and the
+// level is their running sum. A node that left takes the steps up to its
+// leaving and then reads zero. The merge keeps a min-heap of cursors over
+// the attempts in progress, and an attempt joins it once the merge reaches
+// its start, before which it has no step. h is scratch space, returned for
+// reuse.
+func (n *nodeTimeline) mergeUsed(attempts []AttemptSummary, placed []placement, idx []int, h []usedCursor) []usedCursor {
+	h = h[:0]
+	down := func(i int) {
+		for {
+			m := i
+			for _, c := range []int{2*i + 1, 2*i + 2} {
+				if c < len(h) && h[c].before(&h[m]) {
+					m = c
+				}
+			}
+			if m == i {
+				return
+			}
+			h[i], h[m] = h[m], h[i]
+			i = m
+		}
+	}
+	var used monitor.Resources
+	for {
+		for len(idx) > 0 && (len(h) == 0 || attempts[idx[0]].Start <= h[0].at) {
+			if a := &attempts[idx[0]]; len(a.Series) > 0 {
+				h = append(h, usedCursor{a: a, seq: placed[idx[0]].seq, at: a.Start + a.Series[0].DT})
+				for i := len(h) - 1; i > 0 && h[i].before(&h[(i-1)/2]); i = (i - 1) / 2 {
+					h[i], h[(i-1)/2] = h[(i-1)/2], h[i]
+				}
+			}
+			idx = idx[1:]
+		}
+		if len(h) == 0 || n.left >= 0 && h[0].at > n.left {
+			break
+		}
+		c := &h[0]
+		if c.k < len(c.a.Series) {
+			p := c.a.Series[c.k]
+			used = addRes(used, addRes(p.U, negRes(c.prev)))
+			n.usedSeries.Add(c.at, used, p.Src)
+			c.prev = p.U
+		} else {
+			used = addRes(used, negRes(c.prev))
+			n.usedSeries.Add(c.at, used, SrcEvent)
+		}
+		c.k++
+		switch {
+		case c.k < len(c.a.Series):
+			c.at += c.a.Series[c.k].DT
+		case c.k == len(c.a.Series):
+			c.at = c.a.End
+		default:
+			h[0] = h[len(h)-1]
+			h = h[:len(h)-1]
+		}
+		down(0)
+	}
+	if n.left >= 0 {
+		n.usedSeries.Add(n.left, monitor.Resources{}, SrcEvent)
+	}
+	return h
+}
+
+// close ends the node's lifetime; later allocation updates are ignored
+// (attempts on a removed worker report through their own abort paths).
 func (n *nodeTimeline) close(now sim.Time) {
 	if n.closed {
 		return
@@ -83,9 +159,7 @@ func (n *nodeTimeline) close(now sim.Time) {
 	n.closed = true
 	n.left = now
 	n.alloc = monitor.Resources{}
-	n.used = monitor.Resources{}
 	n.allocSeries.Add(now, n.alloc, SrcEvent)
-	n.usedSeries.Add(now, n.used, SrcEvent)
 }
 
 // finalize closes the books at run end without marking the node left.

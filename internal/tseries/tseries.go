@@ -9,14 +9,21 @@
 // bounded per-attempt Series; memory is provably bounded by a point cap with
 // deterministic 2x downsampling (adjacent points merge under componentwise
 // max, so the exact observed peak always survives, at the price of a coarser
-// timeline). Three products derive from the stream:
+// timeline). The monitor folds its polls, delivering them when the run's
+// next measurement, kill or abort, or a clock ticker's Sync, catches up: each
+// attempt's measurements arrive in its own time order, but interleaved with
+// other attempts' out of global time order. So nothing here orders across
+// attempts as measurements arrive: each attempt integrates its own used
+// resource-seconds, and Finalize merges the attempts' series into the node
+// used timelines and puts the anomaly findings in time order. Three
+// products derive from the stream:
 //
 //   - per-category usage profiles (percentiles of peaks, time-to-peak, and
 //     mean-vs-peak shape) with an audit of the allocation strategy's current
 //     label against the observed peak distribution;
 //   - a cluster utilization timeline (allocated and measured-used resources
 //     per node over time, with exact core-second integrals and a
-//     waste/packing summary);
+//     waste/packing summary; the used side is built at Finalize);
 //   - an online anomaly detector flagging monotone memory growth (leaks) and
 //     usage flatlines (stragglers), surfaced as trace.KindAnomaly spans and
 //     consumable by the scheduler's speculation machinery.

@@ -512,8 +512,9 @@ func TestClosedRecordersReleased(t *testing.T) {
 	}
 	// The node's series buffers went to its summary, and the timeline
 	// keeps no series of its own. The used series took the join point,
-	// every measurement and each attempt's release; the last 6 of those
-	// 62 sit in the pending bucket, which the summary must include.
+	// every point of the attempts' series and each attempt's release; the
+	// last of those sit in the pending bucket, which the summary must
+	// include.
 	for _, n := range c.timelines {
 		if n.allocSeries != nil || n.usedSeries != nil {
 			t.Fatalf("node %d keeps its series after Finalize", n.id)
@@ -523,7 +524,11 @@ func TestClosedRecordersReleased(t *testing.T) {
 	for _, p := range rt.Nodes[0].Used {
 		used += p.N
 	}
-	if want := 1 + 5 + 40 + 3 + 9 + len(lens); used != want {
+	want := 1 + len(lens)
+	for _, a := range rt.Attempts {
+		want += len(a.Series)
+	}
+	if used != want {
 		t.Fatalf("node summary's used series merges %d points, want %d", used, want)
 	}
 	// Finalize is once-only: a repeat call returns the first result and

@@ -5,13 +5,16 @@ import "lfm/internal/obs"
 // SetObs attaches a snapshot bus. At each cadence boundary the bus reads
 // the master's counts through the Truth source installed here — every one
 // an O(1) read of state the master keeps anyway — and the master pushes
-// only the per-task latency observations nothing else records. Recording is
+// only the per-task latency observations nothing else records. Each
+// snapshot first folds the monitors' polls up to its boundary (SyncPolls),
+// so the anomaly count telemetry takes from them is exact. Recording is
 // strictly passive: no events are scheduled and no decision path reads the
 // bus, so an obs-enabled run places, traces, and completes byte-identically
 // to a bare one. Attach before workers join or tasks submit; a nil bus
 // detaches.
 func (m *Master) SetObs(b *obs.Bus) {
 	m.obs = b
+	b.SetSync(m.SyncPolls)
 	b.SetTruth(func() obs.Truth {
 		st := &m.schedStats
 		t := obs.Truth{

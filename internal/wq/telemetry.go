@@ -11,10 +11,15 @@ import (
 // monitor measurements into a bounded per-attempt series. The collector's
 // flatline detector also becomes a data-grounded speculation trigger (the
 // one behavioural effect of telemetry, active only when resilience
-// speculation is itself enabled). Call before submitting work; nil detaches.
-// Runs without a collector pay only a nil check per transition.
+// speculation is itself enabled). Recorders take each attempt's polls from
+// the monitor's fold, except under speculation: the scan reads a
+// recorder's flatline state between the run's own events, so then every
+// monitored run wakes at each poll (monitor.Config.LiveObserver). Call
+// before submitting work; nil detaches. Runs without a collector pay only
+// a nil check per transition.
 func (m *Master) SetTelemetry(c *tseries.Collector) {
 	m.telem = c
+	m.lfm.Cfg.LiveObserver = c != nil && m.Cfg.Resilience.SpeculationMultiplier > 0
 	c.SetCategoryMeans(func(category string) (float64, int) {
 		cs := m.categories.byCat[category]
 		if cs == nil {

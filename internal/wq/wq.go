@@ -414,6 +414,11 @@ func NewMaster(eng *sim.Engine, cfg Config) *Master {
 // good.
 func (m *Master) OnTaskDone(fn func(*Task)) { m.onDone = fn }
 
+// SyncPolls folds every running attempt's monitor polls up to at (see
+// monitor.LFM.Sync). A clock ticker that reads state the polls feed calls
+// it first.
+func (m *Master) SyncPolls(at sim.Time) { m.lfm.Sync(at) }
+
 // Stats returns a snapshot of run statistics.
 func (m *Master) Stats() *Stats { return &m.stats }
 
@@ -909,7 +914,8 @@ func (m *Master) execute(a *attempt) {
 		spec = t.Spec.ScaleTime(w.slow)
 	}
 	m.emit(event{kind: evExecStart, a: a})
-	// The monitor records its polls under the execute phase.
+	// The monitor records its spans under the execute phase and stamps
+	// its poll count on it.
 	var tst *trace.Store
 	if a.span != trace.NoSpan {
 		tst = m.st()
