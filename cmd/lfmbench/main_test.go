@@ -58,22 +58,8 @@ func TestTraceExportsDeterministic(t *testing.T) {
 	}
 }
 
-// maskWallClock drops the sample lines of wq_sched_round_seconds, the one
-// metric that measures wall-clock time (the scheduling round's) and so
-// differs between any two runs.
-func maskWallClock(prom []byte) string {
-	var b strings.Builder
-	for _, line := range strings.SplitAfter(string(prom), "\n") {
-		if !strings.HasPrefix(line, "wq_sched_round_seconds") {
-			b.WriteString(line)
-		}
-	}
-	return b.String()
-}
-
 // TestMetricsExportsDeterministic runs the instrumented HEP point twice at
-// seed 7: the Prometheus text, bar the wall-clock samples, and the sampled
-// timelines must not change.
+// seed 7: the Prometheus text and the sampled timelines must not change.
 func TestMetricsExportsDeterministic(t *testing.T) {
 	dir := t.TempDir()
 	timeline := func(i int) string { return filepath.Join(dir, []string{"a", "b"}[i]+".timeline.json") }
@@ -82,7 +68,7 @@ func TestMetricsExportsDeterministic(t *testing.T) {
 		defer func() { run++ }()
 		return runInstrumented(7, 1, path, timeline(run))
 	})
-	if maskWallClock(a) != maskWallClock(b) {
+	if !bytes.Equal(a, b) {
 		t.Fatal("-metrics-out: two seed-7 runs wrote different Prometheus text")
 	}
 	if !strings.Contains(string(a), "# TYPE") {

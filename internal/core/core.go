@@ -85,10 +85,10 @@ type RunConfig struct {
 	MetricsResolution sim.Time
 	// Telemetry, when non-nil, records per-attempt resource time series,
 	// per-category usage profiles, and node utilization timelines; the
-	// outcome then carries the run's telemetry. Recording is passive (the
-	// run's placements and traces are unchanged), except that the flatline
-	// anomaly detector becomes an extra speculation trigger when resilience
-	// speculation is enabled.
+	// outcome then carries the run's telemetry. Recording is passive: the
+	// run's placements and traces are unchanged, speculation included (the
+	// scheduler's flatline rule reads the run's spec, and telemetry records
+	// each attempt it fires for as an anomaly).
 	Telemetry *tseries.Config
 	// Serving, when non-nil, runs the workload open-loop: instead of
 	// submitting every task at t=0, a serving frontend streams tasks in

@@ -47,18 +47,25 @@ func scaleEvents(t *testing.T, attach func(*RunConfig)) uint64 {
 // events with the trace store, metrics registry, telemetry and obs bus
 // all attached as bare (their tickers draw no events), and at most 40% of
 // the events it dispatches when every poll grid point wakes the engine
-// (51,654, the count of the eager poller this replaced).
+// (51,654, the count of the eager poller this replaced). With speculation
+// on (multiplier 2) the same holds: the scan asks no sink, so attaching
+// them all still adds no event.
 func TestEngineEventBudget(t *testing.T) {
-	const want = 12548
-	lazy := scaleEvents(t, func(*RunConfig) {})
-	sinks := scaleEvents(t, func(cfg *RunConfig) {
+	const want, wantSpec = 12548, 12573
+	allSinks := func(cfg *RunConfig) {
 		cfg.Trace = &wq.Trace{}
 		cfg.Metrics = metrics.NewRegistry()
 		cfg.Telemetry = tseries.DefaultConfig()
 		cfg.Obs = &obs.Config{}
-	})
+	}
+	speculate := func(cfg *RunConfig) { cfg.Resilience = wq.ResilienceConfig{SpeculationMultiplier: 2} }
+	lazy := scaleEvents(t, func(*RunConfig) {})
+	sinks := scaleEvents(t, allSinks)
 	eager := scaleEvents(t, func(cfg *RunConfig) { cfg.pollWakes = true })
-	t.Logf("events: %d bare, %d with every sink, %d with per-poll wakes", lazy, sinks, eager)
+	spec := scaleEvents(t, speculate)
+	specSinks := scaleEvents(t, func(cfg *RunConfig) { speculate(cfg); allSinks(cfg) })
+	t.Logf("events: %d bare, %d with every sink, %d with per-poll wakes; with speculation %d bare, %d with every sink",
+		lazy, sinks, eager, spec, specSinks)
 	if lazy != want {
 		t.Errorf("engine dispatched %d events, want exactly %d", lazy, want)
 	}
@@ -67,5 +74,9 @@ func TestEngineEventBudget(t *testing.T) {
 	}
 	if 10*lazy > 4*eager {
 		t.Errorf("engine dispatched %d events, more than 40%% of the %d with per-poll wakes", lazy, eager)
+	}
+	if spec != wantSpec || specSinks != wantSpec {
+		t.Errorf("with speculation the engine dispatched %d events bare and %d with every sink attached, want exactly %d for both",
+			spec, specSinks, wantSpec)
 	}
 }

@@ -81,9 +81,9 @@ func runPollVariant(t *testing.T, build func() (*scenario.Spec, error), wakes, t
 
 // checkPollDifferential compares a bare run, where monitors fold their
 // polls and wake only to kill, against the same run with per-grid-point
-// wakes forced (the eager event pattern), untraced and traced. A trace is
-// itself a live per-poll consumer, so both traced runs wake at every grid
-// point; they pin that the forced callback leaves the span trace alone.
+// wakes forced (the eager event pattern), untraced and traced. The traced
+// pair pins that the forced wakes leave the span trace alone: the trace
+// takes its poll counts from the fold, so both record the same spans.
 func checkPollDifferential(t *testing.T, build func() (*scenario.Spec, error)) {
 	bare := runPollVariant(t, build, false, false)
 	traced := runPollVariant(t, build, false, true)

@@ -43,10 +43,9 @@ type ScenarioConfig struct {
 	Resilience wq.ResilienceConfig `json:"resilience"`
 	// Faults is the declarative chaos schedule, nil for a healthy run.
 	Faults *chaos.Schedule `json:"faults,omitempty"`
-	// Telemetry, when non-nil, records resource time series. It is part of
-	// the behavioural config (not observation) because the flatline anomaly
-	// detector becomes an extra speculation trigger when speculation is
-	// enabled.
+	// Telemetry, when non-nil, records resource time series. It changes no
+	// decision of the run; it is part of the scenario config because the
+	// run's summary carries what it records (the waste block).
 	Telemetry *tseries.Config `json:"telemetry,omitempty"`
 }
 

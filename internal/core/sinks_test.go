@@ -7,7 +7,6 @@ import (
 	"io"
 	"runtime"
 	rtmetrics "runtime/metrics"
-	"strings"
 	"testing"
 
 	"lfm/internal/cluster"
@@ -74,25 +73,11 @@ func runAllSinks(t testing.TB) (*Outcome, sinkExports) {
 	return out, ex
 }
 
-// maskWallClock drops the sample lines of wq_sched_round_seconds, the one
-// series that records host wall-clock time (each scheduling round's
-// duration) and so differs run to run. Its HELP and TYPE lines stay.
-func maskWallClock(prom []byte) []byte {
-	var out []string
-	for _, line := range strings.SplitAfter(string(prom), "\n") {
-		if !strings.HasPrefix(line, "wq_sched_round_seconds") {
-			out = append(out, line)
-		}
-	}
-	return []byte(strings.Join(out, ""))
-}
-
 // TestSinkExportsGolden pins every sink's export of one seeded run to
 // SHA-256 digests, so a change to how the sinks record (handle caching,
 // span storage, series buffers) must keep their output byte-identical.
-// Only the wall-clock wq_sched_round_seconds samples are masked (see
-// maskWallClock). After an intentional export change, recompute the
-// digests and say why in the commit.
+// Every export is deterministic, none is masked. After an intentional
+// export change, recompute the digests and say why in the commit.
 func TestSinkExportsGolden(t *testing.T) {
 	_, ex := runAllSinks(t)
 	for _, c := range []struct {
@@ -102,7 +87,7 @@ func TestSinkExportsGolden(t *testing.T) {
 	}{
 		{"trace.json", ex.traceJSON, "6fe2b70f2205db91b1bfe953514fc701ea3e7963cc2cd760dc43011a76cded08"},
 		{"perfetto.json", ex.perfetto, "a4cc5689165e206d832fb45139e52f5b2b69beac558bed9e60d61ca547a3cd93"},
-		{"metrics.prom", maskWallClock(ex.prometheus), "c443ffc53d398d5053d32d9f6ea83bd93ec0cb17a2b84ff9cc3a09b0ebc6f748"},
+		{"metrics.prom", ex.prometheus, "9fda7f7739c88cac6809f0a19f843d8c97593554168675111f960b035bd0736c"},
 		{"timeline.json", ex.timeline, "341f59a6603c6a2f237dc9dbe5ece46aa31f4929b7021254a9f6d8c77eb6c1bc"},
 		{"telemetry.jsonl", ex.telemetry, "35861231d0570cb90adb9367ce3d0da5418ddc05d5cdfec93068552e3bafcc00"},
 		{"obs.jsonl", ex.stream, "00ee9e75d7fa83f7daf90f792115df0f2f787e2bf8104807e764dcefbc1252a3"},

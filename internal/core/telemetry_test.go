@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"testing"
 
+	"lfm/internal/chaos"
 	"lfm/internal/sim"
 	"lfm/internal/tseries"
 	"lfm/internal/workloads"
@@ -12,9 +13,8 @@ import (
 )
 
 // TestTelemetryBehaviorNeutral checks the acceptance criterion: with
-// RunConfig.Telemetry set (and no speculation for its flatline detector to
-// influence), the Outcome is byte-identical to a bare run — recording is
-// passive.
+// RunConfig.Telemetry set, the Outcome is byte-identical to a bare run —
+// recording is passive.
 func TestTelemetryBehaviorNeutral(t *testing.T) {
 	run := func(tcfg *tseries.Config) []byte {
 		t.Helper()
@@ -38,6 +38,63 @@ func TestTelemetryBehaviorNeutral(t *testing.T) {
 	if !bytes.Equal(bare, telem) {
 		t.Fatalf("telemetry run outcome differs from bare:\nbare:  %s\ntelem: %s", bare, telem)
 	}
+}
+
+// TestTelemetrySpeculationNeutral repeats TestTelemetryBehaviorNeutral with
+// speculation on, under the stragglers chaos profile, at a multiplier no
+// attempt outlives, so every backup comes from the flatline rule: the
+// Outcome must be byte-identical with and without telemetry, and the
+// telemetry run must record one AnomalyFlatline per flatlined attempt,
+// covering every task that got a backup.
+func TestTelemetrySpeculationNeutral(t *testing.T) {
+	run := func(tcfg *tseries.Config) (*Outcome, []byte) {
+		t.Helper()
+		faults, err := chaos.Profile("stragglers", 600)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := workloads.HEP(sim.NewRNG(42), 60)
+		out, err := Run(w, RunConfig{
+			SiteName: "ndcrc", Workers: 4, Seed: 42, Faults: faults,
+			Resilience: wq.ResilienceConfig{SpeculationMultiplier: 1000},
+			Telemetry:  tcfg,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := json.Marshal(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out, b
+	}
+	_, bare := run(nil)
+	out, telem := run(tseries.DefaultConfig())
+	if !bytes.Equal(bare, telem) {
+		t.Fatalf("telemetry run outcome differs from bare:\nbare:  %s\ntelem: %s", bare, telem)
+	}
+	rs := out.Stats.Resilience
+	if rs == nil || rs.SpecLaunched == 0 {
+		t.Fatalf("no flatline-triggered speculation: %+v", rs)
+	}
+	type attemptKey struct{ task, attempt int }
+	flagged, tasks := map[attemptKey]bool{}, map[int]bool{}
+	for _, a := range out.Telemetry.Anomalies {
+		if a.Kind != tseries.AnomalyFlatline {
+			continue
+		}
+		k := attemptKey{a.Task, a.Attempt}
+		if flagged[k] {
+			t.Fatalf("attempt %+v recorded as flatlined twice", k)
+		}
+		flagged[k], tasks[a.Task] = true, true
+	}
+	for _, a := range out.Telemetry.Attempts {
+		if a.Speculative && !tasks[a.Task] {
+			t.Fatalf("task %d got a backup with no flatline recorded", a.Task)
+		}
+	}
+	t.Logf("%d backups, %d flatlined attempts", rs.SpecLaunched, len(flagged))
 }
 
 // TestTelemetryAndTraceNeutral repeats the check with tracing on: the traced

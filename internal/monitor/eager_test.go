@@ -43,7 +43,7 @@ type pollCase struct {
 	// dispatches before any event of the run at the same instant.
 	startAt, abortAt sim.Time
 	// observe attaches a measurement observer, which the run feeds from
-	// its fold, or at every grid point under cfg.LiveObserver.
+	// its fold.
 	observe bool
 }
 
@@ -58,8 +58,9 @@ type pollRun struct {
 	End sim.Time
 }
 
-// runPolls executes c under the grid walker, or under the eager reference.
-func runPolls(c pollCase, eager bool) pollRun {
+// runPolls executes c under the grid walker, or under the eager reference,
+// and returns the execution too.
+func runPolls(c pollCase, eager bool) (pollRun, *Execution) {
 	eng := sim.NewEngine(1)
 	m := New(eng, c.cfg)
 	if eager {
@@ -85,14 +86,15 @@ func runPolls(c pollCase, eager bool) pollRun {
 	})
 	out.End = eng.Run()
 	out.Rep = ex.r.rep
-	return out
+	return out, ex
 }
 
 // lazyMatchesEager runs c under both pollers, fails on any difference, and
 // returns the eager reference's result.
 func lazyMatchesEager(t *testing.T, c pollCase) pollRun {
 	t.Helper()
-	lazy, eager := runPolls(c, false), runPolls(c, true)
+	lazy, _ := runPolls(c, false)
+	eager, _ := runPolls(c, true)
 	if !reflect.DeepEqual(lazy, eager) {
 		t.Fatalf("walker diverges from the eager poller\n lazy: %+v\neager: %+v", lazy, eager)
 	}

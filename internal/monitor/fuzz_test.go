@@ -51,11 +51,12 @@ func (b *fuzzBytes) spec(budget *int) ProcSpec {
 
 // decodePollCase builds a pollCase from a fuzz input: the process tree,
 // then the poll interval, start time, limits, flags (event tracking,
-// observer, overhead, abort, live observer), kill delay and abort time.
-func decodePollCase(data []byte) pollCase {
+// observer, overhead, abort, FrozenSince check), kill delay and abort
+// time. frozen asks for the FrozenSince check.
+func decodePollCase(data []byte) (c pollCase, frozen bool) {
 	b := fuzzBytes(data)
 	budget := 3
-	c := pollCase{spec: b.spec(&budget), abortAt: -1}
+	c = pollCase{spec: b.spec(&budget), abortAt: -1}
 	polls := []sim.Time{1, 0.5, 0.1, 0.25, 2, 0.3, 0.7, 1.5}
 	c.cfg.PollInterval = polls[b.next()%8]
 	c.startAt = b.duration()
@@ -64,7 +65,7 @@ func decodePollCase(data []byte) pollCase {
 	flags := b.next()
 	c.cfg.TrackProcessEvents = flags&1 != 0
 	c.observe = flags&2 != 0
-	c.cfg.LiveObserver = flags&16 != 0
+	frozen = flags&16 != 0
 	if flags&4 != 0 {
 		c.cfg.Overhead = 20 * sim.Millisecond
 	}
@@ -75,12 +76,13 @@ func decodePollCase(data []byte) pollCase {
 	if flags&8 != 0 {
 		c.abortAt = c.startAt + b.duration()
 	}
-	return c
+	return c, frozen
 }
 
 // FuzzLazyPolls runs random process trees under the grid walker and under
 // the eager reference poller and requires the same report (series on),
-// observed stream, delivery and final engine time.
+// observed stream, delivery and final engine time. With flag 16 it also
+// checks FrozenSince against the eager run's observed stream.
 func FuzzLazyPolls(f *testing.F) {
 	for _, seed := range [][]byte{
 		// Layout: phase count, (duration, usage) per phase, child count,
@@ -104,7 +106,7 @@ func FuzzLazyPolls(f *testing.F) {
 		// on grid point 3.
 		{0, 201, 5, 1, 51, 0, 5, 29, 0, 0, 0, 20, 1, 11},
 		// Observed runs aborted on grid point 3 and at 2.5 s, the first
-		// also with a live observer (flag 16).
+		// also with the FrozenSince check (flag 16).
 		{0, 201, 5, 0, 0, 0, 0, 10, 0, 6},
 		{0, 201, 5, 0, 0, 0, 0, 26, 0, 6},
 		{0, 201, 5, 0, 0, 0, 0, 10, 0, 51},
@@ -112,6 +114,10 @@ func FuzzLazyPolls(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		lazyMatchesEager(t, decodePollCase(data))
+		c, frozen := decodePollCase(data)
+		lazyMatchesEager(t, c)
+		if frozen {
+			frozenMatchesStream(t, c)
+		}
 	})
 }

@@ -10,6 +10,7 @@ package monitor
 
 import (
 	"fmt"
+	"math"
 
 	"lfm/internal/sim"
 )
@@ -217,6 +218,23 @@ func (p ProcSpec) eventTimes(base sim.Time) []sim.Time {
 		ts = append(ts, c.Spec.eventTimes(base+c.StartOffset)...)
 	}
 	return ts
+}
+
+// nextProcEvent returns the earliest fork or exit of the tree started at
+// base that falls after at, summed as the monitor schedules them, or +Inf.
+func (p ProcSpec) nextProcEvent(base, at sim.Time) sim.Time {
+	next := sim.Time(math.Inf(1))
+	for _, c := range p.Children {
+		fork := base + c.StartOffset
+		if fork > at {
+			next = min(next, fork)
+		}
+		if exit := fork + c.Spec.SelfDuration(); exit > at {
+			next = min(next, exit)
+		}
+		next = min(next, c.Spec.nextProcEvent(fork, at))
+	}
+	return next
 }
 
 // countProcs returns the number of processes in the tree.

@@ -102,20 +102,14 @@ type Config struct {
 	// containment.
 	Overhead sim.Time
 	// Callback, if set, runs at the end of each polling interval with the
-	// current measurement — the decorator callback of §VI-B1. It is a live
-	// per-poll consumer: a run with a Callback wakes the engine at every
-	// grid point so the callback sees each poll at its own instant, where
-	// every other run folds its polls arithmetically (see run.catchUp) and
-	// wakes only to kill.
+	// current measurement — the decorator callback of §VI-B1. It is the one
+	// live per-poll consumer: a run with a Callback wakes the engine at
+	// every grid point so the callback sees each poll at its own instant,
+	// where every other run folds its polls arithmetically (see
+	// run.catchUp) and wakes only to kill. Observers take their polls from
+	// the fold, tickers that read them call LFM.Sync first, and model code
+	// that asks about a run's measurements reads Execution.FrozenSince.
 	Callback func(at sim.Time, current Resources)
-	// LiveObserver, when set, makes a run with a measurement observer wake
-	// at every grid point too, so the observer has seen every poll up to
-	// the engine's clock whenever model code reads its state. Set it only
-	// for a reader that steers the run: the master does when speculation
-	// may ask a telemetry recorder whether usage has flatlined. Sinks that
-	// only record take their polls from the fold, and tickers that read
-	// them call LFM.Sync first.
-	LiveObserver bool
 	// RecordSeries, when true, retains every measurement in the report's
 	// Series for post-hoc inspection (usage timelines).
 	RecordSeries bool
@@ -146,8 +140,10 @@ type LFM struct {
 	Cfg Config
 
 	met lfmMetrics
-	// runs holds the runs being monitored, each at its slot, for Sync.
-	runs []*run
+	// runs holds the runs being monitored, each at its slot, for Sync;
+	// synced is the last instant Sync folded to.
+	runs   []*run
+	synced sim.Time
 	// armPolls, when set, replaces the grid walker as the way a run's polls
 	// are scheduled. Only tests set it, to run the eager reference poller
 	// the walker is checked against.
@@ -281,6 +277,45 @@ func (e *Execution) Abort() {
 	r.finish(false)
 }
 
+// FrozenSince returns the first instant of the run's current frozen
+// stretch as of now: the earliest measurement instant from which every
+// measurement at or before now, one at now included, read the same usage.
+// The measurements are those the run takes whether or not its polls are
+// folded — the start, the poll grid points before the completion, each
+// fork and exit under TrackProcessEvents, and the completion — so the
+// answer depends on the spec, the start and the grid alone, and no kill is
+// foreseen. Before monitoring begins it returns now. It walks the grid
+// from the start and allocates nothing.
+func (e *Execution) FrozenSince(now sim.Time) sim.Time {
+	r := &e.r
+	if !r.haveU || now < r.start {
+		return now
+	}
+	inf, p := sim.Time(math.Inf(1)), r.m.Cfg.PollInterval
+	end := r.start + r.spec.Duration()
+	// Grid points are summed as the walker sums them; the completion stands
+	// in for a point at or past it, which reads the same usage or none.
+	grid, ev := min(r.start+p, end), inf
+	if r.m.Cfg.TrackProcessEvents {
+		ev = r.spec.nextProcEvent(r.start, r.start)
+	}
+	since, cur := r.start, r.spec.UsageAt(0)
+	for at := min(grid, ev); at <= now; at = min(grid, ev) {
+		if u := r.spec.UsageAt(at - r.start); u != cur {
+			since, cur = at, u
+		}
+		switch {
+		case at == end:
+			grid, ev = inf, inf
+		case at == grid:
+			grid = min(grid+p, end)
+		default:
+			ev = r.spec.nextProcEvent(r.start, at)
+		}
+	}
+	return since
+}
+
 // SetKillDelay installs (or, with nil, removes) the kill-failure hook on a
 // live monitor; it applies to kills decided after the call.
 func (m *LFM) SetKillDelay(fn func() sim.Time) { m.Cfg.KillDelay = fn }
@@ -304,10 +339,9 @@ func (m *LFM) Run(spec ProcSpec, limits Resources, done func(Report)) *Execution
 // passive. The run folds its polls arithmetically: each reaches the
 // observer, the poll counter and the report when the run's next
 // measurement, kill wake, abort or a Sync folds it, and the engine wakes
-// only where a limit can trip. Only a Config.Callback, or an observer under
-// Config.LiveObserver, makes the run wake at every poll grid point instead.
-// Either way the report, the kill time and every other engine event are the
-// same.
+// only where a limit can trip. Only a Config.Callback makes the run wake
+// at every poll grid point instead. Either way the report, the kill time
+// and every other engine event are the same.
 func (m *LFM) RunObserved(spec ProcSpec, limits Resources, tr *trace.Store, parent trace.SpanID, obs Observer, done func(Report)) *Execution {
 	ex := &Execution{r: run{m: m, spec: spec, limits: limits, done: done, obs: obs, slot: -1,
 		tr: tr, parent: parent, ovSpan: trace.NoSpan, trTask: -1, trWorker: -1}}
@@ -467,11 +501,9 @@ func (r *run) catchUp(now sim.Time, last int) {
 	}
 }
 
-// live reports whether some consumer must see each poll at its own
-// instant: the decorator callback, or an observer under LiveObserver.
-func (r *run) live() bool {
-	return r.m.Cfg.Callback != nil || r.m.Cfg.LiveObserver && r.obs != nil
-}
+// live reports whether the decorator callback must see each poll at its
+// own instant.
+func (r *run) live() bool { return r.m.Cfg.Callback != nil }
 
 // Sync folds every monitored run's grid points at or before at, ties
 // included, so the poll counter and every observer are as eager per-poll
@@ -480,8 +512,14 @@ func (r *run) live() bool {
 // fires after every event at or before B, and a grid point that kills has
 // its own wake, which fires before any ticker at or after it, so the fold
 // never reaches a kill decision (a zombie's later polls return from kill
-// at once) and schedules nothing.
+// at once) and schedules nothing. A run that starts later has its first
+// grid point after the clock, so a second Sync at or before an instant
+// already synced (two tickers at one boundary) returns at once.
 func (m *LFM) Sync(at sim.Time) {
+	if at <= m.synced {
+		return
+	}
+	m.synced = at
 	for i := 0; i < len(m.runs); i++ {
 		r := m.runs[i]
 		r.catchUp(at, allTies)

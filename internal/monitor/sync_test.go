@@ -10,18 +10,20 @@ import (
 )
 
 // syncRun is what the fold is compared on across a whole engine: every
-// run's observed stream and report, and lfm_polls_total at every sampler
-// boundary.
+// run's observed stream and report, and lfm_polls_total at every boundary
+// of each of two samplers.
 type syncRun struct {
 	Streams [][]obsSample
 	Reports []Report
-	Polls   []metrics.Point
+	Polls   [2][]metrics.Point
 	Zombies int
 }
 
-// runSynced starts many observed runs on one engine whose metrics sampler
-// folds the monitor's polls (Sync) before each boundary, under the grid
-// walker or under the eager reference poller. Runs start on whole and half
+// runSynced starts many observed runs on one engine whose two metrics
+// samplers, at one cadence as the metrics sampler and the obs bus often
+// are, each fold the monitor's polls (Sync) before each boundary, so the
+// second Sync at a boundary finds it synced; under the grid walker or
+// under the eager reference poller. Runs start on whole and half
 // seconds with whole-second phases and forks on a one-second grid, so
 // completions, forks, kill decisions, deferred zombie kills and the
 // half-second sampler boundaries all land on poll grid points.
@@ -37,8 +39,11 @@ func runSynced(eager bool) syncRun {
 	if eager {
 		m.armPolls = eagerPolls
 	}
-	sampler := metrics.NewSampler(eng, reg, sim.Second/2)
-	sampler.SetSync(m.Sync)
+	var samplers [2]*metrics.Sampler
+	for i := range samplers {
+		samplers[i] = metrics.NewSampler(eng, reg, sim.Second/2)
+		samplers[i].SetSync(m.Sync)
+	}
 	rng := sim.NewRNG(11)
 	whole := func(lo, hi int) sim.Time { return sim.Time(lo + rng.Intn(hi-lo+1)) }
 	const runs = 120
@@ -66,9 +71,13 @@ func runSynced(eager bool) syncRun {
 			m.RunObserved(spec, limits, nil, trace.NoSpan, obs, func(r Report) { out.Reports[i] = r })
 		})
 	}
-	eng.At(0, sampler.Start)
+	for _, s := range samplers {
+		eng.At(0, s.Start)
+	}
 	eng.Run()
-	out.Polls = sampler.Find("lfm_polls_total").Points
+	for i, s := range samplers {
+		out.Polls[i] = s.Find("lfm_polls_total").Points
+	}
 	for _, r := range out.Reports {
 		if r.Zombie {
 			out.Zombies++
@@ -77,14 +86,14 @@ func runSynced(eager bool) syncRun {
 	return out
 }
 
-// TestSyncMatchesEagerPolls runs the fold, with Sync before every sampler
-// boundary, against the eager one-event-per-poll reference on the same
-// runs: every observed stream and report, and lfm_polls_total at every
-// boundary, must be equal.
+// TestSyncMatchesEagerPolls runs the fold, with Sync before every boundary
+// of two samplers, against the eager one-event-per-poll reference on the
+// same runs: every observed stream and report, and lfm_polls_total at
+// every boundary of either sampler, must be equal.
 func TestSyncMatchesEagerPolls(t *testing.T) {
 	fold, eager := runSynced(false), runSynced(true)
-	if eager.Zombies == 0 || len(eager.Polls) < 60 {
-		t.Fatalf("reference has %d zombie kills and %d boundaries; the case lost its coverage", eager.Zombies, len(eager.Polls))
+	if eager.Zombies == 0 || len(eager.Polls[1]) < 60 {
+		t.Fatalf("reference has %d zombie kills and %d boundaries; the case lost its coverage", eager.Zombies, len(eager.Polls[1]))
 	}
 	for i := range eager.Reports {
 		if !reflect.DeepEqual(fold.Streams[i], eager.Streams[i]) {

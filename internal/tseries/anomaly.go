@@ -12,17 +12,18 @@ const (
 	// AnomalyMemLeak flags monotone memory growth sustained long and steep
 	// enough to look like a leak rather than a phase change.
 	AnomalyMemLeak = "mem-leak"
-	// AnomalyFlatline flags an attempt whose usage has been frozen well past
-	// its category's typical wall time — a hung straggler by the data.
+	// AnomalyFlatline records an attempt the master's speculation scan found
+	// flatlined: its measured usage frozen for 30 s while it has run twice
+	// its category's mean wall time — a hung straggler by the data.
 	AnomalyFlatline = "flatline"
 )
 
-// AnomalyConfig tunes the online detector. Both heuristics are conservative
-// by default: workload phases are piecewise-constant, so a flatline alone
-// means nothing until the attempt has also outlived its category's mean wall
-// time by a comfortable factor.
+// AnomalyConfig tunes the online leak detector. It is conservative by
+// default: workload phases are piecewise-constant, so growth must be
+// sustained and steep before it looks like a leak.
 type AnomalyConfig struct {
-	// Disable turns the detector off entirely.
+	// Disable stops recording anomalies of either kind. It changes no
+	// decision of the run.
 	Disable bool
 	// LeakWindow is how many consecutive non-decreasing memory measurements
 	// are needed before a leak can be flagged. Default 8.
@@ -32,15 +33,6 @@ type AnomalyConfig struct {
 	// LeakMinGrowthMB is the minimum total growth over the window, so slow
 	// creep below the noise floor is not flagged. Default 64 MB.
 	LeakMinGrowthMB float64
-	// FlatlineAfter is the minimum duration usage must be frozen. Default 30s.
-	FlatlineAfter sim.Time
-	// FlatlineMeanFactor gates flatline on attempt age relative to the
-	// category's mean wall time (constant-usage tasks are flat by nature).
-	// Default 2.
-	FlatlineMeanFactor float64
-	// FlatlineMinSamples is how many completed attempts the category needs
-	// before its mean is trusted. Default 3.
-	FlatlineMinSamples int
 }
 
 func (a *AnomalyConfig) fillDefaults() {
@@ -52,15 +44,6 @@ func (a *AnomalyConfig) fillDefaults() {
 	}
 	if a.LeakMinGrowthMB <= 0 {
 		a.LeakMinGrowthMB = 64
-	}
-	if a.FlatlineAfter <= 0 {
-		a.FlatlineAfter = 30 * sim.Second
-	}
-	if a.FlatlineMeanFactor <= 0 {
-		a.FlatlineMeanFactor = 2
-	}
-	if a.FlatlineMinSamples <= 0 {
-		a.FlatlineMinSamples = 3
 	}
 }
 
@@ -123,28 +106,4 @@ func (l *leakState) observe(cfg *AnomalyConfig, at sim.Time, u monitor.Resources
 	l.flagged = true
 	return true, fmt.Sprintf("memory +%.0fMB over %.0fs (%.1f MB/s, %d monotone samples)",
 		growth, dur, slope, l.samples)
-}
-
-// flatState tracks the usage-flatline detector for one attempt.
-type flatState struct {
-	have    bool
-	lastU   monitor.Resources
-	since   sim.Time // start of the current frozen stretch
-	flagged bool
-}
-
-func (f *flatState) observe(at sim.Time, u monitor.Resources) {
-	if !f.have || u != f.lastU {
-		f.have = true
-		f.lastU = u
-		f.since = at
-	}
-}
-
-// flatFor reports how long usage has been frozen as of now.
-func (f *flatState) flatFor(now sim.Time) sim.Time {
-	if !f.have {
-		return 0
-	}
-	return now - f.since
 }

@@ -15,20 +15,16 @@ import (
 // measurements through an AttemptRecorder. All entry points are safe on a
 // nil collector (and a nil recorder), so call sites need no enabled-guards.
 //
-// The collector is passive: it never schedules simulation events and never
-// mutates scheduler state. Its one outward influence is Flatlined, which the
-// speculation scan may consult as a data-grounded straggler trigger — and
-// only when telemetry is enabled.
+// The collector is passive: it never schedules simulation events, never
+// mutates scheduler state, and no decision of the run reads it.
 type Collector struct {
 	eng *sim.Engine
 	cfg Config
 	tr  *trace.Store
 
 	// labelFn exposes the allocation strategy's current per-category label
-	// (Auto), for the profile audit. meansFn exposes the category's
-	// completed wall-time mean and sample count, for flatline gating.
+	// (Auto), for the profile audit.
 	labelFn func(category string) (monitor.Resources, bool)
-	meansFn func(category string) (mean float64, n int)
 
 	profiles  map[string]*categoryProfile
 	profOrder []string
@@ -80,14 +76,6 @@ func (c *Collector) SetTrace(tr *trace.Store) {
 func (c *Collector) SetLabelAudit(fn func(category string) (monitor.Resources, bool)) {
 	if c != nil {
 		c.labelFn = fn
-	}
-}
-
-// SetCategoryMeans installs the category wall-time mean lookup used to gate
-// the flatline detector.
-func (c *Collector) SetCategoryMeans(fn func(category string) (mean float64, n int)) {
-	if c != nil {
-		c.meansFn = fn
 	}
 }
 
@@ -174,10 +162,8 @@ type AttemptRecorder struct {
 	// held until the next one (or the close), exactly.
 	usedCS, usedMemS float64
 
-	leak        leakState
-	flat        flatState
-	flatFlagged bool
-	closed      bool
+	leak   leakState
+	closed bool
 }
 
 // StartAttempt opens a recorder for one attempt about to execute.
@@ -230,7 +216,6 @@ func (rec *AttemptRecorder) Observe(at sim.Time, u monitor.Resources, src monito
 		if fire, detail := rec.leak.observe(&c.cfg.Anomalies, at, u); fire {
 			c.flagAnomaly(AnomalyMemLeak, rec, at, detail)
 		}
-		rec.flat.observe(at, u)
 	}
 }
 
@@ -252,36 +237,16 @@ func (c *Collector) flagAnomaly(kind string, rec *AttemptRecorder, at sim.Time, 
 	})
 }
 
-// Flatlined reports whether the attempt's usage has been frozen past the
-// configured window AND the attempt has outlived its category's mean wall
-// time by the configured factor (with enough completed samples to trust the
-// mean). The first positive answer is also recorded as an anomaly. Safe on a
-// nil collector or recorder.
-func (c *Collector) Flatlined(rec *AttemptRecorder, now sim.Time) bool {
+// Flatline records that the master's speculation scan found the attempt
+// flatlined now: its usage frozen for frozen while it ran past its
+// category's mean wall time mean. Safe on a nil collector or recorder.
+func (c *Collector) Flatline(rec *AttemptRecorder, frozen sim.Time, mean float64) {
 	if c == nil || rec == nil || rec.closed || c.cfg.Anomalies.Disable {
-		return false
+		return
 	}
-	a := &c.cfg.Anomalies
-	if rec.flat.flatFor(now) < a.FlatlineAfter {
-		return false
-	}
-	if c.meansFn == nil {
-		return false
-	}
-	mean, n := c.meansFn(rec.category)
-	if n < a.FlatlineMinSamples || mean <= 0 {
-		return false
-	}
-	if float64(now-rec.started) < a.FlatlineMeanFactor*mean {
-		return false
-	}
-	if !rec.flatFlagged {
-		rec.flatFlagged = true
-		detail := fmt.Sprintf("usage frozen %.0fs, attempt age %.0fs vs category mean %.0fs",
-			float64(rec.flat.flatFor(now)), float64(now-rec.started), mean)
-		c.flagAnomaly(AnomalyFlatline, rec, now, detail)
-	}
-	return true
+	now := c.eng.Now()
+	c.flagAnomaly(AnomalyFlatline, rec, now, fmt.Sprintf("usage frozen %.0fs, attempt age %.0fs vs category mean %.0fs",
+		float64(frozen), float64(now-rec.started), mean))
 }
 
 // FinishAttempt folds a finished attempt's monitor report into the profiles

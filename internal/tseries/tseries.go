@@ -24,14 +24,16 @@
 //   - a cluster utilization timeline (allocated and measured-used resources
 //     per node over time, with exact core-second integrals and a
 //     waste/packing summary; the used side is built at Finalize);
-//   - an online anomaly detector flagging monotone memory growth (leaks) and
-//     usage flatlines (stragglers), surfaced as trace.KindAnomaly spans and
-//     consumable by the scheduler's speculation machinery.
+//   - anomaly findings, surfaced as trace.KindAnomaly spans: an online
+//     detector flags monotone memory growth (leaks), and the master's
+//     speculation scan reports each attempt it finds flatlined (usage
+//     frozen well past its category's mean wall time; the scan decides
+//     that from the run's spec, see monitor.Execution.FrozenSince).
 //
 // Recording is strictly passive: the collector never schedules simulation
-// events, so a telemetry-enabled run places and traces identically to a bare
-// one (the speculation flatline trigger is the one documented, opt-in
-// exception). All recording entry points are nil-receiver-safe.
+// events and no decision of the run reads it, so a telemetry-enabled run
+// places and traces identically to a bare one, speculation included. All
+// recording entry points are nil-receiver-safe.
 package tseries
 
 import (

@@ -1,8 +1,6 @@
 package wq
 
 import (
-	"time"
-
 	"lfm/internal/monitor"
 	"lfm/internal/sim"
 )
@@ -32,7 +30,8 @@ const (
 	evStagingRetry                // a failed transfer retried under backoff
 	evQuarantine                  // w quarantined for probation d
 	evSpecLaunch                  // a speculative copy launched
-	evSchedPass                   // one matching round examined n candidates in wall
+	evSchedPass                   // one matching round examined n candidates
+	evFlatline                    // a flatlined: usage frozen for d, category mean wall time mean
 )
 
 // event is one lifecycle transition. Only the fields its kind names are
@@ -47,7 +46,7 @@ type event struct {
 	rep  *monitor.Report
 	n    int64
 	d    sim.Time
-	wall time.Duration
+	mean float64
 }
 
 // emit announces a transition to every attached sink. The sinks are a

@@ -42,7 +42,6 @@ type masterMetrics struct {
 	categories map[string]*categoryMetrics // by category label value
 	rounds     *metrics.Counter
 	candidates *metrics.Histogram
-	roundSecs  *metrics.Histogram
 }
 
 // categoryMetrics are one category's instruments, each nil until its
@@ -221,12 +220,9 @@ func (mm *masterMetrics) on(e *event) {
 			mm.rounds = mm.reg.Counter("wq_sched_rounds_total")
 			mm.reg.Help("wq_sched_candidates", "workers tested for fit per scheduling round")
 			mm.candidates = mm.reg.Histogram("wq_sched_candidates", metrics.ExpBuckets(1, 4, 12))
-			mm.reg.Help("wq_sched_round_seconds", "wall-clock duration of one scheduling round")
-			mm.roundSecs = mm.reg.Histogram("wq_sched_round_seconds", metrics.ExpBuckets(1e-7, 4, 14))
 		}
 		mm.rounds.Inc()
 		mm.candidates.Observe(float64(e.n))
-		mm.roundSecs.Observe(e.wall.Seconds())
 	}
 }
 

@@ -313,10 +313,20 @@ func (m *Master) armSpeculation() {
 	m.specEv = m.Eng.After(r.SpeculationInterval, m.speculationTick)
 }
 
-// speculationTick scans running attempts for stragglers — attempts older
-// than Multiplier times their category's mean wall time — and launches a
-// backup copy for each. The scan goes quiet when the queue drains and is
-// re-armed by the next Submit.
+// The flatline rule's constants: an attempt whose measured usage has been
+// frozen for flatlineAfter, once it has run flatlineMeanFactor times its
+// category's mean wall time, is a hung straggler by the data.
+const (
+	flatlineMeanFactor = 2
+	flatlineAfter      = 30 * sim.Second
+)
+
+// speculationTick scans running attempts for stragglers and launches a
+// backup copy for each. A straggler is an attempt whose category has
+// SpeculationMinSamples completed reports and that is flatlined (see
+// flatlined) or older than Multiplier times the category's mean wall time.
+// The scan goes quiet when the queue drains and is re-armed by the next
+// Submit.
 func (m *Master) speculationTick() {
 	m.specArmed = false
 	m.specEv = sim.Event{}
@@ -334,23 +344,39 @@ func (m *Master) speculationTick() {
 			if len(t.active) != 1 || t.specCount >= r.MaxSpeculative {
 				continue
 			}
-			// Telemetry's flatline detector is a data-grounded fast path: an
-			// attempt whose usage froze well past its category's typical wall
-			// time speculates without waiting for the mean-multiplier rule.
-			if !m.telem.Flatlined(a.rec, now) {
-				cs := m.categories.byCat[t.Category]
-				if cs == nil || cs.WallTimes.N() < r.SpeculationMinSamples {
-					continue
-				}
-				mean := cs.WallTimes.Mean()
-				if mean <= 0 || float64(now-a.execStart) < r.SpeculationMultiplier*mean {
-					continue
-				}
+			cs := m.categories.byCat[t.Category]
+			if cs == nil || cs.WallTimes.N() < r.SpeculationMinSamples {
+				continue
+			}
+			mean, age := cs.WallTimes.Mean(), float64(now-a.execStart)
+			if mean <= 0 || !m.flatlined(a, now, age, mean) && age < r.SpeculationMultiplier*mean {
+				continue
 			}
 			m.speculate(a)
 		}
 	}
 	m.armSpeculation()
+}
+
+// flatlined applies the flatline rule to a running attempt of the given
+// age whose category's mean wall time is mean: it has run
+// flatlineMeanFactor times the mean and its monitor's measurements have
+// read the same usage for flatlineAfter, a measurement at now included
+// (monitor.Execution.FrozenSince, which reads only the run's spec, so no
+// sink is asked). The first time the rule holds it emits evFlatline.
+func (m *Master) flatlined(a *attempt, now sim.Time, age, mean float64) bool {
+	if age < flatlineMeanFactor*mean {
+		return false
+	}
+	frozen := now - a.exec.FrozenSince(now)
+	if frozen < flatlineAfter {
+		return false
+	}
+	if !a.flatlined {
+		a.flatlined = true
+		m.emit(event{kind: evFlatline, a: a, d: frozen, mean: mean})
+	}
+	return true
 }
 
 // speculate launches a backup copy of a straggling attempt on a different

@@ -32,42 +32,62 @@ func telemetryRig(t *testing.T, res ResilienceConfig, tcfg *tseries.Config) (sim
 	return end, m, c
 }
 
-// The flatline detector must rescue stragglers even when the mean-multiplier
-// rule is configured far too high to ever fire.
+// The flatline rule must rescue stragglers on its own, with no sink
+// attached, even when the mean-multiplier rule is configured far too high
+// to ever fire: the slow worker's 100 s attempts read the same usage from
+// their start and pass twice the 10 s category mean at 20 s, so each gets
+// a backup at the first scan after 30 s frozen.
 func TestFlatlineTriggersSpeculation(t *testing.T) {
-	res := ResilienceConfig{SpeculationMultiplier: 1000}
-	tcfg := tseries.DefaultConfig()
-	tcfg.Anomalies.FlatlineAfter = 15 * sim.Second
-
-	// Control: same impossible multiplier, telemetry's detector disabled —
-	// the run waits the full 100s for the slow worker.
-	off := *tcfg
-	off.Anomalies.Disable = true
-	without, _, _ := telemetryRig(t, res, &off)
-	if without < 100 {
-		t.Fatalf("makespan without flatline detection = %v, want >= 100", without)
-	}
-
-	with, m, c := telemetryRig(t, res, tcfg)
-	if with >= without {
-		t.Fatalf("flatline speculation did not help: %v >= %v", with, without)
+	end, m := stragglerMakespan(t, ResilienceConfig{SpeculationMultiplier: 1000})
+	if end >= 60 {
+		t.Fatalf("makespan with flatline speculation = %v, want < 60 (100 without)", end)
 	}
 	rs := m.Stats().Resilience
 	if rs == nil || rs.SpecLaunched == 0 || rs.SpecWins == 0 {
 		t.Fatalf("no flatline-triggered speculation: %+v", rs)
 	}
-	rt := c.Finalize(tseries.RunMeta{Makespan: with})
-	var flatlines int
-	for _, a := range rt.Anomalies {
-		if a.Kind == tseries.AnomalyFlatline {
-			flatlines++
-		}
+}
+
+// Telemetry records each attempt the flatline rule fires for as one
+// AnomalyFlatline, and recording steers nothing: the run is the same with
+// no collector and with anomaly recording disabled, which records none.
+func TestFlatlineRecordedOnce(t *testing.T) {
+	res := ResilienceConfig{SpeculationMultiplier: 1000}
+	bare, mBare := stragglerMakespan(t, res)
+	with, m, c := telemetryRig(t, res, tseries.DefaultConfig())
+	off := tseries.DefaultConfig()
+	off.Anomalies.Disable = true
+	disabled, _, cOff := telemetryRig(t, res, off)
+	if with != bare || disabled != bare {
+		t.Fatalf("makespan %v with telemetry, %v with anomalies disabled, %v bare", with, disabled, bare)
 	}
-	if flatlines == 0 {
-		t.Fatal("speculated without recording a flatline anomaly")
+	rs, rsBare := m.Stats().Resilience, mBare.Stats().Resilience
+	if rs.SpecLaunched != rsBare.SpecLaunched || rs.SpecWins != rsBare.SpecWins || rs.SpecWasteSeconds != rsBare.SpecWasteSeconds {
+		t.Fatalf("resilience stats %+v with telemetry, %+v bare", *rs, *rsBare)
+	}
+	rt := c.Finalize(tseries.RunMeta{Makespan: with})
+	type attemptKey struct{ task, attempt int }
+	seen := map[attemptKey]bool{}
+	for _, a := range rt.Anomalies {
+		if a.Kind != tseries.AnomalyFlatline {
+			continue
+		}
+		k := attemptKey{a.Task, a.Attempt}
+		if seen[k] {
+			t.Fatalf("attempt %+v flagged twice", k)
+		}
+		seen[k] = true
+	}
+	// The fast worker is idle by then, so every flatlined attempt gets a
+	// backup.
+	if len(seen) == 0 || len(seen) != rs.SpecLaunched {
+		t.Fatalf("%d flatline anomalies for %d flatline-triggered backups", len(seen), rs.SpecLaunched)
 	}
 	if err := rt.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+	if n := len(cOff.Finalize(tseries.RunMeta{Makespan: disabled}).Anomalies); n != 0 {
+		t.Fatalf("%d anomalies recorded with recording disabled", n)
 	}
 }
 

@@ -132,6 +132,9 @@ type attempt struct {
 	stranded bool
 	// done marks a terminal attempt; late continuations check it and bail.
 	done bool
+	// flatlined marks an attempt the speculation scan has found flatlined
+	// (see Master.flatlined), so it is announced once.
+	flatlined bool
 	// rec streams this attempt's measurements into the telemetry collector
 	// (nil when telemetry is off or execution never started).
 	rec *tseries.AttemptRecorder
@@ -624,9 +627,8 @@ func (m *Master) schedulePass() {
 		}
 		m.ready = remaining
 	}
-	elapsed := time.Since(start)
-	st.ElapsedNanos += elapsed.Nanoseconds()
-	m.emit(event{kind: evSchedPass, n: st.CandidatesExamined - candBefore, wall: elapsed})
+	st.ElapsedNanos += time.Since(start).Nanoseconds()
+	m.emit(event{kind: evSchedPass, n: st.CandidatesExamined - candBefore})
 }
 
 // place finds a worker for one task, preferring cached inputs, and starts
